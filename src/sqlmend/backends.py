@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -19,7 +20,9 @@ from pathlib import Path
 
 import requests
 
-from .errors import BackendUnavailableError, FixtureMissingError
+from .errors import BackendUnavailableError, FixtureMissingError, SqlMendError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -111,18 +114,44 @@ class HttpBackend(ModelBackend):
 
 class ReplayStore:
     """JSON-lines store of {prompt_sha256, prompt_text, response_text,
-    backend_id} records, keyed by prompt hash. Append-only while recording."""
+    backend_id} records, keyed by prompt hash. Append-only while recording.
+
+    A last line with no newline after it that does not parse is a write cut
+    short, as a killed recording leaves: it is skipped with a warning and
+    cut off before the next append. Any other line that does not parse
+    raises ``SqlMendError``."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
+        self._torn_at: int | None = None  # byte offset of a torn last line
+        self._unterminated = False  # the last line is whole but lacks "\n"
         if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            self._load()
+
+    def _load(self) -> None:
+        offset = 0
+        last = b"\n"
+        with self.path.open("rb") as handle:
+            for number, line in enumerate(handle, 1):
+                start, offset, last = offset, offset + len(line), line
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                self._records[record["prompt_sha256"]] = record
+                try:
+                    record = json.loads(line)
+                    self._records[record["prompt_sha256"]] = record
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.endswith(b"\n"):
+                        raise SqlMendError(
+                            f"{self.path}: line {number} is not a replay record: {exc}"
+                        ) from exc
+                    logger.warning(
+                        "%s: skipping torn last line (%d bytes); it is cut off before the next append",
+                        self.path, len(line),
+                    )
+                    self._torn_at = start
+        self._unterminated = not last.endswith(b"\n") and self._torn_at is None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -137,11 +166,18 @@ class ReplayStore:
             "response_text": response_text,
             "backend_id": backend_id,
         }
+        line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
             self._records[record["prompt_sha256"]] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            if self._unterminated:
+                line = "\n" + line
+                self._unterminated = False
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(line)
         return record
 
 
@@ -164,22 +200,31 @@ class ReplayBackend(ModelBackend):
 
 
 class RecordingBackend(ModelBackend):
-    """Serve from the store when possible, otherwise delegate and record."""
+    """Serve from the store when possible, otherwise delegate and record.
+
+    Workers sending the same prompt take turns on one lock per prompt hash,
+    so the prompt is sent to the inner backend and recorded once; different
+    prompts never wait on each other."""
 
     def __init__(self, inner: ModelBackend, store: ReplayStore):
         self.inner = inner
         self.store = store
         self.backend_id = f"record:{inner.backend_id}"
+        self._prompt_locks: dict[str, threading.Lock] = {}
+        self._prompt_locks_guard = threading.Lock()
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         digest = prompt_sha256(request.prompt)
-        record = self.store.get(digest)
-        if record is not None:
-            return ModelResponse(
-                text=record["response_text"],
-                backend_id=record.get("backend_id", self.inner.backend_id),
-                cached=True,
-            )
-        response = self.inner.complete(request)
-        self.store.append(request.prompt, response.text, response.backend_id)
-        return response
+        with self._prompt_locks_guard:
+            lock = self._prompt_locks.setdefault(digest, threading.Lock())
+        with lock:
+            record = self.store.get(digest)
+            if record is not None:
+                return ModelResponse(
+                    text=record["response_text"],
+                    backend_id=record.get("backend_id", self.inner.backend_id),
+                    cached=True,
+                )
+            response = self.inner.complete(request)
+            self.store.append(request.prompt, response.text, response.backend_id)
+            return response

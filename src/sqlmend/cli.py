@@ -264,7 +264,9 @@ def cmd_link(args: argparse.Namespace) -> int:
     )
     example = Example(example_id="adhoc", question=args.question, db_id=args.db_id)
     trace = CorrectionTrace(example_id="adhoc")
-    alignment = pipeline.link_entities(example, args.sql or "", trace)
+    alignment = pipeline.link_entities(
+        example, args.sql or "", trace, pipeline.select_demos(example.question)
+    )
     if alignment is None:
         print(f"entity linking failed: {trace.stage_errors}", file=sys.stderr)
         return 1

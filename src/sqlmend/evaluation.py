@@ -35,6 +35,16 @@ SKELETON_ERROR = "skeleton_error"
 EXECUTION_ERROR = "execution_error"
 ERROR_CATEGORIES = (TABLE_ERROR, COLUMN_ERROR, SKELETON_ERROR, EXECUTION_ERROR)
 
+# Everything else, ATTACH, PRAGMA and temporary tables included, is refused
+# while a statement is prepared, so model-written SQL cannot write anywhere.
+_ALLOWED_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
+
+
+def _authorize(action: int, *_) -> int:
+    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
 
 @dataclass
 class ExecutionResult:
@@ -52,7 +62,9 @@ def execute_sql(
     sql: str, catalog: SchemaCatalog, timeout: float = DEFAULT_TIMEOUT
 ) -> ExecutionResult:
     """Run a query against the catalog's SQLite file on a fresh read-only
-    connection; long queries are interrupted once *timeout* passes."""
+    connection that authorizes only reads (a refused statement fails with
+    ``not authorized``); long queries are interrupted once *timeout*
+    passes."""
     if catalog.source_path is None:
         raise EvaluationError(f"catalog {catalog.db_id} has no SQLite source path")
     started = time.monotonic()
@@ -62,6 +74,9 @@ def execute_sql(
         conn = sqlite3.connect(f"file:{catalog.source_path}?mode=ro", uri=True)
     except sqlite3.Error as exc:
         return ExecutionResult(status="engine_error", error_message=str(exc))
+    conn.set_authorizer(_authorize)
+    if hasattr(conn, "setlimit"):  # Python >= 3.11
+        conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
     deadline = started + timeout
     timed_out = False
 
@@ -289,8 +304,14 @@ def evaluate_run(
 
         initial_sql = trace.get("initial_sql") or ""
         final_sql = trace.get("final_sql") or ""
-        initial_result = execute_sql(initial_sql, catalog, timeout=timeout)
-        final_result = execute_sql(final_sql, catalog, timeout=timeout)
+        # A trace with no rounds has final == initial; the same text is run
+        # once per trace. Results are not kept across traces: they hold rows.
+        results = {example.gold_sql: gold_result}
+        for sql in (initial_sql, final_sql):
+            if sql not in results:
+                results[sql] = execute_sql(sql, catalog, timeout=timeout)
+        initial_result = results[initial_sql]
+        final_result = results[final_sql]
         ex_initial = results_match(initial_result, gold_result, example.gold_sql)
         ex_final = results_match(final_result, gold_result, example.gold_sql)
 

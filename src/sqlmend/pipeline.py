@@ -134,7 +134,8 @@ class MendPipeline:
         )
         return self.backend.complete(request).text
 
-    def _select_demos(self, question: str) -> list[Demonstration]:
+    def select_demos(self, question: str) -> list[Demonstration]:
+        """The pool's ``shots`` nearest demonstrations, in prompt order."""
         if self.config.shots == 0 or self.index is None:
             return []
         ranked = top_k(self.index, question, self.config.shots)
@@ -147,13 +148,15 @@ class MendPipeline:
         catalog = self.catalogs.get(demo.db_id)
         return render_schema_prompt(catalog) if catalog else ""
 
-    def generate_initial_sql(self, example: Example, trace: CorrectionTrace) -> str:
+    def generate_initial_sql(
+        self, example: Example, trace: CorrectionTrace, selected: list[Demonstration]
+    ) -> str:
         catalog = self.catalogs[example.db_id]
         demos = [
             PromptDemo(
                 question=d.question, sql=d.sql, schema_text=self._demo_schema_text(d)
             )
-            for d in self._select_demos(example.question)
+            for d in selected
         ]
         prompt = build_prompt(
             PromptKind.SQL_GENERATION, catalog, example.question, demos
@@ -168,7 +171,11 @@ class MendPipeline:
             return ""
 
     def link_entities(
-        self, example: Example, initial_sql: str, trace: CorrectionTrace
+        self,
+        example: Example,
+        initial_sql: str,
+        trace: CorrectionTrace,
+        selected: list[Demonstration],
     ) -> Alignment | None:
         if self.config.oracle_entities:
             if example.gold_alignment is not None:
@@ -178,7 +185,7 @@ class MendPipeline:
         catalog = self.catalogs[example.db_id]
         tokenized = " ".join(tokenize_question(example.question))
         demos = []
-        for demo in self._select_demos(example.question):
+        for demo in selected:
             demo_tokens = " ".join(tokenize_question(demo.question))
             alignment_text = (
                 repr(demo.alignment.to_records()) if demo.alignment else "[]"
@@ -204,17 +211,14 @@ class MendPipeline:
             return None
 
     def parse_question_skeleton(
-        self, example: Example, trace: CorrectionTrace
+        self, example: Example, trace: CorrectionTrace, selected: list[Demonstration]
     ) -> Skeleton | None:
         if self.config.oracle_skeleton:
             if example.gold_sql:
                 return extract_skeleton(example.gold_sql)
             trace.stage_errors.append((STAGE_SKELETON, "oracle mode without gold SQL"))
             return None
-        demos = [
-            PromptDemo(question=d.question, sql=d.sql)
-            for d in self._select_demos(example.question)
-        ]
+        demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
         prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
         try:
             raw = self._complete(prompt)
@@ -316,10 +320,12 @@ class MendPipeline:
         if example.db_id not in self.catalogs:
             trace.stage_errors.append((STAGE_GENERATION, f"unknown db_id {example.db_id!r}"))
             return trace
-        trace.initial_sql = self.generate_initial_sql(example, trace)
-        alignment = self.link_entities(example, trace.initial_sql, trace)
+        # The three sub-task prompts share one ranking of the pool.
+        selected = self.select_demos(example.question)
+        trace.initial_sql = self.generate_initial_sql(example, trace, selected)
+        alignment = self.link_entities(example, trace.initial_sql, trace, selected)
         trace.alignment = alignment
-        parsed = self.parse_question_skeleton(example, trace)
+        parsed = self.parse_question_skeleton(example, trace, selected)
         trace.parsed_skeleton = parsed
         trace.final_sql = self.correct(example, trace, alignment, parsed)
         return trace

@@ -65,6 +65,7 @@ class SchemaCatalog:
         for table in self.tables:
             for col in table.columns:
                 self._column_index.setdefault(col.name.lower(), col.name)
+        self._schema_prompt: str | None = None  # set by render_schema_prompt
 
     def validate(self) -> None:
         if not self.db_id:
@@ -138,8 +139,16 @@ def render_schema_prompt(catalog: SchemaCatalog) -> str:
     table, in catalog order, separated by a blank line.
 
     The output is byte-for-byte deterministic for a given catalog; type
-    names are uppercased, identifier casing is preserved.
+    names are uppercased, identifier casing is preserved. It is rendered
+    once per catalog, which is immutable, and the same string is returned
+    afterwards.
     """
+    if catalog._schema_prompt is None:
+        catalog._schema_prompt = _render_schema(catalog)
+    return catalog._schema_prompt
+
+
+def _render_schema(catalog: SchemaCatalog) -> str:
     statements = []
     for table in catalog.tables:
         parts = [

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import logging
+import sys
+import threading
+import time
 
 import pytest
 
@@ -15,7 +19,7 @@ from sqlmend.backends import (
     ReplayStore,
     prompt_sha256,
 )
-from sqlmend.errors import BackendUnavailableError, FixtureMissingError
+from sqlmend.errors import BackendUnavailableError, FixtureMissingError, SqlMendError
 
 
 class TestModelRequest:
@@ -47,6 +51,37 @@ class TestReplayStore:
         assert len(lines) == 2
         keys = set(json.loads(lines[0]))
         assert keys == {"prompt_sha256", "prompt_text", "response_text", "backend_id"}
+
+
+    def test_torn_last_line_skipped_then_cut_off(self, tmp_path, caplog):
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        whole = path.read_bytes()
+        path.write_bytes(whole + b'{"prompt_sha256": "ab')  # a write cut short
+        with caplog.at_level(logging.WARNING, logger="sqlmend.backends"):
+            store = ReplayStore(path)
+        assert len(store) == 1
+        assert "torn last line" in caplog.text
+        store.append("c", "2", "b")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["prompt_text"] for line in lines] == ["a", "c"]
+        assert len(ReplayStore(path)) == 2
+
+    def test_whole_last_line_without_newline_kept(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        store = ReplayStore(path)
+        assert store.get(prompt_sha256("a"))["response_text"] == "1"
+        store.append("c", "2", "b")
+        assert len(ReplayStore(path)) == 2
+
+    def test_bad_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        path.write_bytes(b"not json\n" + path.read_bytes())
+        with pytest.raises(SqlMendError, match="line 1"):
+            ReplayStore(path)
 
 
 class TestReplayBackend:
@@ -99,6 +134,68 @@ class TestRecordingBackend:
         for prompt in ("a", "b", "a", "b", "c"):
             recorder.complete(ModelRequest(prompt=prompt))
         assert len(store) == 3
+
+
+class _SlowBackend(ModelBackend):
+    """Counts calls and takes *delay* seconds to answer, so two callers
+    racing on one prompt overlap unless something makes them take turns."""
+
+    backend_id = "slow"
+
+    def __init__(self, delay: float):
+        self.calls = 0
+        self.delay = delay
+        self._count_lock = threading.Lock()
+
+    def complete(self, request):
+        with self._count_lock:
+            self.calls += 1
+        time.sleep(self.delay)
+        return ModelResponse(text=f"reply to {request.prompt}", backend_id=self.backend_id)
+
+
+def _run_threads(count, target):
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestRecordingBackendConcurrency:
+    def test_same_prompt_from_two_workers_calls_model_once(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        inner = _SlowBackend(delay=0.3)
+        recorder = RecordingBackend(inner, ReplayStore(path))
+        start = threading.Barrier(2)
+        texts = []
+
+        def worker(_):
+            start.wait(timeout=10)
+            texts.append(recorder.complete(ModelRequest(prompt="same")).text)
+
+        _run_threads(2, worker)
+        assert inner.calls == 1
+        assert texts == ["reply to same"] * 2
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_many_workers_record_each_prompt_once(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        inner = _SlowBackend(delay=0.002)
+        recorder = RecordingBackend(inner, ReplayStore(path))
+        prompts = [f"p{i % 7}" for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(
+                8,
+                lambda w: [recorder.complete(ModelRequest(prompt=p)) for p in prompts[w::8]],
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert inner.calls == 7
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 7
 
 
 class _FakeResponse:

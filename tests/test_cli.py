@@ -49,6 +49,12 @@ class TestRun:
         assert code == 3
         assert "fixture missing" in capsys.readouterr().err
 
+    def test_unreadable_store_line_exits_with_usage_code(self, mini_paths, tmp_path, capsys):
+        store = tmp_path / "corrupt.jsonl"
+        store.write_text("not json\n{}\n", encoding="utf-8")
+        assert main(_run_args(mini_paths, store, tmp_path / "out")) == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_bad_dataset_path_nonzero(self, mini_paths, replay_store_path, tmp_path, capsys):
         args = _run_args(mini_paths, replay_store_path, tmp_path / "out")
         args[args.index("--dataset") + 1] = str(tmp_path / "missing.json")

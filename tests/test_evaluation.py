@@ -54,6 +54,33 @@ class TestExecuteSql:
         for _ in range(3):
             assert execute_sql("SELECT count(*) FROM ticket", db_catalog).ok
 
+    @pytest.mark.parametrize("statement", ["ATTACH '{path}' AS x", "VACUUM INTO '{path}'"])
+    def test_statements_writing_files_refused(self, db_catalog, tmp_path, statement):
+        target = tmp_path / "written.sqlite"
+        result = execute_sql(statement.format(path=target), db_catalog)
+        assert result.status == "engine_error"
+        assert "authoriz" in result.error_message
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "statement",
+        ["PRAGMA user_version = 7", "PRAGMA journal_mode", "CREATE TEMP TABLE t (a)"],
+    )
+    def test_statements_other_than_reads_refused(self, db_catalog, statement):
+        result = execute_sql(statement, db_catalog)
+        assert result.status == "engine_error"
+        assert result.error_message == "not authorized"
+
+    def test_reads_still_authorized(self, db_catalog):
+        result = execute_sql(
+            "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 3) "
+            "SELECT count(*), (SELECT max(age) FROM singer) FROM n "
+            "UNION SELECT count(*), 0 FROM sqlite_master",
+            db_catalog,
+        )
+        assert result.ok
+        assert sorted(result.rows) == [(3, 41), (4, 0)]
+
 
 def _ok(rows):
     return ExecutionResult(status="ok", rows=rows)
@@ -251,6 +278,34 @@ class TestEvaluateRun:
         assert report.record_count == 0
         assert report.ex_accuracy is None
         assert report.ex_accuracy_initial is None
+
+    def test_each_distinct_text_executed_once_per_trace(self, db_catalog, monkeypatch):
+        executed = []
+
+        def counting(sql, catalog, timeout):
+            executed.append(sql)
+            return execute_sql(sql, catalog, timeout)
+
+        monkeypatch.setattr("sqlmend.evaluation.execute_sql", counting)
+        gold = "SELECT name FROM singer"
+        dataset = [
+            Example("0", "q0", "concert_hall", gold_sql=gold),
+            Example("1", "q1", "concert_hall", gold_sql=gold),
+            Example("2", "q2", "concert_hall", gold_sql=gold),
+        ]
+        traces = [
+            _trace("0", "SELECT age FROM singer"),
+            _trace("1", gold, initial="SELECT age FROM singer"),
+            _trace("2", "SELECT venue FROM concert", initial="SELECT age FROM singer"),
+        ]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert executed == [
+            gold, "SELECT age FROM singer",
+            gold, "SELECT age FROM singer",
+            gold, "SELECT age FROM singer", "SELECT venue FROM concert",
+        ]
+        assert [r.ex_match for r in report.records] == [False, True, False]
+        assert [r.ex_match_initial for r in report.records] == [False, False, False]
 
     def test_per_hardness_breakdown(self, db_catalog):
         catalogs = {"concert_hall": db_catalog}

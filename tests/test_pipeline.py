@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sqlmend.pipeline
 from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.pipeline import PipelineConfig, read_traces, write_traces
 from sqlmend.sql_analysis import extract_skeleton, skeletons_equal
@@ -117,6 +118,24 @@ class TestPipelineInvariants:
         sequential = mini_env.pipeline(backend).run(mini_env.examples)
         threaded = mini_env.pipeline(backend, workers=4).run(mini_env.examples)
         assert [t.to_dict() for t in threaded] == [t.to_dict() for t in sequential]
+
+
+class TestDemonstrationSelection:
+    @pytest.mark.parametrize("shots, rankings", [(5, 1), (0, 0)])
+    def test_pool_ranked_once_per_example(self, mini_env, monkeypatch, shots, rankings):
+        queries = []
+        rank = sqlmend.pipeline.top_k
+
+        def counting(index, query, k):
+            queries.append(query)
+            return rank(index, query, k)
+
+        monkeypatch.setattr(sqlmend.pipeline, "top_k", counting)
+        pipeline = mini_env.pipeline(ScriptedBackend(), shots=shots)
+        for example in mini_env.examples:
+            queries.clear()
+            pipeline.run_example(example)
+            assert queries == [example.question] * rankings
 
 
 class TestOracleModes:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqlmend.errors import EmptyPoolError, MalformedDatasetError
 from sqlmend.retrieval import (
@@ -12,6 +14,8 @@ from sqlmend.retrieval import (
     load_demonstration_pool,
     top_k,
 )
+
+from support.bm25_reference import linear_top_k
 
 FIXTURE_POOL = [
     Demonstration(question="show singer names", sql="S1", db_id="d"),
@@ -40,6 +44,20 @@ class TestBuildIndex:
     def test_empty_pool(self):
         with pytest.raises(EmptyPoolError):
             build_index([])
+
+    @pytest.mark.parametrize("k1, b", [(-0.1, 0.75), (1.2, -0.1), (1.2, 1.5)])
+    def test_parameters_out_of_range(self, k1, b):
+        with pytest.raises(ValueError):
+            build_index(FIXTURE_POOL, k1=k1, b=b)
+
+    def test_postings_list_each_document_once_in_ascending_order(self):
+        pool = FIXTURE_POOL + [
+            Demonstration(question="singer singer names", sql="S4", db_id="d")
+        ]
+        index = build_index(pool)
+        assert list(index.postings["singer"][0]) == [0, 2, 3]
+        assert list(index.postings["names"][0]) == [0, 3]
+        assert set(index.postings) == set(index.document_frequencies)
 
     def test_tokenization_lowercases_and_splits(self):
         assert bm25_tokenize("Show; the STOCK-idx 5,000!") == [
@@ -84,6 +102,10 @@ class TestTopK:
         assert [doc for doc, _ in ranked] == [0, 1]
         assert ranked[0][1] == ranked[1][1]
 
+    def test_pool_of_empty_documents_ranks_by_index(self):
+        pool = [Demonstration(question=q, sql="S", db_id="d") for q in ("?", "!!", "-")]
+        assert top_k(build_index(pool), "singer", k=2) == [(0, 0.0), (1, 0.0)]
+
     def test_deterministic_across_rebuilds(self):
         baseline = None
         for _ in range(100):
@@ -101,6 +123,35 @@ class TestTopK:
         base_order = [doc for doc, score in base if score > 0]
         extended_order = [doc for doc, score in extended if score > 0]
         assert base_order == extended_order
+
+
+# A small vocabulary makes shared terms, repeated terms and tied scores
+# common; "zzz" never occurs in a pool question.
+_WORDS = ["singer", "names", "count", "concerts", "age", "order", "show", "the"]
+_questions = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+
+
+class TestMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        questions=st.lists(_questions, min_size=1, max_size=12),
+        query=st.lists(st.sampled_from(_WORDS + ["zzz"]), max_size=8).map(" ".join),
+        k=st.integers(min_value=1, max_value=15),
+    )
+    def test_same_ranking_and_scores(self, questions, query, k):
+        assume(any(questions))  # the scan divides by a zero average length
+        index = build_index(
+            [Demonstration(question=q, sql="S", db_id="d") for q in questions]
+        )
+        assert top_k(index, query, k) == linear_top_k(index, query, k)
+
+    @pytest.mark.parametrize(
+        "query", ["", "zzz", "singer singer names", "names zzz singer", "the"]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_fixture_queries(self, query, k):
+        index = build_index(FIXTURE_POOL)
+        assert top_k(index, query, k) == linear_top_k(index, query, k)
 
 
 class TestPoolLoading:

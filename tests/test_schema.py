@@ -166,6 +166,9 @@ class TestRenderSchemaPrompt:
     def test_pure_function_identical_bytes(self, catalog):
         assert render_schema_prompt(catalog) == render_schema_prompt(catalog)
 
+    def test_rendered_once_per_catalog(self, catalog):
+        assert render_schema_prompt(catalog) is render_schema_prompt(catalog)
+
     def test_round_trip_through_sqlite(self, tmp_path, catalog):
         ddl = render_schema_prompt(catalog)
         db = tmp_path / f"{catalog.db_id}.sqlite"
