@@ -5,6 +5,12 @@ with the whole prompt as one user message. ``ReplayBackend`` serves recorded
 responses keyed by the SHA-256 of the prompt, which makes full pipeline runs
 deterministic and network-free. ``RecordingBackend`` wraps any live backend
 and persists every new response to the same JSON-lines store.
+
+``submit`` starts a completion and returns its future, so a caller can send
+one request while it works on another. Replay answers in the calling thread;
+the two backends that wait on a live model, ``HttpBackend`` and
+``RecordingBackend``, answer on a thread pool whose threads start on first
+use.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -30,7 +37,6 @@ class ModelRequest:
     prompt: str
     temperature: float = 0.0
     max_output_tokens: int = 512
-    stop_sequences: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.prompt:
@@ -54,9 +60,24 @@ class ModelBackend:
     """Text-completion contract every backend implements."""
 
     backend_id = "abstract"
+    # Backends that wait on a live model set a pool, so ``submit`` returns
+    # while the completion is in flight.
+    _pool: ThreadPoolExecutor | None = None
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         raise NotImplementedError
+
+    def submit(self, request: ModelRequest) -> Future:
+        """Start ``complete`` and return its future. Without a pool it runs
+        in the calling thread; an exception it raises is kept in the future."""
+        if self._pool is not None:
+            return self._pool.submit(self.complete, request)
+        future: Future = Future()
+        try:
+            future.set_result(self.complete(request))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 @dataclass
@@ -70,12 +91,27 @@ class HttpBackendConfig:
     max_in_flight: int = 4
 
 
+def _retry_after(response) -> float | None:
+    """A numeric ``Retry-After`` header in seconds, or None."""
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return seconds if 0 <= seconds < float("inf") else None
+
+
 class HttpBackend(ModelBackend):
+    """Retries connection errors, timeouts, 429 and 5xx, with exponential
+    backoff or, on 429 and 503, a numeric ``Retry-After``. Any other failure
+    cannot succeed on retry and raises ``BackendUnavailableError`` at once.
+    ``max_in_flight`` caps the requests in flight, submitted or not."""
+
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
         self.config = config
         self.backend_id = f"http:{config.model}"
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(config.max_in_flight)
+        self._pool = ThreadPoolExecutor(config.max_in_flight, thread_name_prefix="sqlmend-http")
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         body = {
@@ -84,31 +120,46 @@ class HttpBackend(ModelBackend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        if request.stop_sequences:
-            body["stop"] = request.stop_sequences
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         url = self.config.base_url.rstrip("/") + "/chat/completions"
 
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        attempts = self.config.max_retries + 1
+        last_error: object = None
+        wait = 0.0
+        for attempt in range(attempts):
             if attempt:
-                time.sleep(self.config.backoff_seconds * (2 ** (attempt - 1)))
+                time.sleep(wait)
+            wait = self.config.backoff_seconds * (2 ** attempt)
             with self._gate:
                 try:
                     response = self._session.post(
                         url, json=body, headers=headers, timeout=self.config.request_timeout
                     )
-                    response.raise_for_status()
-                    payload = response.json()
-                    text = payload["choices"][0]["message"]["content"]
-                    return ModelResponse(text=text, backend_id=self.backend_id)
-                except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                except (requests.ConnectionError, requests.Timeout) as exc:
                     last_error = exc
+                    continue
+                except requests.RequestException as exc:
+                    raise BackendUnavailableError(f"{url}: {exc}") from exc
+            status = response.status_code
+            if status == 429 or status >= 500:
+                last_error = f"status {status}"
+                if status in (429, 503):
+                    retry_after = _retry_after(response)
+                    if retry_after is not None:
+                        wait = retry_after
+                continue
+            if status >= 400:
+                raise BackendUnavailableError(f"{url}: status {status}, not retried")
+            try:
+                text = response.json()["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise BackendUnavailableError(f"{url}: malformed response: {exc!r}") from exc
+            return ModelResponse(text=text, backend_id=self.backend_id)
         raise BackendUnavailableError(
-            f"{url}: no successful response after {self.config.max_retries + 1} attempts: {last_error}"
+            f"{url}: no successful response after {attempts} attempts: {last_error}"
         )
 
 
@@ -119,11 +170,14 @@ class ReplayStore:
     A last line with no newline after it that does not parse is a write cut
     short, as a killed recording leaves: it is skipped with a warning and
     cut off before the next append. Any other line that does not parse
-    raises ``SqlMendError``."""
+    raises ``SqlMendError``.
+
+    Only what ``get`` answers is held in memory: the response text and the
+    backend id of each hash, not the prompt text."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._records: dict[str, dict] = {}
+        self._records: dict[str, tuple[str, str | None]] = {}
         self._lock = threading.Lock()
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._unterminated = False  # the last line is whole but lacks "\n"
@@ -140,7 +194,9 @@ class ReplayStore:
                     continue
                 try:
                     record = json.loads(line)
-                    self._records[record["prompt_sha256"]] = record
+                    self._records[record["prompt_sha256"]] = (
+                        record["response_text"], record.get("backend_id")
+                    )
                 except (ValueError, KeyError, TypeError) as exc:
                     if line.endswith(b"\n"):
                         raise SqlMendError(
@@ -157,7 +213,10 @@ class ReplayStore:
         return len(self._records)
 
     def get(self, prompt_hash: str) -> dict | None:
-        return self._records.get(prompt_hash)
+        """``{"response_text", "backend_id"}`` for a recorded hash; the
+        backend id is None if its line had none."""
+        kept = self._records.get(prompt_hash)
+        return None if kept is None else dict(zip(("response_text", "backend_id"), kept))
 
     def append(self, prompt: str, response_text: str, backend_id: str) -> dict:
         record = {
@@ -168,7 +227,7 @@ class ReplayStore:
         }
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            self._records[record["prompt_sha256"]] = record
+            self._records[record["prompt_sha256"]] = (response_text, backend_id)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
@@ -194,7 +253,7 @@ class ReplayBackend(ModelBackend):
             raise FixtureMissingError(digest)
         return ModelResponse(
             text=record["response_text"],
-            backend_id=record.get("backend_id", self.backend_id),
+            backend_id=record["backend_id"] or self.backend_id,
             cached=True,
         )
 
@@ -210,6 +269,9 @@ class RecordingBackend(ModelBackend):
         self.inner = inner
         self.store = store
         self.backend_id = f"record:{inner.backend_id}"
+        # A live inner backend's pool is sized to its cap on requests in
+        # flight; the recording shares it rather than queue behind a smaller one.
+        self._pool = inner._pool or ThreadPoolExecutor(thread_name_prefix="sqlmend-record")
         self._prompt_locks: dict[str, threading.Lock] = {}
         self._prompt_locks_guard = threading.Lock()
 
@@ -222,7 +284,7 @@ class RecordingBackend(ModelBackend):
             if record is not None:
                 return ModelResponse(
                     text=record["response_text"],
-                    backend_id=record.get("backend_id", self.inner.backend_id),
+                    backend_id=record["backend_id"] or self.inner.backend_id,
                     cached=True,
                 )
             response = self.inner.complete(request)

@@ -139,7 +139,12 @@ def _make_backend(manifest: RunManifest) -> ModelBackend:
     if manifest.backend in ("http", "record"):
         if not manifest.base_url or not manifest.model:
             raise SqlMendError(f"{manifest.backend} backend requires --base-url and --model")
-        http = HttpBackend(HttpBackendConfig(base_url=manifest.base_url, model=manifest.model))
+        # Each worker has at most two completions in flight: the skeleton
+        # hallucination beside generation or linking.
+        http = HttpBackend(HttpBackendConfig(
+            base_url=manifest.base_url, model=manifest.model,
+            max_in_flight=2 * max(1, manifest.workers),
+        ))
         if manifest.backend == "record":
             if not manifest.replay_store:
                 raise SqlMendError("record backend requires --replay-store")

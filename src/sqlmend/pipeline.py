@@ -3,6 +3,13 @@ hallucination, deterministic comparison, then ordered correction rounds
 (entities first, then skeleton, then execution retries), all captured in a
 CorrectionTrace.
 
+The skeleton-hallucination completion is sent before generation starts and
+its answer collected after linking, so a backend that waits on a live model
+has it in flight alongside the other two. Its prompt holds only the question
+and the demonstrations. Linking cannot overlap generation: its prompt carries
+the draft SQL. Answers are read in stage order, so ``stage_errors`` and a
+``FixtureMissingError`` come out as they would one call at a time.
+
 A failed sub-task only disables its own feedback channel; the pipeline always
 emits a final SQL. Rounds never loop backward: after a correction the earlier
 checks are not re-run, and the skeleton check is evaluated against the
@@ -12,7 +19,7 @@ post-entity-correction SQL.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,13 +133,15 @@ class MendPipeline:
 
     # -- stage helpers -----------------------------------------------------
 
-    def _complete(self, prompt: str) -> str:
-        request = ModelRequest(
+    def _request(self, prompt: str) -> ModelRequest:
+        return ModelRequest(
             prompt=prompt,
             temperature=self.config.temperature,
             max_output_tokens=self.config.max_output_tokens,
         )
-        return self.backend.complete(request).text
+
+    def _complete(self, prompt: str) -> str:
+        return self.backend.complete(self._request(prompt)).text
 
     def select_demos(self, question: str) -> list[Demonstration]:
         """The pool's ``shots`` nearest demonstrations, in prompt order."""
@@ -210,18 +219,28 @@ class MendPipeline:
             trace.stage_errors.append((STAGE_LINKING, str(exc)))
             return None
 
+    def submit_skeleton(
+        self, example: Example, selected: list[Demonstration]
+    ) -> Future | None:
+        """Send the skeleton-hallucination completion; None in oracle-skeleton
+        mode, which makes no call."""
+        if self.config.oracle_skeleton:
+            return None
+        demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
+        prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
+        return self.backend.submit(self._request(prompt))
+
     def parse_question_skeleton(
-        self, example: Example, trace: CorrectionTrace, selected: list[Demonstration]
+        self, example: Example, trace: CorrectionTrace, pending: Future | None
     ) -> Skeleton | None:
+        """The skeleton from ``pending``, the future ``submit_skeleton`` gave."""
         if self.config.oracle_skeleton:
             if example.gold_sql:
                 return extract_skeleton(example.gold_sql)
             trace.stage_errors.append((STAGE_SKELETON, "oracle mode without gold SQL"))
             return None
-        demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
-        prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
         try:
-            raw = self._complete(prompt)
+            raw = pending.result().text
             hallucinated = extract_sql_block(raw)
             trace.hallucinated_sql = hallucinated
             return extract_skeleton(hallucinated)
@@ -322,10 +341,11 @@ class MendPipeline:
             return trace
         # The three sub-task prompts share one ranking of the pool.
         selected = self.select_demos(example.question)
+        skeleton = self.submit_skeleton(example, selected)
         trace.initial_sql = self.generate_initial_sql(example, trace, selected)
         alignment = self.link_entities(example, trace.initial_sql, trace, selected)
         trace.alignment = alignment
-        parsed = self.parse_question_skeleton(example, trace, selected)
+        parsed = self.parse_question_skeleton(example, trace, skeleton)
         trace.parsed_skeleton = parsed
         trace.final_sql = self.correct(example, trace, alignment, parsed)
         return trace

@@ -5,8 +5,10 @@ import logging
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
+import requests
 
 from sqlmend.backends import (
     HttpBackend,
@@ -82,6 +84,37 @@ class TestReplayStore:
         path.write_bytes(b"not json\n" + path.read_bytes())
         with pytest.raises(SqlMendError, match="line 1"):
             ReplayStore(path)
+
+    def test_loaded_store_holds_no_prompt_text(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        prompts = [f"{i} " + "p" * 500_000 for i in range(2)]
+        writer = ReplayStore(path)
+        for i, prompt in enumerate(prompts):
+            writer.append(prompt, f"r{i}", "b")
+        del writer
+        tracemalloc.start()
+        try:
+            store = ReplayStore(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000  # the prompts alone are 1 MB
+        for i, prompt in enumerate(prompts):
+            assert store.get(prompt_sha256(prompt)) == {"response_text": f"r{i}", "backend_id": "b"}
+
+    def test_appended_record_held_without_prompt_text(self, tmp_path):
+        store = ReplayStore(tmp_path / "store.jsonl")
+        store.append("a prompt", "1", "b")
+        assert store.get(prompt_sha256("a prompt")) == {"response_text": "1", "backend_id": "b"}
+        assert "a prompt" not in repr(store._records)
+
+    def test_line_without_backend_id(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        record = {"prompt_sha256": prompt_sha256("p"), "prompt_text": "p", "response_text": "r"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert ReplayBackend(ReplayStore(path)).complete(ModelRequest(prompt="p")).backend_id == (
+            "replay"
+        )
 
 
 class TestReplayBackend:
@@ -199,9 +232,10 @@ class TestRecordingBackendConcurrency:
 
 
 class _FakeResponse:
-    def __init__(self, status: int, payload: dict):
+    def __init__(self, status: int, payload: dict, headers: dict | None = None):
         self.status_code = status
         self._payload = payload
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -274,3 +308,170 @@ class TestHttpBackend:
         session = _FakeSession([_FakeResponse(200, payload)])
         HttpBackend(self._config(), session=session).complete(ModelRequest(prompt="p"))
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sk-test"
+
+    def test_body_has_only_the_request_fields(self):
+        payload = {"choices": [{"message": {"content": "ok"}}]}
+        session = _FakeSession([_FakeResponse(200, payload)])
+        HttpBackend(self._config(), session=session).complete(ModelRequest(prompt="p"))
+        assert set(session.requests[0]["json"]) == {"model", "messages", "temperature",
+                                                    "max_tokens"}
+
+
+_OK = {"choices": [{"message": {"content": "ok"}}]}
+
+
+class TestHttpRetries:
+    """Only what can succeed on a second try is retried."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("sqlmend.backends.time.sleep", slept.append)
+        return slept
+
+    def _backend(self, responses):
+        config = HttpBackendConfig(
+            base_url="http://model.local/v1", model="m", max_retries=3, backoff_seconds=0.5
+        )
+        session = _FakeSession(responses)
+        return HttpBackend(config, session=session), session
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_errors_raise_at_once(self, sleeps, status):
+        backend, session = self._backend([_FakeResponse(status, {})] + [_FakeResponse(200, _OK)])
+        with pytest.raises(BackendUnavailableError, match=f"status {status}"):
+            backend.complete(ModelRequest(prompt="p"))
+        assert len(session.requests) == 1
+        assert sleeps == []
+
+    def test_malformed_body_raises_at_once(self, sleeps):
+        backend, session = self._backend([_FakeResponse(200, {"choices": []}),
+                                          _FakeResponse(200, _OK)])
+        with pytest.raises(BackendUnavailableError, match="malformed"):
+            backend.complete(ModelRequest(prompt="p"))
+        assert len(session.requests) == 1
+
+    def test_request_that_cannot_be_sent_raises_at_once(self, sleeps):
+        backend, session = self._backend([requests.exceptions.InvalidURL("bad"),
+                                          _FakeResponse(200, _OK)])
+        with pytest.raises(BackendUnavailableError):
+            backend.complete(ModelRequest(prompt="p"))
+        assert len(session.requests) == 1
+
+    def test_timeouts_and_server_errors_retried_with_backoff(self, sleeps):
+        backend, session = self._backend([
+            requests.Timeout("slow"),
+            requests.ConnectionError("down"),
+            _FakeResponse(502, {}),
+            _FakeResponse(200, _OK),
+        ])
+        assert backend.complete(ModelRequest(prompt="p")).text == "ok"
+        assert len(session.requests) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_honoured(self, sleeps, status):
+        backend, session = self._backend([
+            _FakeResponse(status, {}, headers={"Retry-After": "7"}),
+            _FakeResponse(status, {}, headers={"Retry-After": "0"}),
+            _FakeResponse(200, _OK),
+        ])
+        assert backend.complete(ModelRequest(prompt="p")).text == "ok"
+        assert sleeps == [7.0, 0.0]
+
+    @pytest.mark.parametrize("headers", [
+        {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "-1"}, {},
+    ])
+    def test_retry_after_that_is_no_number_of_seconds_falls_back(self, sleeps, headers):
+        backend, _ = self._backend([_FakeResponse(429, {}, headers=headers),
+                                    _FakeResponse(200, _OK)])
+        assert backend.complete(ModelRequest(prompt="p")).text == "ok"
+        assert sleeps == [0.5]
+
+    def test_retry_after_ignored_on_other_server_errors(self, sleeps):
+        backend, _ = self._backend([_FakeResponse(500, {}, headers={"Retry-After": "9"}),
+                                    _FakeResponse(200, _OK)])
+        backend.complete(ModelRequest(prompt="p"))
+        assert sleeps == [0.5]
+
+    def test_exhausted_retries_name_the_last_failure(self, sleeps):
+        backend, session = self._backend([_FakeResponse(503, {})] * 4)
+        with pytest.raises(BackendUnavailableError, match="4 attempts: status 503"):
+            backend.complete(ModelRequest(prompt="p"))
+        assert len(session.requests) == 4
+
+
+class _Failing(ModelBackend):
+    backend_id = "failing"
+
+    def complete(self, request):
+        raise BackendUnavailableError("down")
+
+
+class _ThreadNoting(ModelBackend):
+    backend_id = "noting"
+
+    def __init__(self):
+        self.threads = []
+
+    def complete(self, request):
+        self.threads.append(threading.get_ident())
+        return ModelResponse(text=request.prompt, backend_id=self.backend_id)
+
+
+class TestSubmit:
+    def test_default_answers_in_calling_thread(self):
+        backend = _ThreadNoting()
+        future = backend.submit(ModelRequest(prompt="p"))
+        assert future.done()
+        assert backend.threads == [threading.get_ident()]
+        assert future.result().text == "p"
+
+    def test_default_keeps_the_exception_in_the_future(self):
+        future = _Failing().submit(ModelRequest(prompt="p"))
+        assert future.done()
+        with pytest.raises(BackendUnavailableError):
+            future.result()
+
+    def test_recording_answers_on_a_thread_started_on_first_use(self, tmp_path):
+        inner = _ThreadNoting()
+        recorder = RecordingBackend(inner, ReplayStore(tmp_path / "s.jsonl"))
+        assert not recorder._pool._threads
+        assert recorder.submit(ModelRequest(prompt="p")).result(timeout=10).text == "p"
+        assert inner.threads and inner.threads[0] != threading.get_ident()
+        assert len(recorder._pool._threads) == 1
+
+    def test_recording_submit_records_once(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        inner = _SlowBackend(delay=0.05)
+        recorder = RecordingBackend(inner, ReplayStore(path))
+        futures = [recorder.submit(ModelRequest(prompt="same")) for _ in range(4)]
+        assert {f.result(timeout=10).text for f in futures} == {"reply to same"}
+        assert inner.calls == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_http_gate_caps_submitted_and_direct_requests(self):
+        class _CountingSession:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = self.most = 0
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                with self.lock:
+                    self.in_flight += 1
+                    self.most = max(self.most, self.in_flight)
+                time.sleep(0.05)
+                with self.lock:
+                    self.in_flight -= 1
+                return _FakeResponse(200, _OK)
+
+        session = _CountingSession()
+        backend = HttpBackend(
+            HttpBackendConfig(base_url="http://m/v1", model="m", max_in_flight=2),
+            session=session,
+        )
+        assert not backend._pool._threads
+        futures = [backend.submit(ModelRequest(prompt="p")) for _ in range(4)]
+        backend.complete(ModelRequest(prompt="p"))
+        assert all(f.result(timeout=10).text == "ok" for f in futures)
+        assert session.most == 2

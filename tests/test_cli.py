@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sqlmend.cli import main
+from sqlmend.cli import RunManifest, _make_backend, main
 
 pytestmark = pytest.mark.usefixtures("replay_store_path")
 
@@ -122,6 +122,23 @@ class TestRun:
         )
         assert code == 0
         assert (output / "traces.jsonl").exists()
+
+
+class TestHttpInFlightCap:
+    @pytest.mark.parametrize("backend, workers, cap", [
+        ("http", 1, 2), ("http", 3, 6), ("record", 4, 8), ("http", 0, 2),
+    ])
+    def test_two_completions_per_worker(self, tmp_path, backend, workers, cap):
+        manifest = RunManifest(
+            backend=backend, base_url="http://model.local/v1", model="m",
+            workers=workers, replay_store=str(tmp_path / "s.jsonl"),
+        )
+        built = _make_backend(manifest)
+        http = built.inner if backend == "record" else built
+        assert http.config.max_in_flight == cap
+        assert all(http._gate.acquire(blocking=False) for _ in range(cap))
+        assert not http._gate.acquire(blocking=False)
+        assert built._pool is http._pool
 
 
 class TestEvaluate:

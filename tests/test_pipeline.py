@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 import sqlmend.pipeline
-from sqlmend.backends import ReplayBackend, ReplayStore
+from sqlmend.backends import (
+    ModelBackend,
+    ModelResponse,
+    RecordingBackend,
+    ReplayBackend,
+    ReplayStore,
+)
+from sqlmend.errors import FixtureMissingError
 from sqlmend.pipeline import PipelineConfig, read_traces, write_traces
 from sqlmend.sql_analysis import extract_skeleton, skeletons_equal
 
@@ -167,6 +176,131 @@ class TestOracleModes:
                 extract_skeleton(trace.initial_sql), extract_skeleton(example.gold_sql)
             )
             assert fired == differs, example.example_id
+
+
+class _SkeletonBeforeGeneration(ScriptedBackend):
+    """Answers generation only once the skeleton request has arrived."""
+
+    def __init__(self):
+        super().__init__()
+        self.skeleton_sent = threading.Event()
+
+    def complete(self, request):
+        if request.prompt.startswith("Hallucinate a SQL"):
+            self.skeleton_sent.set()
+        elif request.prompt.startswith("Generate a SQL"):
+            assert self.skeleton_sent.wait(timeout=2), "skeleton request not sent yet"
+            self.skeleton_sent.clear()
+        return super().complete(request)
+
+
+class _GenerationMeetsSkeleton(ScriptedBackend):
+    """Generation and skeleton hallucination each wait until the other is in
+    flight, so they pass only if both are sent at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.meeting = threading.Barrier(2, timeout=5)
+
+    def complete(self, request):
+        if request.prompt.startswith(("Generate a SQL", "Hallucinate a SQL")):
+            self.meeting.wait()
+        return super().complete(request)
+
+
+class _Prose(ModelBackend):
+    backend_id = "prose"
+
+    def complete(self, request):
+        return ModelResponse(text="Sorry, I do not know.", backend_id=self.backend_id)
+
+
+class _ThreadNotingReplay(ReplayBackend):
+    def __init__(self, store):
+        super().__init__(store)
+        self.threads = set()
+
+    def complete(self, request):
+        self.threads.add(threading.get_ident())
+        return super().complete(request)
+
+
+def _trace_bytes(traces, path) -> bytes:
+    write_traces(traces, path)
+    return path.read_bytes()
+
+
+class TestSkeletonOverlap:
+    def test_skeleton_sent_before_generation(self, mini_env):
+        pipeline = mini_env.pipeline(_SkeletonBeforeGeneration())
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        traces = pipeline.run(mini_env.examples)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+    def test_skeleton_in_flight_with_generation(self, mini_env, tmp_path):
+        backend = RecordingBackend(_GenerationMeetsSkeleton(), ReplayStore(tmp_path / "s.jsonl"))
+        traces = mini_env.pipeline(backend).run(mini_env.examples)
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_stage_errors_keep_stage_order(self, mini_env, tmp_path, recording):
+        backend = _Prose()
+        if recording:
+            backend = RecordingBackend(backend, ReplayStore(tmp_path / "s.jsonl"))
+        trace = mini_env.pipeline(backend).run_example(mini_env.examples[0])
+        stages = [stage for stage, _ in trace.stage_errors]
+        assert stages[:3] == ["sql_generation", "entity_linking", "skeleton_parsing"]
+        assert trace.hallucinated_sql is None
+
+    def test_generation_miss_wins_over_skeleton_miss(self, mini_env, replay_store_path, tmp_path):
+        question = mini_env.examples[0].question
+        kept, dropped = [], {}
+        for line in replay_store_path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            prompt = record["prompt_text"]
+            kind = prompt.split(" ", 1)[0]
+            if kind in ("Generate", "Hallucinate") and prompt.endswith(f"\nQuestion: {question}"):
+                dropped[kind] = record["prompt_sha256"]
+            else:
+                kept.append(line)
+        assert set(dropped) == {"Generate", "Hallucinate"}
+        store_path = tmp_path / "partial.jsonl"
+        store_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(store_path)))
+        with pytest.raises(FixtureMissingError) as excinfo:
+            pipeline.run_example(mini_env.examples[0])
+        assert excinfo.value.prompt_sha256 == dropped["Generate"]
+
+    def test_replay_answers_in_calling_thread(self, mini_env, replay_store_path):
+        backend = _ThreadNotingReplay(ReplayStore(replay_store_path))
+        mini_env.pipeline(backend).run(mini_env.examples)
+        assert backend.threads == {threading.get_ident()}
+
+    def test_recorded_with_submits_on_threads_then_replayed(self, mini_env, tmp_path):
+        store_path = tmp_path / "s.jsonl"
+        recorder = RecordingBackend(ScriptedBackend(), ReplayStore(store_path))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recorded = mini_env.pipeline(recorder, workers=8).run(mini_env.examples)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        assert len({json.loads(line)["prompt_sha256"] for line in lines}) == len(lines)
+        replayed = mini_env.pipeline(ReplayBackend(ReplayStore(store_path))).run(
+            mini_env.examples
+        )
+        direct = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        recorded_bytes = _trace_bytes(recorded, tmp_path / "recorded.jsonl")
+        assert _trace_bytes(replayed, tmp_path / "replayed.jsonl") == recorded_bytes
+        assert _trace_bytes(direct, tmp_path / "direct.jsonl") == recorded_bytes
+
+    def test_oracle_skeleton_submits_nothing(self, mini_env):
+        backend = CountingBackend(ScriptedBackend())
+        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_skeleton")
+        assert pipeline.submit_skeleton(mini_env.examples[0], []) is None
+        assert backend.calls == 0
 
 
 class TestConfig:
