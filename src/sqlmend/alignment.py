@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import AlignmentParseError, EmptyInputError, ScoringError
@@ -22,7 +23,7 @@ LINK_TYPES = ("tbl", "col", "val")
 _TYPE_SYNONYMS = {"tbl": "tbl", "tab": "tbl", "col": "col", "val": "val"}
 
 
-@dataclass
+@dataclass(slots=True)
 class AlignmentEntry:
     token: str
     schema_entity: str | None = None
@@ -115,7 +116,7 @@ def _entries_from_records(records: list) -> tuple[list[AlignmentEntry], int]:
         schema_entity = record.get("schema")
         entity_type = record.get("type")
         if schema_entity is not None:
-            schema_entity = str(schema_entity)
+            schema_entity = sys.intern(str(schema_entity))
         if entity_type is not None:
             entity_type = _TYPE_SYNONYMS.get(str(entity_type).strip().lower())
         if (schema_entity is None) != (entity_type is None) or (
@@ -125,9 +126,12 @@ def _entries_from_records(records: list) -> tuple[list[AlignmentEntry], int]:
             schema_entity = None
             entity_type = None
             repairs += 1
+        # Interned: a pool's alignments repeat the same tokens and names.
         entries.append(
             AlignmentEntry(
-                token=str(token), schema_entity=schema_entity, entity_type=entity_type
+                token=sys.intern(str(token)),
+                schema_entity=schema_entity,
+                entity_type=entity_type,
             )
         )
     return entries, repairs

@@ -27,6 +27,9 @@ from .sql_analysis import (
 )
 
 DEFAULT_TIMEOUT = 30.0
+# A result with more rows fails with ``too_many_rows``, so a runaway join
+# cannot exhaust memory before the timeout fires.
+MAX_RESULT_ROWS = 100_000
 NUMERIC_TOLERANCE = 1e-6
 
 TABLE_ERROR = "table_error"
@@ -48,7 +51,7 @@ def _authorize(action: int, *_) -> int:
 
 @dataclass
 class ExecutionResult:
-    status: str  # ok | engine_error | timeout
+    status: str  # ok | engine_error | timeout | too_many_rows
     rows: list[tuple] | None = None
     error_message: str | None = None
     elapsed: float = 0.0
@@ -64,7 +67,7 @@ def execute_sql(
     """Run a query against the catalog's SQLite file on a fresh read-only
     connection that authorizes only reads (a refused statement fails with
     ``not authorized``); long queries are interrupted once *timeout*
-    passes."""
+    passes, and at most ``MAX_RESULT_ROWS`` rows are fetched."""
     if catalog.source_path is None:
         raise EvaluationError(f"catalog {catalog.db_id} has no SQLite source path")
     started = time.monotonic()
@@ -89,7 +92,13 @@ def execute_sql(
 
     conn.set_progress_handler(_watchdog, 10_000)
     try:
-        rows = [tuple(row) for row in conn.execute(sql)]
+        rows = conn.execute(sql).fetchmany(MAX_RESULT_ROWS + 1)
+        if len(rows) > MAX_RESULT_ROWS:
+            return ExecutionResult(
+                status="too_many_rows",
+                error_message=f"result has more than {MAX_RESULT_ROWS} rows",
+                elapsed=time.monotonic() - started,
+            )
         return ExecutionResult(status="ok", rows=rows, elapsed=time.monotonic() - started)
     except sqlite3.Error as exc:
         elapsed = time.monotonic() - started

@@ -4,9 +4,16 @@ Documents and queries are tokenized by lowercasing and splitting on runs of
 non-alphanumeric characters. IDF uses the plus-one form
 ``ln((N - df + 0.5) / (df + 0.5) + 1)`` so scores are never negative.
 
-The index is inverted: each term keeps the pool indices of the documents
-that contain it, with that term's BM25 weight in each, so a query scores
-only the documents that share one of its terms.
+The index is inverted: each term keeps the ascending pool indices of the
+documents that contain it and its largest weight in any of them. A forward
+index keeps each document's term -> weight map. ``top_k`` is an exact
+MaxScore search (Turtle & Flood 1995): it visits the query's terms highest
+bound first, scores each newly met document whole from the forward index,
+and stops once the terms left cannot lift any unmet document to the k-th
+score. Each score is a left fold from 0.0 of the document's weights in
+query-token order, repeats included, which is the float a scan over all
+documents gives; ``sum()`` is not used, because from Python 3.12 it
+compensates rounding and changes the last bits.
 """
 
 from __future__ import annotations
@@ -70,16 +77,20 @@ def bm25_tokenize(text: str) -> list[str]:
 
 @dataclass
 class Bm25Index:
-    """BM25 statistics of a pool. ``postings`` maps each term to the
-    ascending indices of the documents holding it and the term's weight in
-    each; the weights are fixed by ``k1`` and ``b`` at build time."""
+    """BM25 statistics of a pool, fixed by ``k1`` and ``b`` at build time.
+
+    ``postings`` maps each term to the ascending indices of the documents
+    holding it; ``forward`` holds each document's term -> weight map, and
+    ``max_weights`` each term's largest weight in any document."""
 
     documents: list[list[str]]
     document_frequencies: dict[str, int]
     average_document_length: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    postings: dict[str, tuple[array, array]] = field(default_factory=dict)
+    postings: dict[str, array] = field(default_factory=dict)
+    forward: list[dict[str, float]] = field(default_factory=list)
+    max_weights: dict[str, float] = field(default_factory=dict)
 
 
 def build_index(
@@ -104,15 +115,20 @@ def build_index(
         term: math.log((total - df + 0.5) / (df + 0.5) + 1.0)
         for term, df in frequencies.items()
     }
-    postings = {term: (array("i"), array("d")) for term in frequencies}
+    postings = {term: array("i") for term in frequencies}
+    forward: list[dict[str, float]] = []
+    maxima = dict.fromkeys(frequencies, 0.0)
     for doc_index, (doc, tf) in enumerate(zip(documents, counts)):
+        weights: dict[str, float] = {}
+        forward.append(weights)
         if not doc:
             continue  # no postings; the average is 0 when every document is empty
         norm = k1 * (1 - b + b * len(doc) / average)
         for term, f in tf.items():
-            indices, weights = postings[term]
-            indices.append(doc_index)
-            weights.append(idfs[term] * (f * (k1 + 1)) / (f + norm))
+            weight = weights[term] = idfs[term] * (f * (k1 + 1)) / (f + norm)
+            postings[term].append(doc_index)
+            if weight > maxima[term]:
+                maxima[term] = weight
     return Bm25Index(
         documents=documents,
         document_frequencies=frequencies,
@@ -120,6 +136,8 @@ def build_index(
         k1=k1,
         b=b,
         postings=postings,
+        forward=forward,
+        max_weights=maxima,
     )
 
 
@@ -127,24 +145,52 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[int, float]]:
     """Rank pool documents against the query, descending score, ties broken
     by ascending pool index; returns min(k, N) items.
 
-    Scores add each query token's weight in query order, repeats included,
-    so every sum is the same float a scan over all documents would give.
-    Documents sharing no term score 0.0 and fill any remaining places in
-    ascending index."""
+    A document's score adds its weight for each query token in query order,
+    repeats included, so every sum is the same float a scan over all
+    documents would give. Terms are visited highest bound first and each
+    newly met document is scored whole from ``forward``; the search stops
+    once no unmet document can reach the k-th score (MaxScore). Documents
+    sharing no term score 0.0 and fill any remaining places in ascending
+    index."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = [0.0] * len(index.documents)
-    for term in bm25_tokenize(query):
-        posting = index.postings.get(term)
-        if posting is None:
-            continue
-        for doc_index, weight in zip(*posting):
-            scores[doc_index] += weight
-    limit = min(k, len(scores))
-    # Weights are positive, so exactly the matched documents score above 0.
-    best = heapq.nsmallest(limit, ((-score, i) for i, score in enumerate(scores) if score))
-    ranked = [(i, -negated) for negated, i in best]
+    forward = index.forward
+    maxima = index.max_weights
+    tokens = [t for t in bm25_tokenize(query) if t in maxima]
+    limit = min(k, len(forward))
+    terms = sorted(dict.fromkeys(tokens), key=lambda t: -maxima[t] * tokens.count(t))
+    heap: list[tuple[float, int]] = []  # (score, -index): the root ranks last
+    seen: set[int] = set()
+    for position, term in enumerate(terms):
+        if len(heap) == limit:
+            # An unmet document holds none of the terms visited so far. Its
+            # score is a fold of weights no larger than the remaining
+            # maxima, and rounded addition is monotone, so folding those
+            # maxima in query order bounds it from above with no margin.
+            # Strict < keeps a tie at the k-th score, won by a lower index.
+            remaining = terms[position:]
+            bound = 0.0
+            for t in tokens:
+                if t in remaining:
+                    bound += maxima[t]
+            if bound < heap[0][0]:
+                break
+        for doc_index in index.postings[term]:
+            if doc_index in seen:
+                continue
+            seen.add(doc_index)
+            weights = forward[doc_index]
+            score = 0.0
+            for t in tokens:
+                score += weights.get(t, 0.0)  # + 0.0 leaves a sum >= 0 unchanged
+            entry = (score, -doc_index)
+            if len(heap) < limit:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+    ranked = [(-negated, score) for score, negated in sorted(heap, reverse=True)]
     if len(ranked) < limit:
-        unmatched = (i for i, score in enumerate(scores) if not score)
+        # Every term was visited, so ``seen`` holds every matched document.
+        unmatched = (i for i in range(len(forward)) if i not in seen)
         ranked.extend((i, 0.0) for i in itertools.islice(unmatched, limit - len(ranked)))
     return ranked

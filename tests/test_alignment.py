@@ -101,6 +101,25 @@ class TestParseAlignment:
         for entry in alignment.entries:
             assert (entry.schema_entity is None) == (entry.entity_type is None)
 
+    def test_entries_hold_no_instance_dict(self):
+        raw = "[{'token': 'x', 'schema': None, 'type': None}]"
+        assert not hasattr(parse_alignment(raw, "x").entries[0], "__dict__")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "[{'token': 'singer age', 'schema': 'singer.age', 'type': 'col'},"
+            " {'token': '5,000', 'schema': '5,000', 'type': 'val'}]",
+            '[{"token": "singer age", "schema": "singer.age", "type": "col"},'
+            ' {"token": "5,000", "schema": "5,000", "type": "val"}]',
+        ],
+    )
+    def test_same_text_parsed_twice_shares_strings(self, raw):
+        first, second = parse_alignment(raw, "x"), parse_alignment(raw, "x")
+        for a, b in zip(first.entries, second.entries, strict=True):
+            assert a.token is b.token
+            assert a.schema_entity is b.schema_entity
+
 
 class TestLinkedEntities:
     def test_tables_and_columns_collected(self):

@@ -5,6 +5,7 @@ import pytest
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
 from sqlmend.evaluation import (
+    MAX_RESULT_ROWS,
     ExecutionResult,
     classify_errors,
     evaluate_run,
@@ -81,6 +82,27 @@ class TestExecuteSql:
         assert result.ok
         assert sorted(result.rows) == [(3, 41), (4, 0)]
 
+
+    def test_result_over_the_row_cap_refused(self, db_catalog):
+        count_to = (
+            "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < {}) "
+            "SELECT x FROM n"
+        )
+        at_cap = execute_sql(count_to.format(MAX_RESULT_ROWS), db_catalog)
+        assert at_cap.ok
+        assert len(at_cap.rows) == MAX_RESULT_ROWS
+        over = execute_sql(count_to.format(MAX_RESULT_ROWS + 1), db_catalog)
+        assert over.status == "too_many_rows"
+        assert not over.ok
+        assert over.rows is None
+        assert str(MAX_RESULT_ROWS) in over.error_message
+
+    def test_cross_join_over_the_cap_refused(self, db_catalog, monkeypatch):
+        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 16)
+        assert execute_sql("SELECT a.name FROM singer a, singer b", db_catalog).ok
+        result = execute_sql("SELECT a.name FROM singer a, singer b, concert c", db_catalog)
+        assert result.status == "too_many_rows"
+        assert result.error_message == "result has more than 16 rows"
 
 def _ok(rows):
     return ExecutionResult(status="ok", rows=rows)
@@ -264,6 +286,21 @@ class TestEvaluateRun:
         assert report.invalid_gold == ["0"]
         assert report.record_count == 1
         assert report.ex_accuracy == 1.0
+
+    def test_rows_over_the_cap(self, db_catalog, monkeypatch):
+        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 3)
+        four_rows = "SELECT name FROM singer"
+        dataset = [
+            Example("0", "q0", "concert_hall", gold_sql=four_rows),
+            Example("1", "q1", "concert_hall", gold_sql="SELECT venue FROM concert"),
+        ]
+        traces = [_trace("0", "SELECT 1"), _trace("1", four_rows)]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert report.invalid_gold == ["0"]
+        assert [r.example_id for r in report.records] == ["1"]
+        assert not report.records[0].ex_match
+        assert "execution_error" in report.records[0].error_categories
+        assert report.error_histogram["final"]["execution_error"] == 1
 
     def test_unknown_trace_ids_rejected(self, db_catalog):
         with pytest.raises(EvaluationError, match="ghost"):

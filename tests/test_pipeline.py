@@ -81,6 +81,24 @@ class TestStageBehaviour:
         assert trace.final_sql == "SELECT name FROM singer WHERE age > 20"
 
 
+    def test_execution_round_sees_the_row_cap(self, mini_env, monkeypatch):
+        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 1)
+        prompts = []
+
+        class AllRows(ModelBackend):
+            backend_id = "all-rows"
+
+            def complete(self, request):
+                prompts.append(request.prompt)
+                return ModelResponse(text="```sql\nSELECT name FROM singer\n```",
+                                     backend_id=self.backend_id)
+
+        example = next(e for e in mini_env.examples if e.db_id == "talent_show")
+        trace = mini_env.pipeline(AllRows(), max_execution_retries=1).run_example(example)
+        assert [r.feedback.kind for r in trace.rounds] == ["execution_error"]
+        assert trace.rounds[0].feedback.error_message == "result has more than 1 rows"
+        assert "result has more than 1 rows" in prompts[-1]
+
 class TestPipelineInvariants:
     def test_round_kinds_follow_stage_order(self, replay_traces):
         for trace in replay_traces:

@@ -55,8 +55,8 @@ class TestBuildIndex:
             Demonstration(question="singer singer names", sql="S4", db_id="d")
         ]
         index = build_index(pool)
-        assert list(index.postings["singer"][0]) == [0, 2, 3]
-        assert list(index.postings["names"][0]) == [0, 3]
+        assert list(index.postings["singer"]) == [0, 2, 3]
+        assert list(index.postings["names"]) == [0, 3]
         assert set(index.postings) == set(index.document_frequencies)
 
     def test_tokenization_lowercases_and_splits(self):
@@ -152,6 +152,109 @@ class TestMatchesLinearScan:
     def test_fixture_queries(self, query, k):
         index = build_index(FIXTURE_POOL)
         assert top_k(index, query, k) == linear_top_k(index, query, k)
+
+
+def _pool(questions):
+    return [Demonstration(question=q, sql="S", db_id="d") for q in questions]
+
+
+def _bits(ranked):
+    return [(i, score.hex()) for i, score in ranked]
+
+
+def _assert_same_as_scan(questions, query, k):
+    index = build_index(_pool(questions))
+    assert _bits(top_k(index, query, k)) == _bits(linear_top_k(index, query, k))
+
+
+class _CountingList(list):
+    """A forward index that counts the documents scored from it."""
+
+    reads = 0
+
+    def __getitem__(self, item):
+        self.reads += 1
+        return super().__getitem__(item)
+
+
+class TestPruning:
+    """The search stops early (MaxScore); none of that may show in the
+    output, which must equal the linear scan's float for float."""
+
+    def test_tie_at_the_bound_goes_to_the_lower_index(self):
+        # After "a" fills the heap, the bound of "b" equals the k-th score
+        # exactly: the search must go on, and the "b" documents, with lower
+        # indices, win every tie.
+        questions = ["b"] * 5 + ["a"] * 5
+        index = build_index(_pool(questions))
+        ranked = top_k(index, "a b", 5)
+        assert [i for i, _ in ranked] == [0, 1, 2, 3, 4]
+        assert _bits(ranked) == _bits(linear_top_k(index, "a b", 5))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 12, 40])
+    def test_many_documents_tied_at_the_kth_score(self, k):
+        questions = ["apple pie"] * 30 + ["apple pie crust"] * 3 + ["crust"] * 10
+        questions = questions[::2] + questions[1::2]  # interleave the ties
+        for query in ("apple", "apple pie", "crust apple", "pie crust crust"):
+            _assert_same_as_scan(questions, query, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_query_of_terms_in_most_documents(self, k):
+        words = ["the", "of", "a", "name", "singer", "show", "list", "age"]
+        questions = [
+            " ".join(["the", "of"][: 1 + i % 2] + words[2 + i % 6 : 4 + i % 5] + ["a"] * (i % 3))
+            for i in range(60)
+        ]
+        for query in ("the", "the of", "of the a the", "a a a of"):
+            _assert_same_as_scan(questions, query, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_repeated_query_terms(self, k):
+        # "common" has the smaller weight, but repeated it bounds higher.
+        questions = ["rare"] + ["common"] * 8 + ["common rare", "common common x"]
+        for query in ("common common common rare", "rare common rare common common",
+                      "common rare common", "x common x common"):
+            _assert_same_as_scan(questions, query, k)
+
+    def test_repeated_term_counts_in_the_bound(self):
+        # "rare" fills the heap with documents 0 and 1. One "common" weight
+        # is below document 1's score, but the query holds "common" twice.
+        questions = ["rare", "rare pad", "common", "common", "common", "common"]
+        index = build_index(_pool(questions))
+        ranked = top_k(index, "rare common common", 2)
+        assert [i for i, _ in ranked] == [0, 2]
+        assert _bits(ranked) == _bits(linear_top_k(index, "rare common common", 2))
+
+    def test_fewer_matched_documents_than_k(self):
+        questions = ["x y", "apple", "x", "pie apple", "y", "z", "apple apple", "q"]
+        index = build_index(_pool(questions))
+        ranked = top_k(index, "apple pie", 6)
+        assert [i for i, _ in ranked] == [3, 6, 1, 0, 2, 4]
+        assert [score for _, score in ranked[3:]] == [0.0] * 3
+        assert _bits(ranked) == _bits(linear_top_k(index, "apple pie", 6))
+
+    def test_stops_before_terms_that_cannot_reach_the_kth_score(self):
+        index = build_index(_pool(["rare common"] + ["common filler words"] * 200))
+        index.forward = _CountingList(index.forward)
+        ranked = top_k(index, "rare common", 1)
+        assert ranked == linear_top_k(index, "rare common", 1)
+        assert ranked[0][0] == 0
+        assert index.forward.reads == 1  # the 200 "common" documents are never scored
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        questions=st.lists(
+            st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(" ".join),
+            min_size=1,
+            max_size=40,
+        ),
+        query=st.lists(st.sampled_from("abcdez"), max_size=7).map(" ".join),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_small_vocabulary(self, questions, query, k):
+        # Five words over up to 40 documents: ties at the k-th score and
+        # early stops are the common case, not the rare one.
+        _assert_same_as_scan(questions, query, k)
 
 
 class TestPoolLoading:
