@@ -1,8 +1,10 @@
 """Command-line surface: ``run`` the pipeline, ``evaluate`` its traces, and
-the ``skeleton`` / ``link`` / ``analyze-errors`` debugging commands.
+the ``skeleton`` / ``link`` debugging commands.
 
 Configuration comes from flags with an optional JSON manifest file
-(``--manifest``); explicit flags win over manifest values. API credentials
+(``--manifest``); explicit flags win over manifest values. A manifest is one
+flat object whose keys are the fields of ``RunManifest`` and
+``PipelineConfig``. API credentials
 are read from the environment only (``SQLMEND_API_KEY`` by default), never
 from flags. Exit status is nonzero only for infrastructure failures, not for
 low accuracy.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backends import (
@@ -43,8 +45,16 @@ EXIT_USAGE = 2
 EXIT_FIXTURE_MISSING = 3
 
 
+# ``oracle`` values as manifests of earlier versions spell them.
+_LEGACY_ORACLE = {"oracle_entities": "entities", "oracle_skeleton": "skeleton",
+                  "oracle_both": "both"}
+
+
 @dataclass
 class RunManifest:
+    """Where a run reads and writes and which model it asks; the pipeline's
+    own settings are ``config``."""
+
     dataset: str = ""
     databases: str = ""
     tables: str = ""
@@ -54,32 +64,47 @@ class RunManifest:
     backend: str = "replay"  # http | replay | record
     replay_store: str = ""
     output: str = "runs/latest"
-    workers: int = 1
-    shots: int = 5
-    oracle: str = "none"
-    max_execution_retries: int = 1
-    demonstration_order: str = "nearest-last"
-    temperature: float = 0.0
-    max_output_tokens: int = 512
     base_url: str = ""
     model: str = ""
+    config: PipelineConfig = field(default_factory=PipelineConfig)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunManifest":
-        manifest = cls()
+        """The manifest file's keys overridden by the flags given; each key
+        sets the field of that name here or in ``PipelineConfig``."""
+        values = {}
         if getattr(args, "manifest", None):
-            payload = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            for key, value in payload.items():
-                if hasattr(manifest, key):
-                    setattr(manifest, key, value)
-        for key in vars(manifest):
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(manifest, key, value)
-        return manifest
+            try:
+                values = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise SqlMendError(f"{args.manifest}: {exc}") from exc
+            if not isinstance(values, dict):
+                raise SqlMendError(f"{args.manifest}: expected a JSON object")
+        own, pipeline = _defaults(cls), _defaults(PipelineConfig)
+        defaults = {**own, **pipeline}
+        for key in defaults:
+            if getattr(args, key, None) is not None:
+                values[key] = getattr(args, key)
+        for key, value in values.items():
+            if key not in defaults:
+                raise SqlMendError(f"unknown manifest key {key!r}")
+            kind = type(defaults[key])
+            if kind is float and type(value) is int:
+                values[key] = value = float(value)
+            if type(value) is not kind:
+                raise SqlMendError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
+        if values.get("oracle") in _LEGACY_ORACLE:
+            values["oracle"] = _LEGACY_ORACLE[values["oracle"]]
+        try:
+            config = PipelineConfig(**{k: v for k, v in values.items() if k in pipeline})
+        except ValueError as exc:
+            raise SqlMendError(str(exc)) from exc
+        return cls(**{k: v for k, v in values.items() if k in own}, config=config)
 
     def resolved(self) -> dict:
+        """The flat ``manifest.json`` payload, paths made absolute."""
         payload = asdict(self)
+        payload.update(payload.pop("config"))
         for key in ("dataset", "databases", "tables", "pool", "alignments",
                     "pool_alignments", "replay_store", "output"):
             if payload[key]:
@@ -87,29 +112,25 @@ class RunManifest:
         return payload
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 @dataclass
 class LoadedRun:
-    manifest: RunManifest
     catalogs: dict[str, SchemaCatalog]
     examples: list[Example] = field(default_factory=list)
     pool: list = field(default_factory=list)
-    backend: ModelBackend | None = None
-
-
-def _load_catalogs(manifest: RunManifest) -> dict[str, SchemaCatalog]:
-    if not manifest.tables:
-        raise SqlMendError("--tables is required")
-    catalogs = {c.db_id: c for c in load_tables_json(manifest.tables)}
-    if manifest.databases:
-        for db_id, path in load_database_dir(manifest.databases).items():
-            if db_id in catalogs:
-                catalogs[db_id].source_path = path
-    return catalogs
 
 
 def _load_run(manifest: RunManifest, need_dataset: bool = True) -> LoadedRun:
-    catalogs = _load_catalogs(manifest)
-    run = LoadedRun(manifest=manifest, catalogs=catalogs)
+    if not manifest.tables:
+        raise SqlMendError("--tables is required")
+    run = LoadedRun(catalogs={c.db_id: c for c in load_tables_json(manifest.tables)})
+    if manifest.databases:
+        for db_id, path in load_database_dir(manifest.databases).items():
+            if db_id in run.catalogs:
+                run.catalogs[db_id].source_path = path
     if need_dataset:
         if not manifest.dataset:
             raise SqlMendError("--dataset is required")
@@ -143,7 +164,7 @@ def _make_backend(manifest: RunManifest) -> ModelBackend:
         # hallucination beside generation or linking.
         http = HttpBackend(HttpBackendConfig(
             base_url=manifest.base_url, model=manifest.model,
-            max_in_flight=2 * max(1, manifest.workers),
+            max_in_flight=2 * max(1, manifest.config.workers),
         ))
         if manifest.backend == "record":
             if not manifest.replay_store:
@@ -153,31 +174,16 @@ def _make_backend(manifest: RunManifest) -> ModelBackend:
     raise SqlMendError(f"unknown backend {manifest.backend!r}")
 
 
-def _pipeline_config(manifest: RunManifest) -> PipelineConfig:
-    oracle = manifest.oracle
-    if oracle in ("entities", "skeleton", "both"):
-        oracle = {"entities": "oracle_entities", "skeleton": "oracle_skeleton",
-                  "both": "oracle_both"}[oracle]
-    return PipelineConfig(
-        shots=manifest.shots,
-        max_execution_retries=manifest.max_execution_retries,
-        demonstration_order=manifest.demonstration_order,
-        oracle_mode=oracle,
-        temperature=manifest.temperature,
-        max_output_tokens=manifest.max_output_tokens,
-        workers=manifest.workers,
-    )
+def _make_pipeline(manifest: RunManifest, run: LoadedRun) -> MendPipeline:
+    index = build_index(run.pool) if run.pool else None
+    return MendPipeline(catalogs=run.catalogs, pool=run.pool, index=index,
+                        backend=_make_backend(manifest), config=manifest.config)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
     run = _load_run(manifest)
-    backend = _make_backend(manifest)
-    config = _pipeline_config(manifest)
-    index = build_index(run.pool) if run.pool else None
-    pipeline = MendPipeline(
-        catalogs=run.catalogs, pool=run.pool, index=index, backend=backend, config=config
-    )
+    pipeline = _make_pipeline(manifest, run)
     output_dir = Path(manifest.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     print(f"running {len(run.examples)} examples with backend={manifest.backend}")
@@ -243,7 +249,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _print_report(report_dict, args.format)
-    print(f"report written to {output}")
+    print(f"report written to {output}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -259,14 +265,9 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
     run = _load_run(manifest, need_dataset=False)
-    backend = _make_backend(manifest)
-    config = _pipeline_config(manifest)
-    index = build_index(run.pool) if run.pool else None
-    if config.shots > 0 and index is None:
-        config.shots = 0
-    pipeline = MendPipeline(
-        catalogs=run.catalogs, pool=run.pool, index=index, backend=backend, config=config
-    )
+    if not run.pool:
+        manifest.config.shots = 0
+    pipeline = _make_pipeline(manifest, run)
     example = Example(example_id="adhoc", question=args.question, db_id=args.db_id)
     trace = CorrectionTrace(example_id="adhoc")
     alignment = pipeline.link_entities(
@@ -283,24 +284,6 @@ def cmd_link(args: argparse.Namespace) -> int:
                 f"{record['schema']} ({record['type']})" if record["schema"] else "-"
             )
             print(f"{record['token']:<20} {linked}")
-    return EXIT_OK
-
-
-def cmd_analyze_errors(args: argparse.Namespace) -> int:
-    manifest = RunManifest.from_args(args)
-    run = _load_run(manifest)
-    traces = read_traces(args.traces)
-    report = evaluate_run(traces, run.examples, run.catalogs)
-    histogram = report.error_histogram
-    if args.format == "json":
-        print(json.dumps(histogram, indent=2, sort_keys=True))
-    else:
-        print("error histogram (before -> after correction):")
-        for category in ERROR_CATEGORIES:
-            print(
-                f"  {category:<16} {histogram['initial'][category]:>4} -> "
-                f"{histogram['final'][category]:<4}"
-            )
     return EXIT_OK
 
 
@@ -360,14 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(link_parser)
     link_parser.add_argument("--format", choices=["text", "json"], default="text")
     link_parser.set_defaults(func=cmd_link)
-
-    analyze_parser = sub.add_parser(
-        "analyze-errors", help="print the error histogram for a trace file"
-    )
-    analyze_parser.add_argument("traces")
-    _add_common_data_flags(analyze_parser)
-    analyze_parser.add_argument("--format", choices=["text", "json"], default="text")
-    analyze_parser.set_defaults(func=cmd_analyze_errors)
 
     return parser
 

@@ -37,6 +37,7 @@ def load_dataset(path: str | Path) -> list[Example]:
     if not isinstance(raw, list):
         raise MalformedDatasetError(f"{path}: expected a top-level array")
     examples = []
+    first_index: dict[str, int] = {}
     for index, record in enumerate(raw):
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: entry {index} is not an object")
@@ -46,9 +47,15 @@ def load_dataset(path: str | Path) -> list[Example]:
             raise MalformedDatasetError(
                 f"{path}: entry {index} is missing question or db_id"
             )
+        example_id = str(record.get("example_id", index))
+        first = first_index.setdefault(example_id, index)
+        if first != index:
+            raise MalformedDatasetError(
+                f"{path}: entries {first} and {index} share example_id {example_id!r}"
+            )
         examples.append(
             Example(
-                example_id=str(record.get("example_id", index)),
+                example_id=example_id,
                 question=question,
                 db_id=db_id,
                 gold_sql=record.get("query", record.get("sql")) or None,

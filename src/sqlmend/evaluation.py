@@ -22,6 +22,7 @@ from .sql_analysis import (
     Skeleton,
     extract_entities,
     extract_skeleton,
+    is_ordered,
     skeletons_equal,
     tokenize_sql,
 )
@@ -113,28 +114,6 @@ def execute_sql(
         conn.close()
 
 
-def _has_top_level_order_by(sql: str) -> bool:
-    try:
-        tokens = tokenize_sql(sql)
-    except Exception:
-        return False
-    depth = 0
-    for index, token in enumerate(tokens):
-        if token.kind == "punctuation" and token.text == "(":
-            depth += 1
-        elif token.kind == "punctuation" and token.text == ")":
-            depth = max(0, depth - 1)
-        elif (
-            depth == 0
-            and token.kind == "keyword"
-            and token.text.upper() == "ORDER"
-            and index + 1 < len(tokens)
-            and tokens[index + 1].text.upper() == "BY"
-        ):
-            return True
-    return False
-
-
 def _cells_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
@@ -177,7 +156,7 @@ def results_match(
     right = gold.rows or []
     if len(left) != len(right):
         return False
-    if not _has_top_level_order_by(gold_sql):
+    if not is_ordered(gold_sql):
         left = sorted(left, key=_sort_key)
         right = sorted(right, key=_sort_key)
     return all(_rows_equal(a, b) for a, b in zip(left, right))

@@ -28,13 +28,13 @@ from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import Feedback, compare_entities, compare_skeletons, render_notification
 from .datasets import Example
 from .errors import FixtureMissingError, SqlMendError
-from .evaluation import DEFAULT_TIMEOUT, execute_sql
+from .evaluation import execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
 from .sql_analysis import Skeleton, extract_skeleton
 
-ORACLE_MODES = ("none", "oracle_entities", "oracle_skeleton", "oracle_both")
+ORACLE_MODES = ("none", "entities", "skeleton", "both")
 
 STAGE_GENERATION = "sql_generation"
 STAGE_LINKING = "entity_linking"
@@ -47,10 +47,9 @@ class PipelineConfig:
     shots: int = 5
     max_execution_retries: int = 1
     demonstration_order: str = "nearest-last"  # or nearest-first
-    oracle_mode: str = "none"
+    oracle: str = "none"  # or entities | skeleton | both, taken from gold data
     temperature: float = 0.0
     max_output_tokens: int = 512
-    execution_timeout: float = DEFAULT_TIMEOUT
     workers: int = 1
 
     def __post_init__(self):
@@ -58,18 +57,20 @@ class PipelineConfig:
             raise ValueError("shots must be >= 0")
         if self.max_execution_retries < 0:
             raise ValueError("max_execution_retries must be >= 0")
-        if self.oracle_mode not in ORACLE_MODES:
-            raise ValueError(f"oracle_mode must be one of {ORACLE_MODES}")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.oracle not in ORACLE_MODES:
+            raise ValueError(f"oracle must be one of {ORACLE_MODES}")
         if self.demonstration_order not in ("nearest-last", "nearest-first"):
             raise ValueError("demonstration_order must be nearest-last or nearest-first")
 
     @property
-    def oracle_entities(self) -> bool:
-        return self.oracle_mode in ("oracle_entities", "oracle_both")
+    def gold_entities(self) -> bool:
+        return self.oracle in ("entities", "both")
 
     @property
-    def oracle_skeleton(self) -> bool:
-        return self.oracle_mode in ("oracle_skeleton", "oracle_both")
+    def gold_skeleton(self) -> bool:
+        return self.oracle in ("skeleton", "both")
 
 
 @dataclass
@@ -186,7 +187,7 @@ class MendPipeline:
         trace: CorrectionTrace,
         selected: list[Demonstration],
     ) -> Alignment | None:
-        if self.config.oracle_entities:
+        if self.config.gold_entities:
             if example.gold_alignment is not None:
                 return example.gold_alignment
             trace.stage_errors.append((STAGE_LINKING, "oracle mode without gold alignment"))
@@ -224,7 +225,7 @@ class MendPipeline:
     ) -> Future | None:
         """Send the skeleton-hallucination completion; None in oracle-skeleton
         mode, which makes no call."""
-        if self.config.oracle_skeleton:
+        if self.config.gold_skeleton:
             return None
         demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
         prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
@@ -234,7 +235,7 @@ class MendPipeline:
         self, example: Example, trace: CorrectionTrace, pending: Future | None
     ) -> Skeleton | None:
         """The skeleton from ``pending``, the future ``submit_skeleton`` gave."""
-        if self.config.oracle_skeleton:
+        if self.config.gold_skeleton:
             if example.gold_sql:
                 return extract_skeleton(example.gold_sql)
             trace.stage_errors.append((STAGE_SKELETON, "oracle mode without gold SQL"))
@@ -321,7 +322,7 @@ class MendPipeline:
 
         if catalog.source_path is not None:
             for _ in range(self.config.max_execution_retries):
-                result = execute_sql(current, catalog, timeout=self.config.execution_timeout)
+                result = execute_sql(current, catalog)
                 if result.ok:
                     break
                 feedback = Feedback(

@@ -80,11 +80,10 @@ class Bm25Index:
     """BM25 statistics of a pool, fixed by ``k1`` and ``b`` at build time.
 
     ``postings`` maps each term to the ascending indices of the documents
-    holding it; ``forward`` holds each document's term -> weight map, and
-    ``max_weights`` each term's largest weight in any document."""
+    holding it, so its length is the term's document frequency; ``forward``
+    holds each document's term -> weight map, and ``max_weights`` each
+    term's largest weight in any document."""
 
-    documents: list[list[str]]
-    document_frequencies: dict[str, int]
     average_document_length: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
@@ -103,35 +102,32 @@ def build_index(
         # unmatched document could then outrank a matched one.
         raise ValueError("BM25 needs k1 >= 0 and 0 <= b <= 1")
     # Interned, so each distinct term is stored once across the pool.
-    documents = [list(map(sys.intern, bm25_tokenize(demo.question))) for demo in pool]
-    counts = [Counter(doc) for doc in documents]
-    frequencies: dict[str, int] = {}
-    for tf in counts:
+    counts = [Counter(map(sys.intern, bm25_tokenize(demo.question))) for demo in pool]
+    postings: dict[str, array] = {}
+    for doc_index, tf in enumerate(counts):
         for term in tf:
-            frequencies[term] = frequencies.get(term, 0) + 1
-    total = len(documents)
-    average = sum(len(d) for d in documents) / total
+            if term not in postings:
+                postings[term] = array("i")
+            postings[term].append(doc_index)
+    total = len(counts)
+    average = sum(tf.total() for tf in counts) / total
     idfs = {
-        term: math.log((total - df + 0.5) / (df + 0.5) + 1.0)
-        for term, df in frequencies.items()
+        term: math.log((total - len(docs) + 0.5) / (len(docs) + 0.5) + 1.0)
+        for term, docs in postings.items()
     }
-    postings = {term: array("i") for term in frequencies}
     forward: list[dict[str, float]] = []
-    maxima = dict.fromkeys(frequencies, 0.0)
-    for doc_index, (doc, tf) in enumerate(zip(documents, counts)):
+    maxima = dict.fromkeys(postings, 0.0)
+    for tf in counts:
         weights: dict[str, float] = {}
         forward.append(weights)
-        if not doc:
-            continue  # no postings; the average is 0 when every document is empty
-        norm = k1 * (1 - b + b * len(doc) / average)
+        if not tf:
+            continue  # the average is 0 when every document is empty
+        norm = k1 * (1 - b + b * tf.total() / average)
         for term, f in tf.items():
             weight = weights[term] = idfs[term] * (f * (k1 + 1)) / (f + norm)
-            postings[term].append(doc_index)
             if weight > maxima[term]:
                 maxima[term] = weight
     return Bm25Index(
-        documents=documents,
-        document_frequencies=frequencies,
         average_document_length=average,
         k1=k1,
         b=b,

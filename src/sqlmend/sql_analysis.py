@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyInputError, TokenizationError
+from .errors import EmptyInputError, SqlMendError, TokenizationError
 from .schema import SchemaCatalog
 
 KEYWORDS = frozenset(
@@ -188,6 +188,7 @@ class _Analysis:
     aliases: dict[str, str | None] = field(default_factory=dict)
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
     values: list[str] = field(default_factory=list)
+    ordered: bool = False  # ORDER then BY outside every parenthesis
 
 
 def _analyze(tokens: list[SqlToken]) -> _Analysis:
@@ -233,6 +234,8 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
                     continue
             if upper in _FROM_TERMINATORS:
                 state[depth] = NONE
+            if upper == "ORDER" and depth == 0 and i + 1 < n:
+                out.ordered |= tokens[i + 1].text.upper() == "BY"
             out.pieces.append((_KEEP_KEYWORD, upper))
             i += 1
             continue
@@ -394,6 +397,15 @@ def extract_skeleton(sql: str) -> Skeleton:
         else:
             parts.append(text)
     return Skeleton(" ".join(parts))
+
+
+def is_ordered(sql: str) -> bool:
+    """Whether a query orders its result: a top-level ORDER BY. False for
+    text that does not tokenize."""
+    try:
+        return _analyze(tokenize_sql(sql)).ordered
+    except SqlMendError:
+        return False
 
 
 def skeletons_equal(a: Skeleton, b: Skeleton) -> bool:

@@ -108,8 +108,8 @@ def replay_store_path(mini_paths, mini_env) -> Path:
     store_path = mini_paths["root"] / "replay_store.jsonl"
     store = ReplayStore(store_path)
     backend = RecordingBackend(ScriptedBackend(), store)
-    for oracle_mode in ("none", "oracle_both"):
-        pipeline = mini_env.pipeline(backend, oracle_mode=oracle_mode)
+    for oracle in ("none", "both"):
+        pipeline = mini_env.pipeline(backend, oracle=oracle)
         pipeline.run(mini_env.examples)
     return store_path
 

@@ -239,7 +239,7 @@ def test_criterion_6_oracle_mode_bound(mini_env):
     records = []
     for example in mini_env.examples:
         backend = CountingBackend(ScriptedBackend())
-        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_both")
+        pipeline = mini_env.pipeline(backend, oracle="both")
         trace = pipeline.run_example(example)
         assert backend.calls <= 1 + len(trace.rounds)
         skeleton_fired = any(

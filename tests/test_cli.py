@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
-from sqlmend.cli import RunManifest, _make_backend, main
+from sqlmend.cli import RunManifest, _make_backend, build_parser, main
+from sqlmend.pipeline import PipelineConfig
 
 pytestmark = pytest.mark.usefixtures("replay_store_path")
 
@@ -131,7 +135,7 @@ class TestHttpInFlightCap:
     def test_two_completions_per_worker(self, tmp_path, backend, workers, cap):
         manifest = RunManifest(
             backend=backend, base_url="http://model.local/v1", model="m",
-            workers=workers, replay_store=str(tmp_path / "s.jsonl"),
+            replay_store=str(tmp_path / "s.jsonl"), config=PipelineConfig(workers=workers),
         )
         built = _make_backend(manifest)
         http = built.inner if backend == "record" else built
@@ -177,9 +181,28 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[: out.rindex("}") + 1])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert payload["record_count"] == 10
+        assert "report written to" in captured.err
+
+    def test_json_error_histogram(self, mini_paths, trace_dir, capsys):
+        code = main(
+            [
+                "evaluate", str(trace_dir / "traces.jsonl"),
+                "--dataset", str(mini_paths["dataset"]),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        histogram = json.loads(capsys.readouterr().out)["error_histogram"]
+        assert set(histogram) == {"initial", "final"}
+        assert histogram["initial"]["column_error"] == 3
+        assert histogram["initial"]["skeleton_error"] == 2
+        assert histogram["initial"]["execution_error"] == 1
+        assert all(count == 0 for count in histogram["final"].values())
 
     def test_empty_traces_file(self, mini_paths, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
@@ -251,24 +274,94 @@ class TestLinkCommand:
         assert {"token": "singers", "schema": "singer", "type": "tbl"} in records
 
 
-class TestAnalyzeErrors:
-    def test_histogram_printed(self, mini_paths, replay_store_path, tmp_path, capsys):
-        output = tmp_path / "out"
-        assert main(_run_args(mini_paths, replay_store_path, output)) == 0
-        capsys.readouterr()
-        code = main(
-            [
-                "analyze-errors", str(output / "traces.jsonl"),
-                "--dataset", str(mini_paths["dataset"]),
-                "--databases", str(mini_paths["databases"]),
-                "--tables", str(mini_paths["tables"]),
-                "--format", "json",
-            ]
+class TestSettings:
+    def test_manifest_of_the_earlier_shape_reproduces_its_run(
+        self, mini_paths, replay_store_path, tmp_path
+    ):
+        # The 18 keys manifests had while RunManifest copied the pipeline's
+        # settings, with the oracle spelled the old way.
+        legacy = {
+            "dataset": str(mini_paths["dataset"]),
+            "databases": str(mini_paths["databases"]),
+            "tables": str(mini_paths["tables"]),
+            "pool": str(mini_paths["pool"]),
+            "alignments": str(mini_paths["dataset_alignments"]),
+            "pool_alignments": str(mini_paths["pool_alignments"]),
+            "backend": "replay",
+            "replay_store": str(replay_store_path),
+            "output": str(tmp_path / "legacy"),
+            "workers": 1,
+            "shots": 5,
+            "oracle": "oracle_both",
+            "max_execution_retries": 1,
+            "demonstration_order": "nearest-last",
+            "temperature": 0.0,
+            "max_output_tokens": 512,
+            "base_url": "",
+            "model": "",
+        }
+        manifest_path = tmp_path / "legacy.json"
+        manifest_path.write_text(json.dumps(legacy), encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest_path)]) == 0
+        flagged = tmp_path / "flagged"
+        assert main(
+            _run_args(mini_paths, replay_store_path, flagged, extra=["--oracle", "both"])
+        ) == 0
+        assert (tmp_path / "legacy" / "traces.jsonl").read_bytes() == (
+            flagged / "traces.jsonl"
+        ).read_bytes()
+        written = json.loads((tmp_path / "legacy" / "manifest.json").read_text(encoding="utf-8"))
+        assert written["oracle"] == "both"
+        assert set(written) == set(legacy)
+
+    @pytest.mark.parametrize("flags, manifest, key", [
+        (["--shots", "-1"], None, "shots"),
+        ([], {"oracle": "sideways"}, "oracle"),
+        ([], {"workers": "2"}, "workers"),
+        ([], {"shots": "0"}, "shots"),
+        ([], {"shots": True}, "shots"),
+        ([], {"temperature": None}, "temperature"),
+        ([], {"temperature": -1.0}, "temperature"),
+        ([], {"shot": 3}, "shot"),
+        ([], {"resolved": {}}, "resolved"),
+        ([], {"config": {"shots": 1}}, "config"),
+    ])
+    def test_bad_setting_exits_2_naming_it(
+        self, mini_paths, replay_store_path, tmp_path, capsys, flags, manifest, key
+    ):
+        args = _run_args(mini_paths, replay_store_path, tmp_path / "out", extra=flags)
+        if manifest is not None:
+            manifest_path = tmp_path / "manifest.json"
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            args += ["--manifest", str(manifest_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(rf"\b{key}\b", err)
+        assert not (tmp_path / "out" / "traces.jsonl").exists()
+
+    def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text("{not json", encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest_path)]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_classes_share_no_field(self):
+        run = {f.name for f in fields(RunManifest)}
+        assert not run & {f.name for f in fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("command", ["run", "link"])
+    def test_every_setting_flag_names_one_field(self, command):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
-        assert code == 0
-        histogram = json.loads(capsys.readouterr().out)
-        assert set(histogram) == {"initial", "final"}
-        assert histogram["initial"]["column_error"] == 3
-        assert histogram["initial"]["skeleton_error"] == 2
-        assert histogram["initial"]["execution_error"] == 1
-        assert all(count == 0 for count in histogram["final"].values())
+        names = [f.name for f in fields(RunManifest)] + [f.name for f in fields(PipelineConfig)]
+        # What one invocation reads, not a setting of the run.
+        not_settings = {"help", "manifest", "sql", "format"}
+        dests = [
+            a.dest for a in commands.choices[command]._actions
+            if a.option_strings and a.dest not in not_settings
+        ]
+        assert dests
+        for dest in dests:
+            assert names.count(dest) == 1, dest

@@ -33,6 +33,22 @@ def test_load_dataset_requires_question_and_db(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("ids, message", [
+    (["x", "y", "x"], "entries 0 and 2 share example_id 'x'"),
+    (["1", None], "entries 0 and 1 share example_id '1'"),  # the index is the default id
+])
+def test_load_dataset_rejects_duplicate_example_ids(tmp_path, ids, message):
+    # Scored by id, the later record would shadow the earlier one.
+    records = [{"question": f"q{i}", "db_id": "d"} for i in range(len(ids))]
+    for record, example_id in zip(records, ids):
+        if example_id is not None:
+            record["example_id"] = example_id
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(MalformedDatasetError, match=message):
+        load_dataset(path)
+
+
 def test_sidecar_lines_attach_by_index(tmp_path):
     path = tmp_path / "alignments.jsonl"
     path.write_text(

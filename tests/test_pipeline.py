@@ -122,11 +122,11 @@ class TestPipelineInvariants:
 
     def test_oracle_both_reduces_bound_by_two(self, mini_env):
         backend = CountingBackend(ScriptedBackend())
-        config = PipelineConfig(oracle_mode="oracle_both")
+        config = PipelineConfig(oracle="both")
         bound = 1 + 2 + config.max_execution_retries
         for example in mini_env.examples:
             backend.calls = 0
-            pipeline = mini_env.pipeline(backend, oracle_mode="oracle_both")
+            pipeline = mini_env.pipeline(backend, oracle="both")
             pipeline.run_example(example)
             assert backend.calls <= bound
 
@@ -168,7 +168,7 @@ class TestDemonstrationSelection:
 class TestOracleModes:
     def test_oracle_entities_skips_linking_call(self, mini_env):
         backend = CountingBackend(ScriptedBackend())
-        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_entities")
+        pipeline = mini_env.pipeline(backend, oracle="entities")
         trace = pipeline.run_example(mini_env.examples[1])
         # generation + hallucination only: alignment came from the sidecar
         assert backend.calls == 2
@@ -176,7 +176,7 @@ class TestOracleModes:
 
     def test_oracle_skeleton_uses_gold_derived_skeleton(self, mini_env):
         backend = ScriptedBackend()
-        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_skeleton")
+        pipeline = mini_env.pipeline(backend, oracle="skeleton")
         example = mini_env.examples[7]
         trace = pipeline.run_example(example)
         assert skeletons_equal(
@@ -186,7 +186,7 @@ class TestOracleModes:
 
     def test_oracle_skeleton_round_fires_iff_initial_differs_from_gold(self, mini_env):
         backend = ScriptedBackend()
-        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_both")
+        pipeline = mini_env.pipeline(backend, oracle="both")
         for example in mini_env.examples:
             trace = pipeline.run_example(example)
             fired = any(r.feedback.kind == "skeleton_mismatch" for r in trace.rounds)
@@ -316,7 +316,7 @@ class TestSkeletonOverlap:
 
     def test_oracle_skeleton_submits_nothing(self, mini_env):
         backend = CountingBackend(ScriptedBackend())
-        pipeline = mini_env.pipeline(backend, oracle_mode="oracle_skeleton")
+        pipeline = mini_env.pipeline(backend, oracle="skeleton")
         assert pipeline.submit_skeleton(mini_env.examples[0], []) is None
         assert backend.calls == 0
 
@@ -334,7 +334,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(max_execution_retries=-1)
         with pytest.raises(ValueError):
-            PipelineConfig(oracle_mode="sideways")
+            PipelineConfig(oracle="sideways")
+        with pytest.raises(ValueError):
+            PipelineConfig(oracle="oracle_both")  # the old spelling; manifests still map it
         with pytest.raises(ValueError):
             PipelineConfig(demonstration_order="random")
 

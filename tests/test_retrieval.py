@@ -31,10 +31,10 @@ EXPECTED_SCORES = {0: 1.3802518231206125, 1: 0.0, 2: 0.44713858782297017}
 class TestBuildIndex:
     def test_document_statistics(self):
         index = build_index(FIXTURE_POOL)
-        assert len(index.documents) == 3
-        assert index.document_frequencies["singer"] == 2
-        assert index.document_frequencies["names"] == 1
-        assert index.document_frequencies["concerts"] == 1
+        assert len(index.forward) == 3
+        assert len(index.postings["singer"]) == 2
+        assert len(index.postings["names"]) == 1
+        assert len(index.postings["concerts"]) == 1
         assert index.average_document_length == pytest.approx(8 / 3)
 
     def test_single_document_average_length(self):
@@ -57,7 +57,7 @@ class TestBuildIndex:
         index = build_index(pool)
         assert list(index.postings["singer"]) == [0, 2, 3]
         assert list(index.postings["names"]) == [0, 3]
-        assert set(index.postings) == set(index.document_frequencies)
+        assert set(index.postings) == set(index.max_weights)
 
     def test_tokenization_lowercases_and_splits(self):
         assert bm25_tokenize("Show; the STOCK-idx 5,000!") == [
@@ -140,10 +140,8 @@ class TestMatchesLinearScan:
     )
     def test_same_ranking_and_scores(self, questions, query, k):
         assume(any(questions))  # the scan divides by a zero average length
-        index = build_index(
-            [Demonstration(question=q, sql="S", db_id="d") for q in questions]
-        )
-        assert top_k(index, query, k) == linear_top_k(index, query, k)
+        pool = [Demonstration(question=q, sql="S", db_id="d") for q in questions]
+        assert top_k(build_index(pool), query, k) == linear_top_k(pool, query, k)
 
     @pytest.mark.parametrize(
         "query", ["", "zzz", "singer singer names", "names zzz singer", "the"]
@@ -151,7 +149,7 @@ class TestMatchesLinearScan:
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_fixture_queries(self, query, k):
         index = build_index(FIXTURE_POOL)
-        assert top_k(index, query, k) == linear_top_k(index, query, k)
+        assert top_k(index, query, k) == linear_top_k(FIXTURE_POOL, query, k)
 
 
 def _pool(questions):
@@ -163,8 +161,8 @@ def _bits(ranked):
 
 
 def _assert_same_as_scan(questions, query, k):
-    index = build_index(_pool(questions))
-    assert _bits(top_k(index, query, k)) == _bits(linear_top_k(index, query, k))
+    pool = _pool(questions)
+    assert _bits(top_k(build_index(pool), query, k)) == _bits(linear_top_k(pool, query, k))
 
 
 class _CountingList(list):
@@ -189,7 +187,7 @@ class TestPruning:
         index = build_index(_pool(questions))
         ranked = top_k(index, "a b", 5)
         assert [i for i, _ in ranked] == [0, 1, 2, 3, 4]
-        assert _bits(ranked) == _bits(linear_top_k(index, "a b", 5))
+        assert _bits(ranked) == _bits(linear_top_k(_pool(questions), "a b", 5))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 12, 40])
     def test_many_documents_tied_at_the_kth_score(self, k):
@@ -223,7 +221,7 @@ class TestPruning:
         index = build_index(_pool(questions))
         ranked = top_k(index, "rare common common", 2)
         assert [i for i, _ in ranked] == [0, 2]
-        assert _bits(ranked) == _bits(linear_top_k(index, "rare common common", 2))
+        assert _bits(ranked) == _bits(linear_top_k(_pool(questions), "rare common common", 2))
 
     def test_fewer_matched_documents_than_k(self):
         questions = ["x y", "apple", "x", "pie apple", "y", "z", "apple apple", "q"]
@@ -231,13 +229,14 @@ class TestPruning:
         ranked = top_k(index, "apple pie", 6)
         assert [i for i, _ in ranked] == [3, 6, 1, 0, 2, 4]
         assert [score for _, score in ranked[3:]] == [0.0] * 3
-        assert _bits(ranked) == _bits(linear_top_k(index, "apple pie", 6))
+        assert _bits(ranked) == _bits(linear_top_k(_pool(questions), "apple pie", 6))
 
     def test_stops_before_terms_that_cannot_reach_the_kth_score(self):
-        index = build_index(_pool(["rare common"] + ["common filler words"] * 200))
+        questions = ["rare common"] + ["common filler words"] * 200
+        index = build_index(_pool(questions))
         index.forward = _CountingList(index.forward)
         ranked = top_k(index, "rare common", 1)
-        assert ranked == linear_top_k(index, "rare common", 1)
+        assert ranked == linear_top_k(_pool(questions), "rare common", 1)
         assert ranked[0][0] == 0
         assert index.forward.reads == 1  # the 200 "common" documents are never scored
 

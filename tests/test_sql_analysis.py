@@ -10,12 +10,14 @@ from sqlmend.sql_analysis import (
     Skeleton,
     extract_entities,
     extract_skeleton,
+    is_ordered,
     skeletons_equal,
     tokenize_sql,
 )
 
 from support.ast_oracle import oracle_entities
 from support.corpus import GOLDEN_CORPUS
+from support.order_by_reference import has_top_level_order_by
 
 CORPUS_SQLS = [entry["sql"] for entry in GOLDEN_CORPUS]
 
@@ -214,3 +216,48 @@ def test_corpus_queries_all_execute(corpus_db):
 def test_aggregate_names_are_keywords():
     for name in ("COUNT", "SUM", "AVG", "MIN", "MAX", "DISTINCT"):
         assert name in KEYWORDS
+
+
+# ORDER and BY in every placement: nested and unbalanced parentheses, other
+# casing, a quoted or misspelt BY, qualified names, and text that does not
+# tokenize (an unterminated quote, ``#``).
+_ORDER_FRAGMENTS = [
+    "ORDER", "order", "Order", "BY", "by", "'by'", '"BY"', "ORDERBY", "order_",
+    "(", ")", "((", "))", "SELECT", "x", "FROM", "t", "T1.", "WHERE", "IN",
+    "LIMIT", "1", ",", "*", "=", "UNION", "AS", "'", "#", ";",
+]
+
+
+class TestIsOrdered:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        parts=st.lists(st.sampled_from(_ORDER_FRAGMENTS), max_size=25),
+        separator=st.sampled_from([" ", "", "\n"]),
+    )
+    def test_agrees_with_the_depth_scanner_on_token_soup(self, parts, separator):
+        sql = separator.join(parts)
+        assert is_ordered(sql) == has_top_level_order_by(sql)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sql=st.text(max_size=80))
+    def test_agrees_with_the_depth_scanner_on_any_text(self, sql):
+        assert is_ordered(sql) == has_top_level_order_by(sql)
+
+    def test_agrees_with_the_depth_scanner_on_the_corpus(self):
+        flags = [is_ordered(sql) for sql in CORPUS_SQLS]
+        assert flags == [has_top_level_order_by(sql) for sql in CORPUS_SQLS]
+        assert 0 < sum(flags) < len(flags)
+
+    @pytest.mark.parametrize("sql, ordered", [
+        ("SELECT a FROM t ORDER BY a", True),
+        ("select a from t order by a", True),
+        ("SELECT a FROM t WHERE a IN (SELECT a FROM t ORDER BY a)", False),
+        ("SELECT a FROM (SELECT a FROM t) ORDER BY a", True),
+        ("SELECT a FROM t ORDER", False),
+        ("SELECT a FROM t ORDER 'by'", True),
+        ("SELECT 'ORDER BY' FROM t", False),
+        ("", False),
+        ("SELECT 'a FROM t ORDER BY a", False),
+    ])
+    def test_examples(self, sql, ordered):
+        assert is_ordered(sql) is ordered
