@@ -221,18 +221,6 @@ class LinkingScore:
     by_type: dict[str, TypeScore]
     macro: TypeScore
 
-    def to_dict(self) -> dict:
-        payload = {
-            kind: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-            for kind, s in self.by_type.items()
-        }
-        payload["macro"] = {
-            "precision": self.macro.precision,
-            "recall": self.macro.recall,
-            "f1": self.macro.f1,
-        }
-        return payload
-
 
 def _pairs(alignment: Alignment, kind: str) -> set[tuple[int, str]]:
     return {

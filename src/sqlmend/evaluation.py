@@ -10,13 +10,14 @@ tolerance of 1e-6, strings exactly, and NULL only equals NULL.
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
 import time
 from dataclasses import dataclass, field
 
 from .alignment import Alignment, score_alignment
 from .datasets import Example
-from .errors import EvaluationError
+from .errors import EvaluationError, SqlMendError
 from .schema import SchemaCatalog
 from .sql_analysis import (
     Skeleton,
@@ -24,7 +25,6 @@ from .sql_analysis import (
     extract_skeleton,
     is_ordered,
     skeletons_equal,
-    tokenize_sql,
 )
 
 DEFAULT_TIMEOUT = 30.0
@@ -162,20 +162,21 @@ def results_match(
     return all(_rows_equal(a, b) for a, b in zip(left, right))
 
 
+def _same_skeleton(sql: str, gold_skeleton: Skeleton) -> bool:
+    """Whether ``sql`` masks to ``gold_skeleton``; False for text that does
+    not tokenize."""
+    try:
+        return skeletons_equal(extract_skeleton(sql), gold_skeleton)
+    except Exception:
+        return False
+
+
 def skeleton_accuracy(records: list[tuple[str, str]]) -> float:
     """Fraction of (source_sql, gold_sql) pairs whose skeletons agree; an
     untokenizable source counts as a non-match."""
     if not records:
         return 0.0
-    matches = 0
-    for source, gold_sql in records:
-        gold_skeleton = extract_skeleton(gold_sql)
-        try:
-            source_skeleton = extract_skeleton(source)
-        except Exception:
-            continue
-        if skeletons_equal(source_skeleton, gold_skeleton):
-            matches += 1
+    matches = sum(_same_skeleton(source, extract_skeleton(gold)) for source, gold in records)
     return matches / len(records)
 
 
@@ -185,26 +186,23 @@ def classify_errors(
     catalog: SchemaCatalog,
     gold_skeleton: Skeleton,
     predicted_execution: ExecutionResult | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
 ) -> set[str]:
     """Error categories for a non-matching prediction; an untokenizable
     prediction lands in all four."""
-    tokenize_sql(gold_sql)  # gold must be analyzable; let errors propagate
+    gold_entities = extract_entities(gold_sql, catalog)  # errors propagate
     try:
         predicted_entities = extract_entities(predicted_sql, catalog)
-        predicted_skeleton = extract_skeleton(predicted_sql)
     except Exception:
         return set(ERROR_CATEGORIES)
     categories: set[str] = set()
-    gold_entities = extract_entities(gold_sql, catalog)
     if not gold_entities.tables <= predicted_entities.tables:
         categories.add(TABLE_ERROR)
     if not gold_entities.columns <= predicted_entities.columns:
         categories.add(COLUMN_ERROR)
-    if not skeletons_equal(predicted_skeleton, gold_skeleton):
+    if not _same_skeleton(predicted_sql, gold_skeleton):
         categories.add(SKELETON_ERROR)
     if predicted_execution is None:
-        predicted_execution = execute_sql(predicted_sql, catalog, timeout=timeout)
+        predicted_execution = execute_sql(predicted_sql, catalog)
     if not predicted_execution.ok:
         categories.add(EXECUTION_ERROR)
     return categories
@@ -236,17 +234,11 @@ class Report:
     records: list[EvalRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """Every field except the per-example ``records``."""
         return {
-            "record_count": self.record_count,
-            "ex_accuracy": self.ex_accuracy,
-            "ex_accuracy_initial": self.ex_accuracy_initial,
-            "ex_delta": self.ex_delta,
-            "skeleton_accuracy": self.skeleton_accuracy,
-            "parsed_skeleton_accuracy": self.parsed_skeleton_accuracy,
-            "error_histogram": self.error_histogram,
-            "linking_scores": self.linking_scores,
-            "per_hardness": self.per_hardness,
-            "invalid_gold": self.invalid_gold,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "records"
         }
 
 
@@ -254,7 +246,6 @@ def evaluate_run(
     traces: list[dict],
     dataset: list[Example],
     catalogs: dict[str, SchemaCatalog],
-    timeout: float = DEFAULT_TIMEOUT,
 ) -> Report:
     """Score a trace file against its dataset: EX over the final SQL, EX over
     the initial SQL (the no-correction baseline), skeleton accuracy, and the
@@ -270,8 +261,7 @@ def evaluate_run(
     parsed_total = 0
     parsed_hits = 0
     histogram = {
-        "initial": {category: 0 for category in ERROR_CATEGORIES},
-        "final": {category: 0 for category in ERROR_CATEGORIES},
+        stage: dict.fromkeys(ERROR_CATEGORIES, 0) for stage in ("initial", "final")
     }
     macro_scores: list = []
     hardness: dict[str, dict] = {}
@@ -284,53 +274,46 @@ def evaluate_run(
         catalog = catalogs.get(example.db_id)
         if catalog is None:
             raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
-        gold_result = execute_sql(example.gold_sql, catalog, timeout=timeout)
-        if not gold_result.ok:
+        gold_result = execute_sql(example.gold_sql, catalog)
+        try:
+            gold_skeleton = extract_skeleton(example.gold_sql) if gold_result.ok else None
+        except SqlMendError:
+            gold_skeleton = None  # SQLite runs it, but the tokenizer rejects it
+        if gold_skeleton is None:
             invalid_gold.append(example.example_id)
             continue
-        gold_skeleton = extract_skeleton(example.gold_sql)
 
         initial_sql = trace.get("initial_sql") or ""
         final_sql = trace.get("final_sql") or ""
-        # A trace with no rounds has final == initial; the same text is run
-        # once per trace. Results are not kept across traces: they hold rows.
-        results = {example.gold_sql: gold_result}
-        for sql in (initial_sql, final_sql):
-            if sql not in results:
-                results[sql] = execute_sql(sql, catalog, timeout=timeout)
-        initial_result = results[initial_sql]
-        final_result = results[final_sql]
-        ex_initial = results_match(initial_result, gold_result, example.gold_sql)
-        ex_final = results_match(final_result, gold_result, example.gold_sql)
-
-        record = EvalRecord(
+        # (ex_match, error_categories) of each distinct text: a trace with no
+        # rounds has final == initial, and the text is scored once. Verdicts
+        # are not kept across traces; a text equal to the gold reuses its rows.
+        verdicts: dict[str, tuple[bool, set[str]]] = {}
+        for stage, text in (("initial", initial_sql), ("final", final_sql)):
+            if text not in verdicts:
+                result = gold_result if text == example.gold_sql else execute_sql(text, catalog)
+                if results_match(result, gold_result, example.gold_sql):
+                    verdicts[text] = (True, set())
+                else:
+                    verdicts[text] = (False, classify_errors(
+                        text, example.gold_sql, catalog, gold_skeleton,
+                        predicted_execution=result,
+                    ))
+            for category in verdicts[text][1]:
+                histogram[stage][category] += 1
+        ex_initial, categories_initial = verdicts[initial_sql]
+        ex_final, categories_final = verdicts[final_sql]
+        records.append(EvalRecord(
             example_id=example.example_id,
             predicted_sql=final_sql,
             gold_sql=example.gold_sql,
             ex_match=ex_final,
             ex_match_initial=ex_initial,
-        )
-        if not ex_initial:
-            record.error_categories_initial = classify_errors(
-                initial_sql, example.gold_sql, catalog, gold_skeleton,
-                predicted_execution=initial_result, timeout=timeout,
-            )
-            for category in record.error_categories_initial:
-                histogram["initial"][category] += 1
-        if not ex_final:
-            record.error_categories = classify_errors(
-                final_sql, example.gold_sql, catalog, gold_skeleton,
-                predicted_execution=final_result, timeout=timeout,
-            )
-            for category in record.error_categories:
-                histogram["final"][category] += 1
-        records.append(record)
+            error_categories=categories_final,
+            error_categories_initial=categories_initial,
+        ))
 
-        try:
-            if skeletons_equal(extract_skeleton(initial_sql), gold_skeleton):
-                skeleton_hits += 1
-        except Exception:
-            pass
+        skeleton_hits += _same_skeleton(initial_sql, gold_skeleton)
         parsed = trace.get("parsed_skeleton")
         if parsed is not None:
             parsed_total += 1

@@ -234,15 +234,14 @@ class MendPipeline:
     def parse_question_skeleton(
         self, example: Example, trace: CorrectionTrace, pending: Future | None
     ) -> Skeleton | None:
-        """The skeleton from ``pending``, the future ``submit_skeleton`` gave."""
-        if self.config.gold_skeleton:
-            if example.gold_sql:
-                return extract_skeleton(example.gold_sql)
-            trace.stage_errors.append((STAGE_SKELETON, "oracle mode without gold SQL"))
-            return None
+        """The skeleton from ``pending``, the future ``submit_skeleton`` gave,
+        or in oracle-skeleton mode the gold query's."""
         try:
-            raw = pending.result().text
-            hallucinated = extract_sql_block(raw)
+            if self.config.gold_skeleton:
+                if not example.gold_sql:
+                    raise SqlMendError("oracle mode without gold SQL")
+                return extract_skeleton(example.gold_sql)
+            hallucinated = extract_sql_block(pending.result().text)
             trace.hallucinated_sql = hallucinated
             return extract_skeleton(hallucinated)
         except FixtureMissingError:

@@ -77,30 +77,23 @@ def bm25_tokenize(text: str) -> list[str]:
 
 @dataclass
 class Bm25Index:
-    """BM25 statistics of a pool, fixed by ``k1`` and ``b`` at build time.
+    """BM25 weights of a pool, with ``k1`` = ``DEFAULT_K1`` and ``b`` =
+    ``DEFAULT_B``.
 
     ``postings`` maps each term to the ascending indices of the documents
     holding it, so its length is the term's document frequency; ``forward``
     holds each document's term -> weight map, and ``max_weights`` each
     term's largest weight in any document."""
 
-    average_document_length: float
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
     postings: dict[str, array] = field(default_factory=dict)
     forward: list[dict[str, float]] = field(default_factory=list)
     max_weights: dict[str, float] = field(default_factory=dict)
 
 
-def build_index(
-    pool: list[Demonstration], k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> Bm25Index:
+def build_index(pool: list[Demonstration]) -> Bm25Index:
     if not pool:
         raise EmptyPoolError("demonstration pool is empty")
-    if k1 < 0 or not 0 <= b <= 1:
-        # Outside these ranges a weight can be zero or negative, and an
-        # unmatched document could then outrank a matched one.
-        raise ValueError("BM25 needs k1 >= 0 and 0 <= b <= 1")
+    k1, b = DEFAULT_K1, DEFAULT_B
     # Interned, so each distinct term is stored once across the pool.
     counts = [Counter(map(sys.intern, bm25_tokenize(demo.question))) for demo in pool]
     postings: dict[str, array] = {}
@@ -127,14 +120,7 @@ def build_index(
             weight = weights[term] = idfs[term] * (f * (k1 + 1)) / (f + norm)
             if weight > maxima[term]:
                 maxima[term] = weight
-    return Bm25Index(
-        average_document_length=average,
-        k1=k1,
-        b=b,
-        postings=postings,
-        forward=forward,
-        max_weights=maxima,
-    )
+    return Bm25Index(postings=postings, forward=forward, max_weights=maxima)
 
 
 def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[int, float]]:

@@ -61,10 +61,6 @@ class SchemaCatalog:
     def __post_init__(self):
         self.validate()
         self._table_index = {t.name.lower(): t for t in self.tables}
-        self._column_index: dict[str, str] = {}
-        for table in self.tables:
-            for col in table.columns:
-                self._column_index.setdefault(col.name.lower(), col.name)
         self._schema_prompt: str | None = None  # set by render_schema_prompt
 
     def validate(self) -> None:
@@ -119,13 +115,6 @@ class SchemaCatalog:
     def find_table(self, name: str) -> TableDef | None:
         """Case-insensitive lookup returning the canonically cased table."""
         return self._table_index.get(name.lower())
-
-    def canonical_column(self, name: str) -> str | None:
-        """Canonical casing of a column name appearing anywhere in the catalog."""
-        return self._column_index.get(name.lower())
-
-    def table_names(self) -> list[str]:
-        return [t.name for t in self.tables]
 
 
 def _render_identifier(name: str) -> str:

@@ -173,17 +173,9 @@ def _scan_number(sql: str, start: int) -> int:
 # Structural annotation shared by entity extraction and skeleton masking
 # --------------------------------------------------------------------------
 
-# Mask-plan actions for each consumed span of tokens.
-_KEEP_KEYWORD = "keyword"
-_MASK = "mask"
-_KEEP = "keep"
-_DROP = "drop"
-_STAR = "star"
-
-
 @dataclass
 class _Analysis:
-    pieces: list[tuple[str, str]] = field(default_factory=list)  # (action, text)
+    skeleton: list[str] = field(default_factory=list)  # "_", "*" or kept text
     from_tables: list[str] = field(default_factory=list)
     aliases: dict[str, str | None] = field(default_factory=dict)
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
@@ -194,8 +186,10 @@ class _Analysis:
 def _analyze(tokens: list[SqlToken]) -> _Analysis:
     """Single forward scan classifying every token: table references and
     alias declarations in FROM/JOIN clauses, qualified/bare column
-    references elsewhere, literals, and syntax to keep."""
+    references elsewhere, literals, and syntax to keep. The skeleton is
+    written as the scan goes; a dropped token is not appended."""
     out = _Analysis()
+    skeleton = out.skeleton
     # Per-paren-depth state of the FROM-clause scanner.
     NONE, EXPECT_TABLE, AFTER_TABLE, AFTER_ALIAS = 0, 1, 2, 3
     state: dict[int, int] = {0: NONE}
@@ -212,31 +206,22 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
             upper = token.text.upper()
             if upper in ("FROM", "JOIN"):
                 state[depth] = EXPECT_TABLE
-                out.pieces.append((_KEEP_KEYWORD, upper))
+                skeleton.append(upper)
                 i += 1
                 continue
-            if upper == "AS" and current in (AFTER_TABLE, AFTER_ALIAS):
-                nxt = tokens[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt.kind == "identifier":
-                    out.aliases[nxt.text.lower()] = pending_table.get(depth)
-                    out.pieces.append((_DROP, token.text))
-                    out.pieces.append((_DROP, nxt.text))
+            if upper == "AS" and i + 1 < n and tokens[i + 1].kind == "identifier":
+                # Dropped with its name. After a table it declares an alias;
+                # a select-list or CAST alias is never an entity.
+                if current in (AFTER_TABLE, AFTER_ALIAS):
+                    out.aliases[tokens[i + 1].text.lower()] = pending_table.get(depth)
                     state[depth] = AFTER_ALIAS
-                    i += 2
-                    continue
-            if upper == "AS":
-                nxt = tokens[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt.kind == "identifier":
-                    # Select-list or CAST alias: dropped, never an entity.
-                    out.pieces.append((_DROP, token.text))
-                    out.pieces.append((_DROP, nxt.text))
-                    i += 2
-                    continue
+                i += 2
+                continue
             if upper in _FROM_TERMINATORS:
                 state[depth] = NONE
             if upper == "ORDER" and depth == 0 and i + 1 < n:
                 out.ordered |= tokens[i + 1].text.upper() == "BY"
-            out.pieces.append((_KEEP_KEYWORD, upper))
+            skeleton.append(upper)
             i += 1
             continue
 
@@ -245,13 +230,12 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
                 out.from_tables.append(token.text)
                 pending_table[depth] = token.text
                 state[depth] = AFTER_TABLE
-                out.pieces.append((_MASK, token.text))
+                skeleton.append("_")
                 i += 1
                 continue
             if current == AFTER_TABLE:
-                # Implicit alias: FROM singer s
+                # Implicit alias, dropped: FROM singer s
                 out.aliases[token.text.lower()] = pending_table.get(depth)
-                out.pieces.append((_DROP, token.text))
                 state[depth] = AFTER_ALIAS
                 i += 1
                 continue
@@ -273,27 +257,21 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
                     break
                 chain.append(tokens[j + 1].text)
                 j += 2
-            span_text = "".join(t.text for t in tokens[i:j])
             if qualified_star:
-                out.pieces.append((_STAR, span_text))
-            elif j < n and tokens[j].kind == "punctuation" and tokens[j].text == "(" and len(chain) == 1:
-                # Function call with a non-aggregate name: not a column.
-                out.pieces.append((_MASK, span_text))
+                skeleton.append("*")
             else:
-                qualifier = chain[-2] if len(chain) >= 2 else None
-                out.column_refs.append((qualifier, chain[-1]))
-                out.pieces.append((_MASK, span_text))
+                skeleton.append("_")
+                # A non-aggregate function call is not a column.
+                call = j < n and tokens[j].kind == "punctuation" and tokens[j].text == "("
+                if not (call and len(chain) == 1):
+                    qualifier = chain[-2] if len(chain) >= 2 else None
+                    out.column_refs.append((qualifier, chain[-1]))
             i = j
             continue
 
         if token.kind in ("string", "number"):
             out.values.append(token.text)
-            out.pieces.append((_MASK, token.text))
-            i += 1
-            continue
-
-        if token.kind == "star":
-            out.pieces.append((_STAR, token.text))
+            skeleton.append("_")
             i += 1
             continue
 
@@ -301,10 +279,7 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
             if token.text == "(":
                 depth += 1
                 state[depth] = NONE
-                out.pieces.append((_KEEP, token.text))
-                i += 1
-                continue
-            if token.text == ")":
+            elif token.text == ")":
                 state.pop(depth, None)
                 pending_table.pop(depth, None)
                 depth = max(0, depth - 1)
@@ -312,24 +287,14 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
                     # A derived table just closed: allow an alias for it.
                     pending_table[depth] = None
                     state[depth] = AFTER_TABLE
-                out.pieces.append((_KEEP, token.text))
-                i += 1
-                continue
-            if token.text == "," and current in (AFTER_TABLE, AFTER_ALIAS):
+            elif token.text == "," and current in (AFTER_TABLE, AFTER_ALIAS):
                 state[depth] = EXPECT_TABLE
-                out.pieces.append((_KEEP, token.text))
+            elif token.text == ";":
                 i += 1
                 continue
-            if token.text == ";":
-                out.pieces.append((_DROP, token.text))
-                i += 1
-                continue
-            out.pieces.append((_KEEP, token.text))
-            i += 1
-            continue
 
-        # operator
-        out.pieces.append((_KEEP, token.text))
+        # star, operator or kept punctuation
+        skeleton.append(token.text)
         i += 1
 
     return out
@@ -385,18 +350,7 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> SqlEntities:
 
 def extract_skeleton(sql: str) -> Skeleton:
     """Mask a query down to its canonical skeleton string."""
-    analysis = _analyze(tokenize_sql(sql))
-    parts: list[str] = []
-    for action, text in analysis.pieces:
-        if action == _DROP:
-            continue
-        if action == _MASK:
-            parts.append("_")
-        elif action == _STAR:
-            parts.append("*")
-        else:
-            parts.append(text)
-    return Skeleton(" ".join(parts))
+    return Skeleton(" ".join(_analyze(tokenize_sql(sql)).skeleton))
 
 
 def is_ordered(sql: str) -> bool:

@@ -4,7 +4,9 @@ import pytest
 
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
+from sqlmend import evaluation
 from sqlmend.evaluation import (
+    DEFAULT_TIMEOUT,
     MAX_RESULT_ROWS,
     ExecutionResult,
     classify_errors,
@@ -287,6 +289,46 @@ class TestEvaluateRun:
         assert report.record_count == 1
         assert report.ex_accuracy == 1.0
 
+    @pytest.mark.parametrize("gold", [
+        "SELECT `name` FROM singer",
+        "SELECT [name] FROM singer",
+        "SELECT age & 1 FROM singer",
+    ])
+    def test_gold_the_tokenizer_rejects_is_invalid(self, db_catalog, gold):
+        assert execute_sql(gold, db_catalog).ok
+        dataset = [
+            Example("0", "q0", "concert_hall", gold_sql=gold),
+            Example("1", "q1", "concert_hall", gold_sql="SELECT count(*) FROM singer"),
+        ]
+        traces = [_trace("0", "SELECT name FROM singer"),
+                  _trace("1", "SELECT count(*) FROM singer")]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert report.invalid_gold == ["0"]
+        assert [r.example_id for r in report.records] == ["1"]
+        assert report.ex_accuracy == 1.0
+
+    def test_same_wrong_text_in_both_stages_scored_once(self, db_catalog, monkeypatch):
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("results_match", "classify_errors"):
+            monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
+        dataset = [Example("0", "q0", "concert_hall", gold_sql="SELECT name FROM singer")]
+        traces = [_trace("0", "SELECT age FROM singer")]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert calls == ["results_match", "classify_errors"]
+        record = report.records[0]
+        assert not record.ex_match and not record.ex_match_initial
+        assert record.error_categories == record.error_categories_initial == {"column_error"}
+        assert report.error_histogram["initial"] == report.error_histogram["final"] == {
+            "table_error": 0, "column_error": 1, "skeleton_error": 0, "execution_error": 0,
+        }
+
     def test_rows_over_the_cap(self, db_catalog, monkeypatch):
         monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 3)
         four_rows = "SELECT name FROM singer"
@@ -319,7 +361,7 @@ class TestEvaluateRun:
     def test_each_distinct_text_executed_once_per_trace(self, db_catalog, monkeypatch):
         executed = []
 
-        def counting(sql, catalog, timeout):
+        def counting(sql, catalog, timeout=DEFAULT_TIMEOUT):
             executed.append(sql)
             return execute_sql(sql, catalog, timeout)
 

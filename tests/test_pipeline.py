@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -15,7 +16,7 @@ from sqlmend.backends import (
     ReplayStore,
 )
 from sqlmend.errors import FixtureMissingError
-from sqlmend.pipeline import PipelineConfig, read_traces, write_traces
+from sqlmend.pipeline import STAGE_SKELETON, PipelineConfig, read_traces, write_traces
 from sqlmend.sql_analysis import extract_skeleton, skeletons_equal
 
 from conftest import CountingBackend
@@ -194,6 +195,18 @@ class TestOracleModes:
                 extract_skeleton(trace.initial_sql), extract_skeleton(example.gold_sql)
             )
             assert fired == differs, example.example_id
+
+
+    @pytest.mark.parametrize("oracle", ["skeleton", "both"])
+    def test_oracle_skeleton_gold_the_tokenizer_rejects(self, mini_env, oracle):
+        pipeline = mini_env.pipeline(ScriptedBackend(), oracle=oracle)
+        example = dataclasses.replace(mini_env.examples[7], gold_sql="SELECT `name` FROM t")
+        [trace] = pipeline.run([example])
+        assert trace.parsed_skeleton is None
+        assert [stage for stage, _ in trace.stage_errors] == [STAGE_SKELETON]
+        assert "unexpected character '`'" in trace.stage_errors[0][1]
+        assert not any(r.feedback.kind == "skeleton_mismatch" for r in trace.rounds)
+        assert trace.final_sql
 
 
 class _SkeletonBeforeGeneration(ScriptedBackend):

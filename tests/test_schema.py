@@ -197,7 +197,6 @@ class TestCatalogInvariants:
     def test_case_insensitive_lookup_returns_canonical(self, catalog):
         assert catalog.find_table("SINGER").name == "singer"
         assert catalog.tables[0].find_column("NAME").name == "name"
-        assert catalog.canonical_column("NET_WORTH") == "net_worth"
 
     def test_duplicate_table_rejected(self):
         with pytest.raises(SchemaIntegrityError):

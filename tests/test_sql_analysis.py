@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlmend import sql_analysis
 from sqlmend.errors import EmptyInputError, TokenizationError
 from sqlmend.sql_analysis import (
     KEYWORDS,
@@ -15,6 +16,7 @@ from sqlmend.sql_analysis import (
     tokenize_sql,
 )
 
+from support import analysis_reference
 from support.ast_oracle import oracle_entities
 from support.corpus import GOLDEN_CORPUS
 from support.order_by_reference import has_top_level_order_by
@@ -261,3 +263,59 @@ class TestIsOrdered:
     ])
     def test_examples(self, sql, ordered):
         assert is_ordered(sql) is ordered
+
+
+# FROM/JOIN clauses with explicit and implicit aliases, ``T1.*``, derived
+# tables, function calls, CAST aliases, ``;`` and ORDER BY at several
+# depths, plus catalog names, literals and text that does not tokenize.
+_ANALYSIS_FRAGMENTS = [
+    "SELECT", "select", "FROM", "from", "JOIN", "LEFT", "ON", "AS", "as", "WHERE",
+    "GROUP", "ORDER", "order", "BY", "HAVING", "LIMIT", "UNION", "AND", "IN",
+    "CAST", "COUNT", "count", "DISTINCT", "singer", "concert", "performance",
+    "name", "age", "venue", "singer_id", "T1", "T2", "s", "x", "T1.", "T1.name",
+    "T2.*", "T1.*", "singer.age", "a.b.c", "*", "lower", "(", ")", "((", "))",
+    ",", ".", ";", "=", ">=", "||", "-", "1", "2.5", "'a'", "'('", '"US"',
+    "'", "#",
+]
+
+
+def _analysis_outcome(module, sql: str, catalog) -> tuple:
+    """What an analyser makes of a text: its skeleton, entities and ORDER
+    BY flag, or the type of the error it raises."""
+    try:
+        entities = module.extract_entities(sql, catalog)
+        skeleton = module.extract_skeleton(sql).text
+        ordered = module._analyze(tokenize_sql(sql)).ordered
+    except Exception as exc:
+        return (type(exc),)
+    return skeleton, entities.tables, entities.columns, entities.values, ordered
+
+
+class TestAgreesWithPlanAnalyser:
+    """The one-pass analyser writes the skeleton the two-pass one did."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        parts=st.lists(st.sampled_from(_ANALYSIS_FRAGMENTS), max_size=30),
+        separator=st.sampled_from([" ", "", "\n"]),
+    )
+    def test_on_token_soup(self, parts, separator, catalog):
+        sql = separator.join(parts)
+        assert _analysis_outcome(sql_analysis, sql, catalog) == _analysis_outcome(
+            analysis_reference, sql, catalog
+        )
+
+    @pytest.mark.parametrize("sql", CORPUS_SQLS + [
+        "SELECT name '(' FROM singer",
+        "SELECT age AS singer, singer.age FROM singer",
+        "SELECT T1.* FROM singer AS T1 JOIN concert T2 ON T1.singer_id = T2.concert_id;",
+        "SELECT x.a FROM (SELECT age AS a FROM singer) AS x ORDER BY x.a",
+        "SELECT CAST(age AS TEXT) FROM singer s WHERE s.name IN "
+        "(SELECT name FROM singer ORDER BY age)",
+        "SELECT lower(name), count(*) FROM singer, concert c GROUP BY name "
+        "ORDER BY count(*) DESC LIMIT 1",
+    ])
+    def test_on_the_corpus_and_edge_cases(self, sql, catalog):
+        outcome = _analysis_outcome(sql_analysis, sql, catalog)
+        assert len(outcome) == 5
+        assert outcome == _analysis_outcome(analysis_reference, sql, catalog)
