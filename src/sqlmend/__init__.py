@@ -22,7 +22,7 @@ from .backends import (
     ReplayStore,
     prompt_sha256,
 )
-from .comparison import Feedback, compare_entities, compare_skeletons, render_notification
+from .comparison import Feedback, compare_entities, compare_skeletons
 from .datasets import Example, load_alignment_sidecar, load_dataset
 from .evaluation import (
     EvalRecord,
@@ -35,7 +35,7 @@ from .evaluation import (
     skeleton_accuracy,
 )
 from .pipeline import CorrectionTrace, MendPipeline, PipelineConfig, read_traces, write_traces
-from .prompts import PromptDemo, PromptKind, build_prompt, extract_sql_block
+from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, build_index, load_demonstration_pool, top_k
 from .schema import (
     ColumnDef,

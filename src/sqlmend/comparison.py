@@ -101,15 +101,3 @@ def compare_skeletons(current_sql: str, parsed: Skeleton) -> Feedback | None:
         return None
     return Feedback(kind=SKELETON_MISMATCH, expected_skeleton=parsed)
 
-
-def render_notification(feedback: Feedback) -> str:
-    """Format missing-entity feedback as the correction prompt's
-    ``<tables or columns> are mentioned by the question`` notification."""
-    if feedback.kind != MISSING_ENTITIES:
-        raise ContractViolationError(
-            f"render_notification requires missing_entities feedback, got {feedback.kind!r}"
-        )
-    names = sorted(feedback.missing_tables, key=str.lower) + sorted(
-        feedback.missing_columns, key=str.lower
-    )
-    return ", ".join(names) + " are mentioned by the question"

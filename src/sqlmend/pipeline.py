@@ -10,10 +10,13 @@ and the demonstrations. Linking cannot overlap generation: its prompt carries
 the draft SQL. Answers are read in stage order, so ``stage_errors`` and a
 ``FixtureMissingError`` come out as they would one call at a time.
 
-A failed sub-task only disables its own feedback channel; the pipeline always
-emits a final SQL. Rounds never loop backward: after a correction the earlier
-checks are not re-run, and the skeleton check is evaluated against the
-post-entity-correction SQL.
+Every model-backed step follows one failure rule (``_attempt``): a replay-store
+miss (``FixtureMissingError``) ends the example, and any other package error is
+recorded in ``stage_errors`` and the step falls back. So a failed sub-task only
+disables its own feedback channel, a failed correction keeps the SQL it was
+sent, and the pipeline always emits a final SQL. Rounds never loop backward:
+after a correction the earlier checks are not re-run, and the skeleton check is
+evaluated against the post-entity-correction SQL.
 """
 
 from __future__ import annotations
@@ -22,14 +25,15 @@ import json
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .alignment import Alignment, linked_entities, parse_alignment, tokenize_question
 from .backends import ModelBackend, ModelRequest, prompt_sha256
-from .comparison import Feedback, compare_entities, compare_skeletons, render_notification
+from .comparison import Feedback, compare_entities, compare_skeletons
 from .datasets import Example
-from .errors import FixtureMissingError, SqlMendError
+from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
 from .evaluation import execute_sql
-from .prompts import PromptDemo, PromptKind, build_prompt, extract_sql_block
+from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
 from .sql_analysis import Skeleton, extract_skeleton
@@ -113,6 +117,22 @@ class CorrectionTrace:
         }
 
 
+T = TypeVar("T")
+
+
+def _attempt(trace: CorrectionTrace, stage: str, fallback: T, work: Callable[[], T]) -> T:
+    """Run one model-backed step under the failure rule: a replay-store miss
+    propagates, any other package error is recorded against *stage* and
+    yields *fallback*."""
+    try:
+        return work()
+    except FixtureMissingError:
+        raise
+    except SqlMendError as exc:
+        trace.stage_errors.append((stage, str(exc)))
+        return fallback
+
+
 class MendPipeline:
     """Runs the generate/link/parse/compare/correct flow over examples."""
 
@@ -171,14 +191,9 @@ class MendPipeline:
         prompt = build_prompt(
             PromptKind.SQL_GENERATION, catalog, example.question, demos
         )
-        try:
-            raw = self._complete(prompt)
-            return extract_sql_block(raw)
-        except FixtureMissingError:
-            raise
-        except SqlMendError as exc:
-            trace.stage_errors.append((STAGE_GENERATION, str(exc)))
-            return ""
+        return _attempt(
+            trace, STAGE_GENERATION, "", lambda: extract_sql_block(self._complete(prompt))
+        )
 
     def link_entities(
         self,
@@ -211,14 +226,12 @@ class MendPipeline:
         prompt = build_prompt(
             PromptKind.ENTITY_LINKING, catalog, tokenized, demos, sql=initial_sql
         )
-        try:
-            raw = self._complete(prompt)
-            return parse_alignment(raw, question=example.question)
-        except FixtureMissingError:
-            raise
-        except SqlMendError as exc:
-            trace.stage_errors.append((STAGE_LINKING, str(exc)))
-            return None
+        return _attempt(
+            trace,
+            STAGE_LINKING,
+            None,
+            lambda: parse_alignment(self._complete(prompt), question=example.question),
+        )
 
     def submit_skeleton(
         self, example: Example, selected: list[Demonstration]
@@ -236,19 +249,16 @@ class MendPipeline:
     ) -> Skeleton | None:
         """The skeleton from ``pending``, the future ``submit_skeleton`` gave,
         or in oracle-skeleton mode the gold query's."""
-        try:
+
+        def parse() -> Skeleton:
             if self.config.gold_skeleton:
                 if not example.gold_sql:
                     raise SqlMendError("oracle mode without gold SQL")
                 return extract_skeleton(example.gold_sql)
-            hallucinated = extract_sql_block(pending.result().text)
-            trace.hallucinated_sql = hallucinated
-            return extract_skeleton(hallucinated)
-        except FixtureMissingError:
-            raise
-        except SqlMendError as exc:
-            trace.stage_errors.append((STAGE_SKELETON, str(exc)))
-            return None
+            trace.hallucinated_sql = extract_sql_block(pending.result().text)
+            return extract_skeleton(trace.hallucinated_sql)
+
+        return _attempt(trace, STAGE_SKELETON, None, parse)
 
     def _correction_round(
         self,
@@ -258,44 +268,19 @@ class MendPipeline:
         trace: CorrectionTrace,
     ) -> str:
         """One correction completion; on extraction failure the SQL is kept."""
-        catalog = self.catalogs[example.db_id]
-        if feedback.kind == "missing_entities":
-            prompt = build_prompt(
-                PromptKind.CORRECTION_ENTITY,
-                catalog,
-                example.question,
-                sql=current_sql,
-                notification=render_notification(feedback),
-            )
-        elif feedback.kind == "skeleton_mismatch":
-            prompt = build_prompt(
-                PromptKind.CORRECTION_SKELETON,
-                catalog,
-                example.question,
-                sql=current_sql,
-                skeleton=feedback.expected_skeleton.text,
-            )
-        else:
-            prompt = build_prompt(
-                PromptKind.CORRECTION_EXECUTION,
-                catalog,
-                example.question,
-                sql=current_sql,
-                error_message=feedback.error_message,
-            )
-        digest = prompt_sha256(prompt)
-        try:
-            corrected = extract_sql_block(self._complete(prompt))
-        except FixtureMissingError:
-            raise
-        except SqlMendError as exc:
-            trace.stage_errors.append((STAGE_CORRECTION, str(exc)))
-            trace.rounds.append(
-                CorrectionRound(feedback=feedback, prompt_sha256=digest, corrected_sql=current_sql)
-            )
-            return current_sql
+        prompt = correction_prompt(
+            self.catalogs[example.db_id], example.question, current_sql, feedback
+        )
+        corrected = _attempt(
+            trace,
+            STAGE_CORRECTION,
+            current_sql,
+            lambda: extract_sql_block(self._complete(prompt)),
+        )
         trace.rounds.append(
-            CorrectionRound(feedback=feedback, prompt_sha256=digest, corrected_sql=corrected)
+            CorrectionRound(
+                feedback=feedback, prompt_sha256=prompt_sha256(prompt), corrected_sql=corrected
+            )
         )
         return corrected
 
@@ -367,8 +352,18 @@ def write_traces(traces: list[CorrectionTrace], path: str | Path) -> None:
 
 
 def read_traces(path: str | Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    """The trace records of a JSON-lines file, skipping blank lines; a line
+    that is not a JSON object is a ``MalformedDatasetError`` naming it."""
+    path = Path(path)
+    records = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedDatasetError(f"{path}: line {number}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise MalformedDatasetError(f"{path}: line {number}: expected a JSON object")
+        records.append(record)
+    return records

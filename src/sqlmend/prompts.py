@@ -2,11 +2,12 @@
 model output.
 
 Each builder instantiates a fixed template byte-for-byte; the instruction
-lines are load-bearing (tests pin them) and must not be reworded. The
-correction prompts are zero-shot; generation, linking, and skeleton
-hallucination carry few-shot demonstration blocks joined by ``---``
-separators. The skeleton-hallucination prompt deliberately contains no
-schema text.
+lines are load-bearing (tests pin them) and must not be reworded.
+``build_prompt`` builds the three sub-task prompts (generation, linking and
+skeleton hallucination), which carry few-shot demonstration blocks joined by
+``---`` separators; the skeleton-hallucination prompt deliberately contains
+no schema text. ``correction_prompt`` turns one comparison feedback into its
+zero-shot correction prompt.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .comparison import EXECUTION_ERROR, SKELETON_MISMATCH, Feedback
 from .errors import PromptConstructionError, SqlExtractionError
 from .schema import SchemaCatalog, render_schema_prompt
 
@@ -23,9 +25,6 @@ class PromptKind(Enum):
     SQL_GENERATION = "sql_generation"
     ENTITY_LINKING = "entity_linking"
     SKELETON_PARSING = "skeleton_parsing"
-    CORRECTION_ENTITY = "correction_entity"
-    CORRECTION_SKELETON = "correction_skeleton"
-    CORRECTION_EXECUTION = "correction_execution"
 
 
 @dataclass
@@ -112,28 +111,9 @@ def build_prompt(
     demonstrations: list[PromptDemo] | None = None,
     *,
     sql: str | None = None,
-    notification: str | None = None,
-    skeleton: str | None = None,
-    error_message: str | None = None,
 ) -> str:
     """Instantiate the template for *kind*; pure and deterministic."""
     demos = list(demonstrations or [])
-    if kind in (
-        PromptKind.CORRECTION_ENTITY,
-        PromptKind.CORRECTION_SKELETON,
-        PromptKind.CORRECTION_EXECUTION,
-    ):
-        if demos:
-            raise PromptConstructionError(f"{kind.value} prompts take no demonstrations")
-        return _build_correction(
-            kind,
-            catalog,
-            question,
-            sql=sql,
-            notification=notification,
-            skeleton=skeleton,
-            error_message=error_message,
-        )
     if not question:
         raise PromptConstructionError(f"{kind.value} prompt requires a question")
     if kind is PromptKind.SQL_GENERATION:
@@ -214,42 +194,27 @@ def _build_hallucination(question: str, demos: list[PromptDemo]) -> str:
     return _join_sections(_HALLUCINATION_HEADER, blocks, closing)
 
 
-def _build_correction(
-    kind: PromptKind,
-    catalog: SchemaCatalog | None,
-    question: str,
-    *,
-    sql: str | None,
-    notification: str | None,
-    skeleton: str | None,
-    error_message: str | None,
+def correction_prompt(
+    catalog: SchemaCatalog, question: str, sql: str, feedback: Feedback
 ) -> str:
-    schema_text = render_schema_prompt(_require_catalog(kind, catalog))
-    if sql is None or not question:
-        raise PromptConstructionError(
-            f"{kind.value} prompt requires both the sql and the question"
-        )
-    if kind is PromptKind.CORRECTION_ENTITY:
-        if not notification:
-            raise PromptConstructionError("correction_entity prompt requires a notification")
-        return _CORRECTION_ENTITY_TEMPLATE.format(
-            schema=schema_text, sql=sql, question=question, notification=notification
-        )
-    if kind is PromptKind.CORRECTION_SKELETON:
-        if not skeleton:
-            raise PromptConstructionError("correction_skeleton prompt requires a skeleton")
+    """The zero-shot prompt asking the model to fix *sql* given *feedback*:
+    the skeleton template for a skeleton mismatch, else the entity template
+    with a notification naming the missing tables and columns or quoting the
+    engine error."""
+    schema = render_schema_prompt(catalog)
+    if feedback.kind == SKELETON_MISMATCH:
         return _CORRECTION_SKELETON_TEMPLATE.format(
-            schema=schema_text, sql=sql, question=question, skeleton=skeleton
+            schema=schema, sql=sql, question=question, skeleton=feedback.expected_skeleton.text
         )
-    if error_message is None:
-        raise PromptConstructionError(
-            "correction_execution prompt requires the engine error message"
+    if feedback.kind == EXECUTION_ERROR:
+        notification = EXECUTION_NOTIFICATION_PREFIX + feedback.error_message
+    else:
+        names = sorted(feedback.missing_tables, key=str.lower) + sorted(
+            feedback.missing_columns, key=str.lower
         )
+        notification = ", ".join(names) + " are mentioned by the question"
     return _CORRECTION_ENTITY_TEMPLATE.format(
-        schema=schema_text,
-        sql=sql,
-        question=question,
-        notification=EXECUTION_NOTIFICATION_PREFIX + error_message,
+        schema=schema, sql=sql, question=question, notification=notification
     )
 
 

@@ -26,7 +26,7 @@ from .schema import SchemaCatalog
 KEYWORDS = frozenset(
     """
     SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET
-    JOIN INNER LEFT RIGHT FULL OUTER CROSS NATURAL ON AS
+    JOIN INNER LEFT RIGHT FULL OUTER CROSS NATURAL ON USING AS
     AND OR NOT IN EXISTS BETWEEN LIKE GLOB IS NULL
     DISTINCT ALL ANY UNION INTERSECT EXCEPT
     CASE WHEN THEN ELSE END ASC DESC WITH RECURSIVE CAST
@@ -37,7 +37,7 @@ KEYWORDS = frozenset(
 # Keywords that terminate the table-reference part of a FROM/JOIN clause.
 _FROM_TERMINATORS = frozenset(
     """
-    ON WHERE GROUP ORDER HAVING LIMIT OFFSET UNION INTERSECT EXCEPT
+    ON USING WHERE GROUP ORDER HAVING LIMIT OFFSET UNION INTERSECT EXCEPT
     SELECT AND OR WHEN THEN ELSE END
     """.split()
 )

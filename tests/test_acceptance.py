@@ -17,14 +17,20 @@ import pytest
 from sqlmend.alignment import Alignment, AlignmentEntry, score_alignment
 from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.cli import main
-from sqlmend.comparison import compare_entities, compare_skeletons
+from sqlmend.comparison import Feedback, compare_entities, compare_skeletons
 from sqlmend.datasets import Example
 from sqlmend.evaluation import evaluate_run
 from sqlmend.pipeline import write_traces
-from sqlmend.prompts import PromptDemo, PromptKind, build_prompt
+from sqlmend.prompts import PromptDemo, PromptKind, build_prompt, correction_prompt
 from sqlmend.retrieval import Demonstration, build_index, top_k
 from sqlmend.schema import introspect_sqlite
-from sqlmend.sql_analysis import SqlEntities, extract_entities, extract_skeleton, skeletons_equal
+from sqlmend.sql_analysis import (
+    Skeleton,
+    SqlEntities,
+    extract_entities,
+    extract_skeleton,
+    skeletons_equal,
+)
 
 from conftest import CountingBackend
 from support.ast_oracle import oracle_entities
@@ -271,15 +277,14 @@ def test_criterion_7_prompt_fidelity(catalog):
     hallucination = build_prompt(PromptKind.SKELETON_PARSING, None, "How?", [demo])
     assert "Hallucinate a SQL to answer the question" in hallucination
 
-    entity_fix = build_prompt(
-        PromptKind.CORRECTION_ENTITY, catalog, "How?", sql="SELECT 1",
-        notification="name are mentioned by the question",
+    entity_fix = correction_prompt(
+        catalog, "How?", "SELECT 1", Feedback(kind="missing_entities", missing_columns={"name"})
     )
     assert "are mentioned by the question" in entity_fix
 
-    skeleton_fix = build_prompt(
-        PromptKind.CORRECTION_SKELETON, catalog, "How?", sql="SELECT 1",
-        skeleton="SELECT _ FROM _",
+    skeleton_fix = correction_prompt(
+        catalog, "How?", "SELECT 1",
+        Feedback(kind="skeleton_mismatch", expected_skeleton=Skeleton("SELECT _ FROM _")),
     )
     assert "each '_' can only be replaced with one single table, column or value" in skeleton_fix
 

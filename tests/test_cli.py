@@ -220,6 +220,22 @@ class TestEvaluate:
         assert report["record_count"] == 0
         assert report["ex_accuracy"] is None
 
+    @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]"])
+    def test_malformed_trace_line_exits_2_naming_it(self, mini_paths, tmp_path, capsys, bad_line):
+        traces = tmp_path / "traces.jsonl"
+        good = json.dumps({"example_id": "0", "initial_sql": "", "final_sql": ""})
+        traces.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+        code = main(
+            [
+                "evaluate", str(traces),
+                "--dataset", str(mini_paths["dataset"]),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {traces}: line 2: ")
+
     def test_unknown_ids_nonzero(self, mini_paths, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         traces.write_text(

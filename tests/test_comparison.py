@@ -9,7 +9,6 @@ from sqlmend.comparison import (
     Feedback,
     compare_entities,
     compare_skeletons,
-    render_notification,
 )
 from sqlmend.errors import ContractViolationError
 from sqlmend.sql_analysis import Skeleton, SqlEntities, extract_skeleton
@@ -94,34 +93,6 @@ class TestCompareSkeletons:
         forward = compare_skeletons(left, extract_skeleton(right)) is not None
         backward = compare_skeletons(right, extract_skeleton(left)) is not None
         assert forward == backward
-
-
-class TestRenderNotification:
-    def test_single_column(self):
-        feedback = Feedback(kind="missing_entities", missing_columns={"earnings"})
-        assert render_notification(feedback) == "earnings are mentioned by the question"
-
-    def test_tables_before_columns_each_sorted(self):
-        feedback = Feedback(
-            kind="missing_entities",
-            missing_tables={"singer"},
-            missing_columns={"name", "age"},
-        )
-        assert (
-            render_notification(feedback)
-            == "singer, age, name are mentioned by the question"
-        )
-
-    def test_wrong_kind_rejected(self):
-        feedback = Feedback(kind="execution_error", error_message="boom")
-        with pytest.raises(ContractViolationError):
-            render_notification(feedback)
-
-    def test_deterministic(self):
-        feedback = Feedback(
-            kind="missing_entities", missing_columns={"b", "a", "c"}
-        )
-        assert render_notification(feedback) == render_notification(feedback)
 
 
 class TestFeedbackInvariants:

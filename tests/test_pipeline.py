@@ -334,6 +334,56 @@ class TestSkeletonOverlap:
         assert backend.calls == 0
 
 
+class _ProseEntityFix(ScriptedBackend):
+    """The scripted model, except that it answers the entity correction with
+    no SQL."""
+
+    def __init__(self):
+        super().__init__()
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        if "are mentioned by the question" in request.prompt:
+            return ModelResponse(text="I would rather not.", backend_id=self.backend_id)
+        return super().complete(request)
+
+
+class TestCorrectionFailures:
+    def test_answer_without_sql_keeps_the_sql_it_was_sent(self, mini_env):
+        backend = _ProseEntityFix()
+        example = mini_env.examples[0]
+        trace = mini_env.pipeline(backend).run_example(example)
+        sent = trace.initial_sql
+        entity_round, skeleton_round = trace.rounds
+        assert entity_round.feedback.kind == "missing_entities"
+        assert entity_round.corrected_sql == sent
+        assert trace.stage_errors == [
+            ("correction", "no SQL statement found in model output")
+        ]
+        assert skeleton_round.feedback.kind == "skeleton_mismatch"
+        assert f'Fix the sql "{sent}"' in backend.prompts[-1]
+        assert trace.final_sql == skeleton_round.corrected_sql != sent
+
+    def test_replay_miss_on_a_correction_prompt_raises(self, mini_env, replay_store_path, tmp_path):
+        question = mini_env.examples[0].question
+        kept, dropped = [], []
+        for line in replay_store_path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            prompt = record["prompt_text"]
+            if f'"{question}"' in prompt and "are mentioned by the question" in prompt:
+                dropped.append(record["prompt_sha256"])
+            else:
+                kept.append(line)
+        assert len(dropped) == 1
+        store_path = tmp_path / "partial.jsonl"
+        store_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(store_path)))
+        with pytest.raises(FixtureMissingError) as excinfo:
+            pipeline.run_example(mini_env.examples[0])
+        assert excinfo.value.prompt_sha256 == dropped[0]
+
+
 class TestConfig:
     def test_defaults(self):
         config = PipelineConfig()

@@ -116,6 +116,14 @@ class TestSkeletonCorpus:
     def test_semicolon_dropped(self):
         assert extract_skeleton("SELECT name FROM singer;").text == "SELECT _ FROM _"
 
+    def test_join_using_keeps_the_keyword(self, catalog):
+        sql = "SELECT name FROM singer JOIN performance USING (singer_id)"
+        assert extract_skeleton(sql).text == "SELECT _ FROM _ JOIN _ USING ( _ )"
+        assert "using" not in sql_analysis._analyze(tokenize_sql(sql)).aliases
+        entities = extract_entities(sql, catalog)
+        assert entities.tables == {"singer", "performance"}
+        assert entities.columns == {"name", "singer_id"}
+
 
 class TestSkeletonsEqual:
     def test_reflexive(self):
