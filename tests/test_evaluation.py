@@ -1,7 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import math
+import shutil
+import sqlite3
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
 from sqlmend import evaluation
@@ -18,10 +27,55 @@ from sqlmend.evaluation import (
 from sqlmend.schema import introspect_sqlite
 from sqlmend.sql_analysis import extract_skeleton
 
+from support import results_match_reference
+
+RUNAWAY = (
+    "WITH RECURSIVE cnt(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM cnt) "
+    "SELECT count(*) FROM cnt"
+)
+
 
 @pytest.fixture(scope="module")
 def db_catalog(corpus_db):
     return introspect_sqlite(corpus_db)
+
+
+class _CursorKeepingConnection(sqlite3.Connection):
+    """Holds on to every cursor it hands out, so that a cursor the code
+    under test leaves unclosed keeps its statement unfinished, as it would
+    without reference counting, instead of being reset when freed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cursors = []
+
+    def cursor(self, *args, **kwargs):
+        cursor = super().cursor(*args, **kwargs)
+        self.cursors.append(cursor)
+        return cursor
+
+
+@pytest.fixture()
+def opened(monkeypatch):
+    """Every connection ``sqlite3.connect`` opens while the test runs."""
+    connections = []
+    connect = sqlite3.connect
+
+    def spy(*args, **kwargs):
+        conn = connect(*args, factory=_CursorKeepingConnection, **kwargs)
+        connections.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", spy)
+    return connections
+
+
+def _is_closed(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
 
 
 class TestExecuteSql:
@@ -45,11 +99,7 @@ class TestExecuteSql:
         assert execute_sql("", db_catalog).status == "engine_error"
 
     def test_timeout_interrupts_runaway_query(self, db_catalog):
-        runaway = (
-            "WITH RECURSIVE cnt(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM cnt) "
-            "SELECT count(*) FROM cnt"
-        )
-        result = execute_sql(runaway, db_catalog, timeout=0.2)
+        result = execute_sql(RUNAWAY, db_catalog, timeout=0.2)
         assert result.status == "timeout"
         assert result.elapsed >= 0.2
 
@@ -106,6 +156,82 @@ class TestExecuteSql:
         assert result.status == "too_many_rows"
         assert result.error_message == "result has more than 16 rows"
 
+class TestKeptConnections:
+    """The connections one ``evaluate_run`` keeps, one per database file,
+    reached through ``execute_sql`` while the call is in progress."""
+
+    @pytest.mark.parametrize("statement", ["ATTACH '{path}' AS x", "VACUUM INTO '{path}'"])
+    def test_refused_write_leaves_the_connection_working(
+        self, db_catalog, tmp_path, opened, statement
+    ):
+        target = tmp_path / "written.sqlite"
+        with evaluation._keeping_connections():
+            refused = execute_sql(statement.format(path=target), db_catalog)
+            after = execute_sql("SELECT count(*) FROM singer", db_catalog)
+        assert refused.status == "engine_error"
+        assert "authoriz" in refused.error_message
+        assert not target.exists()
+        assert after.rows == [(4,)]
+        assert len(opened) == 1
+
+    def test_timeout_drops_the_connection(self, db_catalog, opened):
+        with evaluation._keeping_connections():
+            assert execute_sql(RUNAWAY, db_catalog, timeout=0.2).status == "timeout"
+            after = execute_sql("SELECT count(*) FROM singer", db_catalog, timeout=0.2)
+            assert after.rows == [(4,)]
+            assert len(opened) == 2
+            assert _is_closed(opened[0]) and not _is_closed(opened[1])
+
+    def test_watchdog_restarts_on_every_query(self, db_catalog, opened):
+        count_to = (
+            "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 5000) "
+            "SELECT count(*) FROM n"
+        )
+        with evaluation._keeping_connections():
+            assert execute_sql(count_to, db_catalog, timeout=0.3).ok
+            time.sleep(0.4)
+            assert execute_sql(count_to, db_catalog, timeout=0.3).rows == [(5000,)]
+        assert len(opened) == 1
+
+    def test_too_many_rows_leaves_no_read_open(self, corpus_db, tmp_path, monkeypatch, opened):
+        copy = tmp_path / "concert_hall.sqlite"
+        shutil.copy(corpus_db, copy)
+        catalog = introspect_sqlite(copy)
+        del opened[:]
+        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 16)
+        with evaluation._keeping_connections():
+            over = execute_sql("SELECT a.name FROM singer a, singer b, concert c", catalog)
+            assert over.status == "too_many_rows"
+            # A read statement left open would hold the file's shared lock.
+            writer = sqlite3.connect(copy, timeout=0)
+            try:
+                writer.execute("UPDATE singer SET age = age")
+                writer.commit()
+            finally:
+                writer.close()
+            after = execute_sql("SELECT count(*) FROM singer", catalog)
+        assert after.rows == [(4,)]
+        assert len(opened) == 2  # the kept connection and the writer
+
+    def test_overflow_drops_the_connection(self, db_catalog, monkeypatch, opened):
+        with evaluation._keeping_connections():
+            monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 2**64)
+            overflow = execute_sql("SELECT name FROM singer", db_catalog)
+            monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", MAX_RESULT_ROWS)
+            assert overflow.status == "engine_error"
+            assert "too large" in overflow.error_message
+            assert execute_sql("SELECT count(*) FROM singer", db_catalog).rows == [(4,)]
+            assert len(opened) == 2
+            assert _is_closed(opened[0]) and not _is_closed(opened[1])
+
+    def test_no_connection_crosses_threads(self, db_catalog):
+        with evaluation._keeping_connections():
+            assert execute_sql("SELECT 1", db_catalog).ok
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(execute_sql, "SELECT count(*) FROM singer", db_catalog)
+                assert other.result(timeout=30).rows == [(4,)]
+
+
 def _ok(rows):
     return ExecutionResult(status="ok", rows=rows)
 
@@ -161,6 +287,77 @@ class TestResultsMatch:
         right = _ok([(2,), (1,)])
         sql = "SELECT a FROM t"
         assert results_match(left, right, sql) == results_match(right, left, sql)
+
+
+_CELLS = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1.0, 0.5, 1e-7]),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.none(),
+    st.booleans(),
+)
+
+
+def _near(cell):
+    """A cell equal to ``cell`` for Python, within the numeric tolerance, or
+    just outside it."""
+    if isinstance(cell, bool):
+        return st.sampled_from([int(cell), float(cell), not cell])
+    if isinstance(cell, int):
+        return st.sampled_from([cell, float(cell), cell + 1, bool(cell)])
+    if isinstance(cell, float):
+        if not math.isfinite(cell):
+            return st.sampled_from([cell, -cell, math.nan])
+        return st.sampled_from([cell, -cell, cell + 5e-7, cell + 9.9e-7, cell + 1.01e-6,
+                                cell + 2e-6, cell * (1 + 1e-15)])
+    if isinstance(cell, str):
+        return st.sampled_from([cell, cell.encode(), cell + "x"])
+    if isinstance(cell, bytes):
+        return st.sampled_from([cell, cell.decode("latin-1")])
+    return st.sampled_from([None, 0, ""])
+
+
+@st.composite
+def _row_lists(draw):
+    """A gold row list and a predicted one: the same rows (the same objects
+    or copies), a permutation, a copy with one cell changed, or unrelated."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    rows = st.tuples(*[_CELLS] * width)
+    gold = draw(st.lists(rows, max_size=6))
+    how = draw(st.sampled_from(["same", "copy", "permuted", "changed", "unrelated"]))
+    if how == "same":
+        predicted = gold
+    elif how == "copy":
+        predicted = [tuple(row) for row in gold]
+    elif how == "permuted":
+        predicted = draw(st.permutations(gold))
+    elif how == "changed" and gold:
+        i = draw(st.integers(min_value=0, max_value=len(gold) - 1))
+        j = draw(st.integers(min_value=0, max_value=width - 1))
+        row = list(gold[i])
+        row[j] = draw(_near(row[j]))
+        predicted = gold[:i] + [tuple(row)] + gold[i + 1:]
+    else:
+        predicted = draw(st.lists(rows, max_size=6))
+    return predicted, gold
+
+
+class TestResultsMatchReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(pair=_row_lists(), ordered=st.booleans())
+    @example(pair=([(True,)], [(1,)]), ordered=False)
+    @example(pair=([(math.inf,)], [(math.inf,)]), ordered=False)
+    @example(pair=([(math.nan,)],) * 2, ordered=True)
+    @example(pair=([(1, "a"), (2, b"b")], [(1.0, "a"), (2, b"b")]), ordered=True)
+    def test_same_verdict_as_the_sorting_comparison(self, pair, ordered):
+        predicted, gold = (_ok(rows) for rows in pair)
+        gold_sql = "SELECT a FROM t ORDER BY a" if ordered else "SELECT a FROM t"
+        assert results_match(predicted, gold, gold_sql) == results_match_reference.results_match(
+            predicted, gold, gold_sql
+        )
 
 
 class TestSkeletonAccuracy:
@@ -385,6 +582,46 @@ class TestEvaluateRun:
         ]
         assert [r.ex_match for r in report.records] == [False, True, False]
         assert [r.ex_match_initial for r in report.records] == [False, False, False]
+
+    def test_connections_closed_when_it_returns(self, db_catalog, opened):
+        dataset = [Example(str(i), f"q{i}", "concert_hall", gold_sql="SELECT name FROM singer")
+                   for i in range(3)]
+        traces = [_trace("0", "SELECT name FROM singer"), _trace("1", "SELECT age FROM singer"),
+                  _trace("2", "SELECT ghost FROM singer")]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert [r.ex_match for r in report.records] == [True, False, False]
+        assert len(opened) == 1
+        assert _is_closed(opened[0])
+
+    def test_connections_closed_when_it_raises(self, db_catalog, opened):
+        dataset = [
+            Example("0", "q0", "concert_hall", gold_sql="SELECT name FROM singer"),
+            Example("1", "q1", "concert_hall", gold_sql="SELECT age FROM singer"),
+            Example("2", "q2", "ghost_db", gold_sql="SELECT 1"),
+        ]
+        traces = [_trace("0", "SELECT name FROM singer"), _trace("1", "SELECT 1"),
+                  _trace("2", "SELECT 1")]
+        with pytest.raises(EvaluationError, match="ghost_db"):
+            evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert len(opened) == 1
+        assert _is_closed(opened[0])
+        # A query after the failed call opens, and closes, a connection of its own.
+        assert execute_sql("SELECT 1", db_catalog).ok
+        assert len(opened) == 2
+        assert _is_closed(opened[1])
+
+    def test_one_connection_per_database_file(self, mini_env, replay_store_path, opened):
+        traces = mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path))).run(
+            mini_env.examples
+        )
+        del opened[:]
+        report = evaluate_run([t.to_dict() for t in traces], mini_env.examples,
+                              mini_env.catalogs)
+        assert report.record_count == len(mini_env.examples)
+        files = {mini_env.catalogs[e.db_id].source_path for e in mini_env.examples}
+        assert len(files) == 2
+        assert len(opened) == len(files)
+        assert all(_is_closed(conn) for conn in opened)
 
     def test_per_hardness_breakdown(self, db_catalog):
         catalogs = {"concert_hall": db_catalog}
