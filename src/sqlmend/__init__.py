@@ -32,7 +32,6 @@ from .evaluation import (
     evaluate_run,
     execute_sql,
     results_match,
-    skeleton_accuracy,
 )
 from .pipeline import CorrectionTrace, MendPipeline, PipelineConfig, read_traces, write_traces
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
@@ -42,17 +41,14 @@ from .schema import (
     ForeignKey,
     SchemaCatalog,
     TableDef,
-    introspect_sqlite,
     load_tables_json,
     render_schema_prompt,
 )
 from .sql_analysis import (
-    Skeleton,
     SqlEntities,
     SqlToken,
     extract_entities,
     extract_skeleton,
-    skeletons_equal,
     tokenize_sql,
 )
 

@@ -256,9 +256,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_skeleton(args: argparse.Namespace) -> int:
     skeleton = extract_skeleton(args.sql)
     if args.format == "json":
-        print(json.dumps({"sql": args.sql, "skeleton": skeleton.text}, sort_keys=True))
+        print(json.dumps({"sql": args.sql, "skeleton": skeleton}, sort_keys=True))
     else:
-        print(skeleton.text)
+        print(skeleton)
     return EXIT_OK
 
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, TokenizationError
 from .schema import SchemaCatalog
-from .sql_analysis import (
-    Skeleton,
-    SqlEntities,
-    extract_entities,
-    extract_skeleton,
-    skeletons_equal,
-)
+from .sql_analysis import SqlEntities, extract_entities, extract_skeleton
 
 MISSING_ENTITIES = "missing_entities"
 SKELETON_MISMATCH = "skeleton_mismatch"
@@ -31,7 +25,7 @@ class Feedback:
     kind: str
     missing_tables: set[str] = field(default_factory=set)
     missing_columns: set[str] = field(default_factory=set)
-    expected_skeleton: Skeleton | None = None
+    expected_skeleton: str | None = None
     error_message: str | None = None
 
     def __post_init__(self):
@@ -63,7 +57,7 @@ class Feedback:
             "kind": self.kind,
             "missing_tables": sorted(self.missing_tables, key=str.lower),
             "missing_columns": sorted(self.missing_columns, key=str.lower),
-            "expected_skeleton": self.expected_skeleton.text if self.expected_skeleton else None,
+            "expected_skeleton": self.expected_skeleton,
             "error_message": self.error_message,
         }
 
@@ -90,14 +84,13 @@ def compare_entities(
     )
 
 
-def compare_skeletons(current_sql: str, parsed: Skeleton) -> Feedback | None:
+def compare_skeletons(current_sql: str, parsed: str) -> Feedback | None:
     """Mismatch feedback carrying the full parsed skeleton; an untokenizable
     current SQL counts as a mismatch."""
     try:
-        current = extract_skeleton(current_sql)
+        if extract_skeleton(current_sql) == parsed:
+            return None
     except TokenizationError:
-        return Feedback(kind=SKELETON_MISMATCH, expected_skeleton=parsed)
-    if skeletons_equal(current, parsed):
-        return None
+        pass
     return Feedback(kind=SKELETON_MISMATCH, expected_skeleton=parsed)
 

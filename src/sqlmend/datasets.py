@@ -28,6 +28,20 @@ class Example:
     hardness_label: str | None = None
 
 
+def entry_text(
+    path: Path, index: int, name: str, value: object, required: bool = True
+) -> str | None:
+    """*value* if it is a string, a non-blank one when *required*; an
+    optional field may also be absent (None). Anything else is a
+    ``MalformedDatasetError`` naming the file, the entry and the field."""
+    if isinstance(value, str) and (value.strip() or not required):
+        return value
+    if value is None and not required:
+        return None
+    kind = "a non-blank string" if required else "a string"
+    raise MalformedDatasetError(f"{path}: entry {index}: {name} must be {kind}, not {value!r:.40}")
+
+
 def load_dataset(path: str | Path) -> list[Example]:
     path = Path(path)
     try:
@@ -41,12 +55,11 @@ def load_dataset(path: str | Path) -> list[Example]:
     for index, record in enumerate(raw):
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: entry {index} is not an object")
-        question = record.get("question", "")
-        db_id = record.get("db_id", "")
-        if not question or not db_id:
-            raise MalformedDatasetError(
-                f"{path}: entry {index} is missing question or db_id"
-            )
+        question = entry_text(path, index, "question", record.get("question"))
+        db_id = entry_text(path, index, "db_id", record.get("db_id"))
+        gold_sql = record.get("query", record.get("sql"))
+        gold_sql = entry_text(path, index, "query", gold_sql, required=False)
+        hardness = entry_text(path, index, "hardness", record.get("hardness"), required=False)
         example_id = str(record.get("example_id", index))
         first = first_index.setdefault(example_id, index)
         if first != index:
@@ -58,8 +71,8 @@ def load_dataset(path: str | Path) -> list[Example]:
                 example_id=example_id,
                 question=question,
                 db_id=db_id,
-                gold_sql=record.get("query", record.get("sql")) or None,
-                hardness_label=record.get("hardness") or None,
+                gold_sql=gold_sql or None,
+                hardness_label=hardness or None,
             )
         )
     return examples

@@ -15,10 +15,6 @@ class SchemaIntegrityError(SqlMendError):
     """A schema references tables or columns that do not exist."""
 
 
-class DatabaseOpenError(SqlMendError):
-    """A SQLite file could not be opened or read."""
-
-
 class EmptyInputError(SqlMendError):
     """An operation received empty text where content is required."""
 

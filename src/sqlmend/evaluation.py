@@ -23,13 +23,7 @@ from .alignment import Alignment, score_alignment
 from .datasets import Example
 from .errors import EvaluationError, SqlMendError
 from .schema import SchemaCatalog
-from .sql_analysis import (
-    Skeleton,
-    extract_entities,
-    extract_skeleton,
-    is_ordered,
-    skeletons_equal,
-)
+from .sql_analysis import extract_entities, extract_skeleton, is_ordered
 
 DEFAULT_TIMEOUT = 30.0
 # A result with more rows fails with ``too_many_rows``, so a runaway join
@@ -197,7 +191,7 @@ def _cells_equal(a, b) -> bool:
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
         return abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
-    if type(a) is not type(b) and not (a_num and b_num):
+    if type(a) is not type(b):
         return False
     return a == b
 
@@ -211,9 +205,7 @@ def _sort_key(row: tuple) -> tuple:
     for cell in row:
         if cell is None:
             key.append((0, "", 0.0))
-        elif isinstance(cell, bool):
-            key.append((1, "", float(cell)))
-        elif isinstance(cell, (int, float)):
+        elif isinstance(cell, (int, float)):  # a bool is an int
             key.append((1, "", float(cell)))
         elif isinstance(cell, bytes):
             key.append((2, cell.hex(), 0.0))
@@ -258,30 +250,21 @@ def results_match(
     return all(_rows_equal(a, b) for a, b in zip(left, right))
 
 
-def _same_skeleton(sql: str, gold_skeleton: Skeleton) -> bool:
+def _same_skeleton(sql: str, gold_skeleton: str) -> bool:
     """Whether ``sql`` masks to ``gold_skeleton``; False for text that does
     not tokenize."""
     try:
-        return skeletons_equal(extract_skeleton(sql), gold_skeleton)
+        return extract_skeleton(sql) == gold_skeleton
     except Exception:
         return False
-
-
-def skeleton_accuracy(records: list[tuple[str, str]]) -> float:
-    """Fraction of (source_sql, gold_sql) pairs whose skeletons agree; an
-    untokenizable source counts as a non-match."""
-    if not records:
-        return 0.0
-    matches = sum(_same_skeleton(source, extract_skeleton(gold)) for source, gold in records)
-    return matches / len(records)
 
 
 def classify_errors(
     predicted_sql: str,
     gold_sql: str,
     catalog: SchemaCatalog,
-    gold_skeleton: Skeleton,
-    predicted_execution: ExecutionResult | None = None,
+    gold_skeleton: str,
+    predicted_execution: ExecutionResult,
 ) -> set[str]:
     """Error categories for a non-matching prediction; an untokenizable
     prediction lands in all four."""
@@ -297,8 +280,6 @@ def classify_errors(
         categories.add(COLUMN_ERROR)
     if not _same_skeleton(predicted_sql, gold_skeleton):
         categories.add(SKELETON_ERROR)
-    if predicted_execution is None:
-        predicted_execution = execute_sql(predicted_sql, catalog)
     if not predicted_execution.ok:
         categories.add(EXECUTION_ERROR)
     return categories
@@ -415,8 +396,7 @@ def evaluate_run(
             parsed = trace.get("parsed_skeleton")
             if parsed is not None:
                 parsed_total += 1
-                if skeletons_equal(Skeleton(parsed), gold_skeleton):
-                    parsed_hits += 1
+                parsed_hits += parsed == gold_skeleton
 
             if example.gold_alignment is not None and trace.get("alignment") is not None:
                 predicted_alignment = Alignment.from_records(

@@ -36,7 +36,7 @@ from .evaluation import execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
-from .sql_analysis import Skeleton, extract_skeleton
+from .sql_analysis import extract_skeleton
 
 ORACLE_MODES = ("none", "entities", "skeleton", "both")
 
@@ -90,7 +90,7 @@ class CorrectionTrace:
     initial_sql: str = ""
     alignment: Alignment | None = None
     hallucinated_sql: str | None = None
-    parsed_skeleton: Skeleton | None = None
+    parsed_skeleton: str | None = None
     rounds: list[CorrectionRound] = field(default_factory=list)
     final_sql: str = ""
     stage_errors: list[tuple[str, str]] = field(default_factory=list)
@@ -101,7 +101,7 @@ class CorrectionTrace:
             "initial_sql": self.initial_sql,
             "alignment": self.alignment.to_records() if self.alignment else None,
             "hallucinated_sql": self.hallucinated_sql,
-            "parsed_skeleton": self.parsed_skeleton.text if self.parsed_skeleton else None,
+            "parsed_skeleton": self.parsed_skeleton,
             "rounds": [
                 {
                     "feedback": r.feedback.to_dict(),
@@ -246,11 +246,11 @@ class MendPipeline:
 
     def parse_question_skeleton(
         self, example: Example, trace: CorrectionTrace, pending: Future | None
-    ) -> Skeleton | None:
+    ) -> str | None:
         """The skeleton from ``pending``, the future ``submit_skeleton`` gave,
         or in oracle-skeleton mode the gold query's."""
 
-        def parse() -> Skeleton:
+        def parse() -> str:
             if self.config.gold_skeleton:
                 if not example.gold_sql:
                     raise SqlMendError("oracle mode without gold SQL")
@@ -289,7 +289,7 @@ class MendPipeline:
         example: Example,
         trace: CorrectionTrace,
         alignment: Alignment | None,
-        parsed_skeleton: Skeleton | None,
+        parsed_skeleton: str | None,
     ) -> str:
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
@@ -351,9 +351,21 @@ def write_traces(traces: list[CorrectionTrace], path: str | Path) -> None:
             handle.write(json.dumps(trace.to_dict(), sort_keys=True) + "\n")
 
 
+# The types evaluation accepts for each trace field it reads; absent is null.
+_TRACE_FIELD_TYPES = {
+    "example_id": (str,),
+    "initial_sql": (str, type(None)),
+    "final_sql": (str, type(None)),
+    "parsed_skeleton": (str, type(None)),
+    "alignment": (list, type(None)),
+}
+
+
 def read_traces(path: str | Path) -> list[dict]:
     """The trace records of a JSON-lines file, skipping blank lines; a line
-    that is not a JSON object is a ``MalformedDatasetError`` naming it."""
+    that is not a JSON object, or one with a field of a type
+    ``_TRACE_FIELD_TYPES`` does not allow, is a ``MalformedDatasetError``
+    naming it."""
     path = Path(path)
     records = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -365,5 +377,9 @@ def read_traces(path: str | Path) -> list[dict]:
             raise MalformedDatasetError(f"{path}: line {number}: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: line {number}: expected a JSON object")
+        for key, kinds in _TRACE_FIELD_TYPES.items():
+            if not isinstance(record.get(key), kinds):
+                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise MalformedDatasetError(f"{path}: line {number}: {key} must be {names}")
         records.append(record)
     return records

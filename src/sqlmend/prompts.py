@@ -204,7 +204,7 @@ def correction_prompt(
     schema = render_schema_prompt(catalog)
     if feedback.kind == SKELETON_MISMATCH:
         return _CORRECTION_SKELETON_TEMPLATE.format(
-            schema=schema, sql=sql, question=question, skeleton=feedback.expected_skeleton.text
+            schema=schema, sql=sql, question=question, skeleton=feedback.expected_skeleton
         )
     if feedback.kind == EXECUTION_ERROR:
         notification = EXECUTION_NOTIFICATION_PREFIX + feedback.error_message

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .alignment import Alignment
+from .datasets import entry_text
 from .errors import EmptyPoolError, MalformedDatasetError
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -60,13 +61,9 @@ def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     for index, record in enumerate(raw):
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: entry {index} is not an object")
-        question = record.get("question", "")
-        sql = record.get("query", record.get("sql", ""))
-        db_id = record.get("db_id", "")
-        if not question or not sql:
-            raise MalformedDatasetError(
-                f"{path}: entry {index} is missing question or query"
-            )
+        question = entry_text(path, index, "question", record.get("question"))
+        sql = entry_text(path, index, "query", record.get("query", record.get("sql")))
+        db_id = entry_text(path, index, "db_id", record.get("db_id"), required=False) or ""
         pool.append(Demonstration(question=question, sql=sql, db_id=db_id))
     return pool
 

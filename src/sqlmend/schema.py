@@ -1,6 +1,5 @@
-"""Database schema catalogs: Spider ``tables.json`` loading, SQLite
-introspection, and rendering to the ``CREATE TABLE`` text block that every
-prompt embeds.
+"""Database schema catalogs: Spider ``tables.json`` loading and rendering
+to the ``CREATE TABLE`` text block that every prompt embeds.
 
 Catalogs are treated as immutable after construction and are safe to share
 across worker threads.
@@ -10,11 +9,10 @@ from __future__ import annotations
 
 import json
 import re
-import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DatabaseOpenError, MalformedDatasetError, SchemaIntegrityError
+from .errors import MalformedDatasetError, SchemaIntegrityError
 
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -260,56 +258,6 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
         return SchemaCatalog(db_id=db_id, tables=tables)
     except SchemaIntegrityError as exc:
         raise SchemaIntegrityError(f"entry {index}: {exc}") from exc
-
-
-def introspect_sqlite(path: str | Path) -> SchemaCatalog:
-    """Build a catalog from a SQLite file's own metadata.
-
-    Internal ``sqlite_*`` tables are excluded; ``db_id`` is the file stem.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DatabaseOpenError(f"{path}: no such database file")
-    try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise DatabaseOpenError(f"{path}: {exc}") from exc
-    try:
-        try:
-            rows = conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY rowid"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise DatabaseOpenError(f"{path}: {exc}") from exc
-        tables = []
-        for (table_name,) in rows:
-            if table_name.startswith("sqlite_"):
-                continue
-            quoted = table_name.replace("'", "''")
-            columns = []
-            primary_key = []
-            for _, name, col_type, _, _, pk_pos in conn.execute(
-                f"PRAGMA table_info('{quoted}')"
-            ):
-                columns.append(ColumnDef(name=name, data_type=col_type or "TEXT"))
-                if pk_pos:
-                    primary_key.append((pk_pos, name))
-            foreign_keys = [
-                ForeignKey(column=row[3], foreign_table=row[2], foreign_column=row[4])
-                for row in conn.execute(f"PRAGMA foreign_key_list('{quoted}')")
-                if row[4] is not None
-            ]
-            tables.append(
-                TableDef(
-                    name=table_name,
-                    columns=columns,
-                    primary_key=[name for _, name in sorted(primary_key)],
-                    foreign_keys=foreign_keys,
-                )
-            )
-        return SchemaCatalog(db_id=path.stem, tables=tables, source_path=path)
-    finally:
-        conn.close()
 
 
 def load_database_dir(database_dir: str | Path) -> dict[str, Path]:

@@ -64,14 +64,6 @@ class SqlEntities:
     values: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    text: str
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def tokenize_sql(sql: str) -> list[SqlToken]:
     """Tokenize a SQL string, covering the whole input except whitespace.
 
@@ -348,9 +340,9 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> SqlEntities:
     return entities
 
 
-def extract_skeleton(sql: str) -> Skeleton:
+def extract_skeleton(sql: str) -> str:
     """Mask a query down to its canonical skeleton string."""
-    return Skeleton(" ".join(_analyze(tokenize_sql(sql)).skeleton))
+    return " ".join(_analyze(tokenize_sql(sql)).skeleton)
 
 
 def is_ordered(sql: str) -> bool:
@@ -360,7 +352,3 @@ def is_ordered(sql: str) -> bool:
         return _analyze(tokenize_sql(sql)).ordered
     except SqlMendError:
         return False
-
-
-def skeletons_equal(a: Skeleton, b: Skeleton) -> bool:
-    return a.text == b.text

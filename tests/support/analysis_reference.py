@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from sqlmend.schema import SchemaCatalog
-from sqlmend.sql_analysis import Skeleton, SqlEntities, SqlToken, tokenize_sql
+from sqlmend.sql_analysis import SqlEntities, SqlToken, tokenize_sql
 
 # Keywords that terminate the table-reference part of a FROM/JOIN clause.
 _FROM_TERMINATORS = frozenset(
@@ -229,7 +229,7 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> SqlEntities:
     return entities
 
 
-def extract_skeleton(sql: str) -> Skeleton:
+def extract_skeleton(sql: str) -> str:
     """Mask a query down to its canonical skeleton string."""
     analysis = _analyze(tokenize_sql(sql))
     parts: list[str] = []
@@ -242,4 +242,4 @@ def extract_skeleton(sql: str) -> Skeleton:
             parts.append("*")
         else:
             parts.append(text)
-    return Skeleton(" ".join(parts))
+    return " ".join(parts)

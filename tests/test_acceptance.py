@@ -23,18 +23,11 @@ from sqlmend.evaluation import evaluate_run
 from sqlmend.pipeline import write_traces
 from sqlmend.prompts import PromptDemo, PromptKind, build_prompt, correction_prompt
 from sqlmend.retrieval import Demonstration, build_index, top_k
-from sqlmend.schema import introspect_sqlite
-from sqlmend.sql_analysis import (
-    Skeleton,
-    SqlEntities,
-    extract_entities,
-    extract_skeleton,
-    skeletons_equal,
-)
+from sqlmend.sql_analysis import SqlEntities, extract_entities, extract_skeleton
 
 from conftest import CountingBackend
 from support.ast_oracle import oracle_entities
-from support.corpus import GOLDEN_CORPUS
+from support.corpus import GOLDEN_CORPUS, corpus_catalog
 from support.mini import ScriptedBackend
 
 
@@ -60,7 +53,7 @@ def test_criterion_1_skeleton_oracle_suite(catalog):
     started = time.perf_counter()
     agreements = 0
     for entry in GOLDEN_CORPUS:
-        if extract_skeleton(entry["sql"]).text == entry["skeleton"]:
+        if extract_skeleton(entry["sql"]) == entry["skeleton"]:
             agreements += 1
     elapsed = time.perf_counter() - started
     assert agreements == len(GOLDEN_CORPUS) == 50
@@ -100,7 +93,8 @@ EX_PAIRS = [
 
 @criterion(3, "EX harness reports exactly 5/8 on the known-verdict pairs, bit-stable")
 def test_criterion_3_ex_harness(corpus_db):
-    catalog = introspect_sqlite(corpus_db)
+    catalog = corpus_catalog()
+    catalog.source_path = corpus_db
     catalogs = {catalog.db_id: catalog}
     dataset = [
         Example(str(i), f"q{i}", catalog.db_id, gold_sql=gold)
@@ -164,7 +158,7 @@ def test_criterion_4_comparison_properties(catalog):
         right = left if rng.random() < 0.5 else rng.choice(sqls)
         parsed = extract_skeleton(right)
         feedback = compare_skeletons(left, parsed)
-        equal = skeletons_equal(extract_skeleton(left), parsed)
+        equal = extract_skeleton(left) == parsed
         # (c) feedback is None exactly on canonical equality
         assert (feedback is None) == equal
         if feedback is not None:
@@ -242,7 +236,7 @@ def test_criterion_5_replay_end_to_end(mini_env, mini_paths, replay_store_path, 
 @criterion(6, "oracle-both: calls <= 1 + corrections; skeleton rounds track gold skeletons")
 def test_criterion_6_oracle_mode_bound(mini_env):
     fired = 0
-    records = []
+    traces = []
     for example in mini_env.examples:
         backend = CountingBackend(ScriptedBackend())
         pipeline = mini_env.pipeline(backend, oracle="both")
@@ -251,17 +245,14 @@ def test_criterion_6_oracle_mode_bound(mini_env):
         skeleton_fired = any(
             r.feedback.kind == "skeleton_mismatch" for r in trace.rounds
         )
-        differs = not skeletons_equal(
-            extract_skeleton(trace.initial_sql), extract_skeleton(example.gold_sql)
-        )
+        differs = extract_skeleton(trace.initial_sql) != extract_skeleton(example.gold_sql)
         assert skeleton_fired == differs, example.example_id
         fired += skeleton_fired
-        records.append((trace.initial_sql, example.gold_sql))
+        traces.append(trace.to_dict())
 
-    from sqlmend.evaluation import skeleton_accuracy
-
-    accuracy = skeleton_accuracy(records)
-    assert fired == round((1 - accuracy) * len(records))
+    report = evaluate_run(traces, mini_env.examples, mini_env.catalogs)
+    assert report.record_count == len(traces)
+    assert fired == round((1 - report.skeleton_accuracy) * len(traces))
 
 
 @criterion(7, "each built prompt carries its template's verbatim instruction line")
@@ -284,7 +275,7 @@ def test_criterion_7_prompt_fidelity(catalog):
 
     skeleton_fix = correction_prompt(
         catalog, "How?", "SELECT 1",
-        Feedback(kind="skeleton_mismatch", expected_skeleton=Skeleton("SELECT _ FROM _")),
+        Feedback(kind="skeleton_mismatch", expected_skeleton="SELECT _ FROM _"),
     )
     assert "each '_' can only be replaced with one single table, column or value" in skeleton_fix
 

@@ -64,6 +64,19 @@ class TestRun:
         args[args.index("--dataset") + 1] = str(tmp_path / "missing.json")
         assert main(args) != 0
 
+    @pytest.mark.parametrize("question", [5, "   "])
+    def test_untokenizable_question_exits_2_naming_the_entry(
+        self, mini_paths, replay_store_path, tmp_path, capsys, question
+    ):
+        records = json.loads(mini_paths["dataset"].read_text(encoding="utf-8"))
+        records[3]["question"] = question
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(records), encoding="utf-8")
+        args = _run_args(mini_paths, replay_store_path, tmp_path / "out")
+        args[args.index("--dataset") + 1] = str(dataset)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dataset}: entry 3: question ")
+
     def test_oracle_flag(self, mini_paths, replay_store_path, tmp_path):
         output = tmp_path / "oracle_out"
         code = main(
@@ -220,7 +233,16 @@ class TestEvaluate:
         assert report["record_count"] == 0
         assert report["ex_accuracy"] is None
 
-    @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize("bad_line", [
+        "{not json",
+        "[1, 2]",
+        '{"example_id": "1", "initial_sql": 5}',
+        '{"example_id": "1", "final_sql": ["x"]}',
+        '{"example_id": ["x"]}',
+        '{"initial_sql": "SELECT 1"}',
+        '{"example_id": "1", "parsed_skeleton": 3}',
+        '{"example_id": "1", "alignment": {"token": "a"}}',
+    ])
     def test_malformed_trace_line_exits_2_naming_it(self, mini_paths, tmp_path, capsys, bad_line):
         traces = tmp_path / "traces.jsonl"
         good = json.dumps({"example_id": "0", "initial_sql": "", "final_sql": ""})

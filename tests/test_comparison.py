@@ -11,7 +11,7 @@ from sqlmend.comparison import (
     compare_skeletons,
 )
 from sqlmend.errors import ContractViolationError
-from sqlmend.sql_analysis import Skeleton, SqlEntities, extract_skeleton
+from sqlmend.sql_analysis import SqlEntities, extract_skeleton
 
 
 def _linked(tables=(), columns=(), values=()):
@@ -71,7 +71,7 @@ class TestCompareEntities:
 
 class TestCompareSkeletons:
     def test_mismatch_carries_full_parsed_skeleton(self):
-        parsed = Skeleton("SELECT _ FROM _ WHERE _ > _")
+        parsed = "SELECT _ FROM _ WHERE _ > _"
         feedback = compare_skeletons("SELECT name FROM singer", parsed)
         assert feedback is not None
         assert feedback.kind == "skeleton_mismatch"
@@ -82,7 +82,7 @@ class TestCompareSkeletons:
         assert compare_skeletons("SELECT venue FROM concert WHERE year > 5", parsed) is None
 
     def test_untokenizable_sql_counts_as_mismatch(self):
-        parsed = Skeleton("SELECT _ FROM _")
+        parsed = "SELECT _ FROM _"
         feedback = compare_skeletons("@@@@", parsed)
         assert feedback is not None
         assert feedback.expected_skeleton == parsed

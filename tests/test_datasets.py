@@ -33,6 +33,35 @@ def test_load_dataset_requires_question_and_db(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("question", 5, "question must be a non-blank string, not 5"),
+    ("question", "   ", "question must be a non-blank string"),
+    ("question", None, "question must be a non-blank string"),
+    ("db_id", "", "db_id must be a non-blank string"),
+    ("db_id", ["d"], "db_id must be a non-blank string"),
+    ("query", 7, "query must be a string, not 7"),
+    ("sql", {"select": 1}, "query must be a string"),
+    ("hardness", 2, "hardness must be a string, not 2"),
+])
+def test_load_dataset_rejects_fields_of_the_wrong_type(tmp_path, field, value, message):
+    # A question that cannot be tokenized used to fail only inside the run.
+    good = {"question": "How many?", "db_id": "d"}
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([good, {**good, field: value}]), encoding="utf-8")
+    with pytest.raises(MalformedDatasetError, match=f"dev.json: entry 1: {message}"):
+        load_dataset(path)
+
+
+def test_load_dataset_optional_fields_may_be_null(tmp_path):
+    path = tmp_path / "dev.json"
+    path.write_text(
+        json.dumps([{"question": "q", "db_id": "d", "query": None, "hardness": None}]),
+        encoding="utf-8",
+    )
+    [example] = load_dataset(path)
+    assert example.gold_sql is None and example.hardness_label is None
+
+
 @pytest.mark.parametrize("ids, message", [
     (["x", "y", "x"], "entries 0 and 2 share example_id 'x'"),
     (["1", None], "entries 0 and 1 share example_id '1'"),  # the index is the default id

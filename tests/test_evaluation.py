@@ -22,12 +22,11 @@ from sqlmend.evaluation import (
     evaluate_run,
     execute_sql,
     results_match,
-    skeleton_accuracy,
 )
-from sqlmend.schema import introspect_sqlite
 from sqlmend.sql_analysis import extract_skeleton
 
 from support import results_match_reference
+from support.corpus import corpus_catalog
 
 RUNAWAY = (
     "WITH RECURSIVE cnt(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM cnt) "
@@ -35,9 +34,17 @@ RUNAWAY = (
 )
 
 
+def _catalog_of(path):
+    """The corpus catalog, whose tables are those of ``corpus_db``, run
+    against the SQLite file at *path*."""
+    catalog = corpus_catalog()
+    catalog.source_path = path
+    return catalog
+
+
 @pytest.fixture(scope="module")
 def db_catalog(corpus_db):
-    return introspect_sqlite(corpus_db)
+    return _catalog_of(corpus_db)
 
 
 class _CursorKeepingConnection(sqlite3.Connection):
@@ -196,7 +203,7 @@ class TestKeptConnections:
     def test_too_many_rows_leaves_no_read_open(self, corpus_db, tmp_path, monkeypatch, opened):
         copy = tmp_path / "concert_hall.sqlite"
         shutil.copy(corpus_db, copy)
-        catalog = introspect_sqlite(copy)
+        catalog = _catalog_of(copy)
         del opened[:]
         monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 16)
         with evaluation._keeping_connections():
@@ -361,30 +368,48 @@ class TestResultsMatchReference:
 
 
 class TestSkeletonAccuracy:
-    def test_identity_is_one(self):
-        records = [("SELECT name FROM singer", "SELECT name FROM singer")] * 3
-        assert skeleton_accuracy(records) == 1.0
+    """``Report.skeleton_accuracy``: the share of initial SQL texts whose
+    skeleton is the gold query's."""
 
-    def test_quarter(self):
+    @staticmethod
+    def _accuracy(pairs, db_catalog):
+        dataset = [
+            Example(str(i), f"q{i}", "concert_hall", gold_sql=gold)
+            for i, (_, gold) in enumerate(pairs)
+        ]
+        traces = [_trace(str(i), source) for i, (source, _) in enumerate(pairs)]
+        report = evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        assert report.record_count == len(pairs)
+        return report.skeleton_accuracy
+
+    def test_identity_is_one(self, db_catalog):
+        records = [("SELECT name FROM singer", "SELECT name FROM singer")] * 3
+        assert self._accuracy(records, db_catalog) == 1.0
+
+    def test_quarter(self, db_catalog):
         records = [
             ("SELECT name FROM singer", "SELECT name FROM singer"),
             ("SELECT name FROM singer", "SELECT name FROM singer WHERE age > 2"),
             ("SELECT name FROM singer", "SELECT count(*) FROM singer"),
             ("SELECT name FROM singer", "SELECT name FROM singer ORDER BY age"),
         ]
-        assert skeleton_accuracy(records) == 0.25
+        assert self._accuracy(records, db_catalog) == 0.25
 
-    def test_untokenizable_source_counts_as_miss(self):
+    def test_untokenizable_source_counts_as_miss(self, db_catalog):
         records = [("@@@", "SELECT name FROM singer")]
-        assert skeleton_accuracy(records) == 0.0
+        assert self._accuracy(records, db_catalog) == 0.0
+
+
+def _classify(predicted, gold, catalog):
+    return classify_errors(
+        predicted, gold, catalog, extract_skeleton(gold), execute_sql(predicted, catalog)
+    )
 
 
 class TestClassifyErrors:
     def test_missing_gold_table(self, db_catalog):
         gold = "SELECT name FROM singer"
-        categories = classify_errors(
-            "SELECT venue FROM concert", gold, db_catalog, extract_skeleton(gold)
-        )
+        categories = _classify("SELECT venue FROM concert", gold, db_catalog)
         assert "table_error" in categories
         assert "column_error" in categories
 
@@ -393,14 +418,13 @@ class TestClassifyErrors:
         # column outside the FROM scope, which only the engine rejects.
         gold = "SELECT name FROM singer WHERE age > 20 ORDER BY name"
         predicted = "SELECT name FROM singer WHERE age > 20 ORDER BY venue"
-        gold_skeleton = extract_skeleton(gold)
-        assert extract_skeleton(predicted).text == gold_skeleton.text
-        categories = classify_errors(predicted, gold, db_catalog, gold_skeleton)
+        assert extract_skeleton(predicted) == extract_skeleton(gold)
+        categories = _classify(predicted, gold, db_catalog)
         assert categories == {"execution_error"}
 
     def test_untokenizable_prediction_lands_in_all_categories(self, db_catalog):
         gold = "SELECT name FROM singer"
-        categories = classify_errors("@@@", gold, db_catalog, extract_skeleton(gold))
+        categories = _classify("@@@", gold, db_catalog)
         assert categories == {
             "table_error",
             "column_error",
@@ -411,21 +435,15 @@ class TestClassifyErrors:
     def test_skeleton_error_flagged(self, db_catalog):
         gold = "SELECT name FROM singer WHERE age > 20"
         predicted = "SELECT name FROM singer"
-        categories = classify_errors(
-            predicted, gold, db_catalog, extract_skeleton(gold)
-        )
+        categories = _classify(predicted, gold, db_catalog)
         assert "skeleton_error" in categories
         assert "column_error" in categories  # age unused
 
     def test_execution_error_iff_executor_says_so(self, db_catalog):
         gold = "SELECT name FROM singer"
-        good = classify_errors(
-            "SELECT venue FROM concert", gold, db_catalog, extract_skeleton(gold)
-        )
+        good = _classify("SELECT venue FROM concert", gold, db_catalog)
         assert "execution_error" not in good
-        bad = classify_errors(
-            "SELECT ghost FROM singer", gold, db_catalog, extract_skeleton(gold)
-        )
+        bad = _classify("SELECT ghost FROM singer", gold, db_catalog)
         assert "execution_error" in bad
 
 

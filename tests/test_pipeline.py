@@ -15,9 +15,17 @@ from sqlmend.backends import (
     ReplayBackend,
     ReplayStore,
 )
+from sqlmend.comparison import Feedback
 from sqlmend.errors import FixtureMissingError
-from sqlmend.pipeline import STAGE_SKELETON, PipelineConfig, read_traces, write_traces
-from sqlmend.sql_analysis import extract_skeleton, skeletons_equal
+from sqlmend.pipeline import (
+    STAGE_SKELETON,
+    CorrectionRound,
+    CorrectionTrace,
+    PipelineConfig,
+    read_traces,
+    write_traces,
+)
+from sqlmend.sql_analysis import extract_skeleton
 
 from conftest import CountingBackend
 from support.mini import EXAMPLES, ScriptedBackend
@@ -59,7 +67,7 @@ class TestStageBehaviour:
         assert trace.hallucinated_sql == (
             "SELECT name FROM stocks WHERE profit > 5000 ORDER BY profit"
         )
-        assert trace.parsed_skeleton.text == "SELECT _ FROM _ WHERE _ > _ ORDER BY _"
+        assert trace.parsed_skeleton == "SELECT _ FROM _ WHERE _ > _ ORDER BY _"
 
     def test_unparseable_alignment_disables_entity_channel_only(self, replay_traces):
         trace = replay_traces[8]
@@ -180,9 +188,7 @@ class TestOracleModes:
         pipeline = mini_env.pipeline(backend, oracle="skeleton")
         example = mini_env.examples[7]
         trace = pipeline.run_example(example)
-        assert skeletons_equal(
-            trace.parsed_skeleton, extract_skeleton(example.gold_sql)
-        )
+        assert trace.parsed_skeleton == extract_skeleton(example.gold_sql)
         assert trace.hallucinated_sql is None
 
     def test_oracle_skeleton_round_fires_iff_initial_differs_from_gold(self, mini_env):
@@ -191,9 +197,7 @@ class TestOracleModes:
         for example in mini_env.examples:
             trace = pipeline.run_example(example)
             fired = any(r.feedback.kind == "skeleton_mismatch" for r in trace.rounds)
-            differs = not skeletons_equal(
-                extract_skeleton(trace.initial_sql), extract_skeleton(example.gold_sql)
-            )
+            differs = extract_skeleton(trace.initial_sql) != extract_skeleton(example.gold_sql)
             assert fired == differs, example.example_id
 
 
@@ -429,6 +433,20 @@ class TestTraceSerialization:
             "final_sql",
             "stage_errors",
         }
+
+    def test_empty_skeleton_written_as_empty_string(self):
+        # A lone ";" masks to "": a skeleton with no tokens, not a missing one.
+        empty = extract_skeleton(";")
+        feedback = Feedback(kind="skeleton_mismatch", expected_skeleton=empty)
+        trace = CorrectionTrace(
+            example_id="0",
+            parsed_skeleton=empty,
+            rounds=[CorrectionRound(feedback, "0" * 64, "SELECT 1")],
+        )
+        record = trace.to_dict()
+        assert record["parsed_skeleton"] == ""
+        assert record["rounds"][0]["feedback"]["expected_skeleton"] == ""
+        assert feedback.to_dict()["expected_skeleton"] == ""
 
 
 def test_mini_dataset_questions_are_unique_markers():

@@ -17,7 +17,7 @@ from sqlmend.prompts import (
     extract_sql_block,
 )
 from sqlmend.schema import render_schema_prompt
-from sqlmend.sql_analysis import Skeleton, extract_skeleton
+from sqlmend.sql_analysis import extract_skeleton
 
 DEMOS = [
     PromptDemo(
@@ -64,7 +64,7 @@ class TestInstructionLines:
 
     def test_correction_skeleton(self, catalog):
         feedback = Feedback(
-            kind="skeleton_mismatch", expected_skeleton=Skeleton("SELECT _ FROM _ WHERE _ > _")
+            kind="skeleton_mismatch", expected_skeleton="SELECT _ FROM _ WHERE _ > _"
         )
         prompt = correction_prompt(catalog, "How many?", "SELECT 1", feedback)
         assert 'the SQL skeleton could be like "SELECT _ FROM _ WHERE _ > _"' in prompt
@@ -104,7 +104,7 @@ class TestPromptStructure:
         assert "SQL: SELECT 1" in prompt
 
     def test_correction_quotes_sql_and_question(self, catalog):
-        feedback = Feedback(kind="skeleton_mismatch", expected_skeleton=Skeleton("SELECT _"))
+        feedback = Feedback(kind="skeleton_mismatch", expected_skeleton="SELECT _")
         prompt = correction_prompt(catalog, "How many heads?", "SELECT 1", feedback)
         assert 'Fix the sql "SELECT 1" to answer the question "How many heads?"' in prompt
 

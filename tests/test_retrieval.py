@@ -267,3 +267,17 @@ class TestPoolLoading:
         path.write_text(json.dumps([{"question": "q"}]), encoding="utf-8")
         with pytest.raises(MalformedDatasetError):
             load_demonstration_pool(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("question", "  ", "question must be a non-blank string"),
+        ("question", 5, "question must be a non-blank string, not 5"),
+        ("query", "", "query must be a non-blank string"),
+        ("query", ["SELECT 1"], "query must be a non-blank string"),
+        ("db_id", 3, "db_id must be a string, not 3"),
+    ])
+    def test_fields_of_the_wrong_type_rejected(self, tmp_path, field, value, message):
+        good = {"question": "q", "query": "SELECT 1", "db_id": "d"}
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps([good, {**good, field: value}]), encoding="utf-8")
+        with pytest.raises(MalformedDatasetError, match=f"pool.json: entry 1: {message}"):
+            load_demonstration_pool(path)

@@ -5,12 +5,11 @@ import sqlite3
 
 import pytest
 
-from sqlmend.errors import DatabaseOpenError, MalformedDatasetError, SchemaIntegrityError
+from sqlmend.errors import MalformedDatasetError, SchemaIntegrityError
 from sqlmend.schema import (
     ColumnDef,
     SchemaCatalog,
     TableDef,
-    introspect_sqlite,
     load_database_dir,
     load_tables_json,
     render_schema_prompt,
@@ -96,37 +95,6 @@ class TestLoadTablesJson:
         assert catalog.tables[0].primary_key == ["id"]
 
 
-class TestIntrospectSqlite:
-    def test_fixture_created_from_ddl(self, tmp_path):
-        db = tmp_path / "fixture.sqlite"
-        conn = sqlite3.connect(db)
-        conn.execute("CREATE TABLE t(a INTEGER)")
-        conn.commit()
-        conn.close()
-        catalog = introspect_sqlite(db)
-        assert catalog.db_id == "fixture"
-        assert [t.name for t in catalog.tables] == ["t"]
-        assert catalog.tables[0].columns[0].data_type.upper() == "INTEGER"
-
-    def test_empty_database(self, tmp_path):
-        db = tmp_path / "empty.sqlite"
-        sqlite3.connect(db).close()
-        assert introspect_sqlite(db).tables == []
-
-    def test_nonexistent_path(self, tmp_path):
-        with pytest.raises(DatabaseOpenError):
-            introspect_sqlite(tmp_path / "missing.sqlite")
-
-    def test_internal_tables_excluded(self, tmp_path):
-        db = tmp_path / "idx.sqlite"
-        conn = sqlite3.connect(db)
-        conn.execute("CREATE TABLE t(a TEXT, b TEXT)")
-        conn.execute("CREATE INDEX i ON t(a)")  # creates sqlite_ bookkeeping
-        conn.commit()
-        conn.close()
-        assert [t.name for t in introspect_sqlite(db).tables] == ["t"]
-
-
 class TestRenderSchemaPrompt:
     def test_single_column_golden(self):
         catalog = SchemaCatalog("d", [TableDef("singer", [ColumnDef("Name", "TEXT")])])
@@ -173,24 +141,28 @@ class TestRenderSchemaPrompt:
         ddl = render_schema_prompt(catalog)
         db = tmp_path / f"{catalog.db_id}.sqlite"
         conn = sqlite3.connect(db)
-        conn.executescript(ddl)
-        conn.commit()
-        conn.close()
-        back = introspect_sqlite(db)
-        assert [t.name for t in back.tables] == [t.name for t in catalog.tables]
-        for orig, mirrored in zip(catalog.tables, back.tables):
-            assert mirrored.column_names() == orig.column_names()
-            assert [c.data_type.upper() for c in mirrored.columns] == [
-                c.data_type.upper() for c in orig.columns
-            ]
-            assert sorted(mirrored.primary_key) == sorted(orig.primary_key)
-            assert {
-                (fk.column, fk.foreign_table, fk.foreign_column)
-                for fk in mirrored.foreign_keys
-            } == {
-                (fk.column, fk.foreign_table, fk.foreign_column)
-                for fk in orig.foreign_keys
-            }
+        try:
+            conn.executescript(ddl)
+            names = [name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY rowid"
+            )]
+            assert names == [t.name for t in catalog.tables]
+            for orig in catalog.tables:
+                # cid, name, type, notnull, default, position in the primary key
+                info = conn.execute(f"PRAGMA table_info('{orig.name}')").fetchall()
+                assert [row[1] for row in info] == orig.column_names()
+                assert [row[2].upper() for row in info] == [
+                    c.data_type.upper() for c in orig.columns
+                ]
+                assert sorted(row[1] for row in info if row[5]) == sorted(orig.primary_key)
+                # id, seq, table, from, to, ...
+                keys = conn.execute(f"PRAGMA foreign_key_list('{orig.name}')").fetchall()
+                assert {(row[3], row[2], row[4]) for row in keys} == {
+                    (fk.column, fk.foreign_table, fk.foreign_column)
+                    for fk in orig.foreign_keys
+                }
+        finally:
+            conn.close()
 
 
 class TestCatalogInvariants:
