@@ -5,14 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from sqlmend.backends import ModelBackend, RecordingBackend, ReplayStore
-from sqlmend.datasets import load_alignment_sidecar, load_dataset
-from sqlmend.pipeline import MendPipeline, PipelineConfig
-from sqlmend.retrieval import build_index, load_demonstration_pool
-from sqlmend.schema import load_database_dir, load_tables_json
+from sqlmend.backends import ModelBackend
 
 from support.corpus import corpus_catalog
-from support.mini import build_mini_benchmark, ScriptedBackend
+from support.mini import MiniEnv, build_mini_benchmark, record_store
 
 
 @pytest.fixture(scope="session")
@@ -59,43 +55,6 @@ def mini_paths(tmp_path_factory) -> dict[str, Path]:
     return build_mini_benchmark(tmp_path_factory.mktemp("mini"))
 
 
-class MiniEnv:
-    """Loaded mini benchmark: catalogs with db paths, dataset with gold
-    alignments, pool with alignments, and a prebuilt BM25 index."""
-
-    def __init__(self, paths: dict[str, Path]):
-        self.paths = paths
-        self.catalogs = {c.db_id: c for c in load_tables_json(paths["tables"])}
-        for db_id, db_path in load_database_dir(paths["databases"]).items():
-            self.catalogs[db_id].source_path = db_path
-        self.examples = load_dataset(paths["dataset"])
-        for example, alignment in zip(
-            self.examples,
-            load_alignment_sidecar(
-                paths["dataset_alignments"], [e.question for e in self.examples]
-            ),
-        ):
-            example.gold_alignment = alignment
-        self.pool = load_demonstration_pool(paths["pool"])
-        for demo, alignment in zip(
-            self.pool,
-            load_alignment_sidecar(
-                paths["pool_alignments"], [d.question for d in self.pool]
-            ),
-        ):
-            demo.alignment = alignment
-        self.index = build_index(self.pool)
-
-    def pipeline(self, backend: ModelBackend, **config) -> MendPipeline:
-        return MendPipeline(
-            catalogs=self.catalogs,
-            pool=self.pool,
-            index=self.index,
-            backend=backend,
-            config=PipelineConfig(**config),
-        )
-
-
 @pytest.fixture(scope="session")
 def mini_env(mini_paths) -> MiniEnv:
     return MiniEnv(mini_paths)
@@ -105,13 +64,7 @@ def mini_env(mini_paths) -> MiniEnv:
 def replay_store_path(mini_paths, mini_env) -> Path:
     """Record the scripted model once, covering both the plain and the
     oracle-both configurations, so replay-mode tests never need the script."""
-    store_path = mini_paths["root"] / "replay_store.jsonl"
-    store = ReplayStore(store_path)
-    backend = RecordingBackend(ScriptedBackend(), store)
-    for oracle in ("none", "both"):
-        pipeline = mini_env.pipeline(backend, oracle=oracle)
-        pipeline.run(mini_env.examples)
-    return store_path
+    return record_store(mini_env, mini_paths["root"] / "replay_store.jsonl", ("none", "both"))
 
 
 class CountingBackend(ModelBackend):

@@ -14,9 +14,14 @@ import json
 import sqlite3
 from pathlib import Path
 
-from sqlmend.backends import ModelBackend, ModelRequest, ModelResponse
 from sqlmend.alignment import tokenize_question
+from sqlmend.backends import ModelBackend, ModelRequest, ModelResponse, RecordingBackend, ReplayStore
+from sqlmend.cli import main
+from sqlmend.datasets import load_alignment_sidecar, load_dataset
+from sqlmend.pipeline import ORACLE_MODES, MendPipeline, PipelineConfig
 from sqlmend.prompts import EXECUTION_NOTIFICATION_PREFIX
+from sqlmend.retrieval import build_index, load_demonstration_pool
+from sqlmend.schema import load_database_dir, load_tables_json
 
 TALENT_DDL = [
     "CREATE TABLE singer (singer_id INTEGER PRIMARY KEY, name TEXT, age INTEGER,"
@@ -464,3 +469,86 @@ def build_mini_benchmark(root: Path) -> dict[str, Path]:
         "dataset_alignments": dataset_alignments,
         "pool_alignments": pool_alignments,
     }
+
+
+class MiniEnv:
+    """Loaded mini benchmark: catalogs with db paths, dataset with gold
+    alignments, pool with alignments, and a prebuilt BM25 index."""
+
+    def __init__(self, paths: dict[str, Path]):
+        self.paths = paths
+        self.catalogs = {c.db_id: c for c in load_tables_json(paths["tables"])}
+        for db_id, db_path in load_database_dir(paths["databases"]).items():
+            self.catalogs[db_id].source_path = db_path
+        self.examples = load_dataset(paths["dataset"])
+        for example, alignment in zip(
+            self.examples,
+            load_alignment_sidecar(
+                paths["dataset_alignments"], [e.question for e in self.examples]
+            ),
+        ):
+            example.gold_alignment = alignment
+        self.pool = load_demonstration_pool(paths["pool"])
+        for demo, alignment in zip(
+            self.pool,
+            load_alignment_sidecar(
+                paths["pool_alignments"], [d.question for d in self.pool]
+            ),
+        ):
+            demo.alignment = alignment
+        self.index = build_index(self.pool)
+
+    def pipeline(self, backend: ModelBackend, **config) -> MendPipeline:
+        return MendPipeline(
+            catalogs=self.catalogs,
+            pool=self.pool,
+            index=self.index,
+            backend=backend,
+            config=PipelineConfig(**config),
+        )
+
+
+def record_store(env: MiniEnv, store_path: Path, oracles=ORACLE_MODES) -> Path:
+    """Record the scripted model's answers under each oracle mode into one
+    replay store, so that replaying any of them needs no script."""
+    backend = RecordingBackend(ScriptedBackend(), ReplayStore(store_path))
+    for oracle in oracles:
+        env.pipeline(backend, oracle=oracle).run(env.examples)
+    return store_path
+
+
+def run_args(paths: dict[str, Path], store_path: Path, output: Path, *extra: str) -> list[str]:
+    """The ``sqlmend run`` arguments that replay *store_path* over the mini
+    benchmark into *output*."""
+    return [
+        "run",
+        "--dataset", str(paths["dataset"]),
+        "--databases", str(paths["databases"]),
+        "--tables", str(paths["tables"]),
+        "--pool", str(paths["pool"]),
+        "--alignments", str(paths["dataset_alignments"]),
+        "--pool-alignments", str(paths["pool_alignments"]),
+        "--backend", "replay",
+        "--replay-store", str(store_path),
+        "--output", str(output),
+        *extra,
+    ]
+
+
+def replay_and_evaluate(
+    paths: dict[str, Path], store_path: Path, output: Path, oracle: str, *extra: str
+) -> tuple[bytes, bytes]:
+    """``sqlmend run --oracle <oracle>`` over the replay store, then
+    ``sqlmend evaluate`` of its traces; returns the bytes of
+    ``traces.jsonl`` and of ``report.json``."""
+    assert main(run_args(paths, store_path, output, "--oracle", oracle, *extra)) == 0
+    traces = output / "traces.jsonl"
+    assert main([
+        "evaluate", str(traces),
+        "--dataset", str(paths["dataset"]),
+        "--alignments", str(paths["dataset_alignments"]),
+        "--databases", str(paths["databases"]),
+        "--tables", str(paths["tables"]),
+        "--format", "json",
+    ]) == 0
+    return traces.read_bytes(), (output / "report.json").read_bytes()
