@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ LINK_TYPES = ("tbl", "col", "val")
 _TYPE_SYNONYMS = {"tbl": "tbl", "tab": "tbl", "col": "col", "val": "val"}
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class AlignmentEntry:
     token: str
     schema_entity: str | None = None
@@ -46,8 +47,12 @@ class Alignment:
         ]
 
     @classmethod
-    def from_records(cls, records: list[dict], question: str) -> "Alignment":
-        entries, repairs = _entries_from_records(records)
+    def from_records(
+        cls, records: list[dict], question: str, shared: dict | None = None
+    ) -> "Alignment":
+        """The alignment *records* describe. Entries equal to one already in
+        *shared*, a table the caller keeps across calls, are that entry."""
+        entries, repairs = _entries_from_records(records, {} if shared is None else shared)
         return cls(entries=entries, question=question, repairs=repairs)
 
 
@@ -76,14 +81,18 @@ def tokenize_question(question: str) -> list[str]:
 def parse_alignment(raw: str, question: str) -> Alignment:
     """Decode the first list-of-dicts literal found in model output.
 
-    Both Python literal syntax (``None``) and JSON (``null``) are accepted.
-    Entries violating the both-null rule are repaired by nulling both fields
-    and counted in ``repairs``.
+    Both Python literal syntax (``None``) and JSON (``null``) are accepted:
+    the list is what ``ast.literal_eval``, or else ``json.loads``, makes of
+    the first balanced ``[...]`` span that decodes as a list. When the first
+    ``[`` opens a list of flat dicts of strings, constants and small ints,
+    as models write it, that list is read in one pass; anything else goes
+    through the two decoders. Entries violating the both-null rule are
+    repaired by nulling both fields and counted in ``repairs``.
     """
     records = _first_list_literal(raw)
     if records is None:
         raise AlignmentParseError("no decodable alignment list in model output", raw=raw)
-    entries, repairs = _entries_from_records(records)
+    entries, repairs = _entries_from_records(records, {})
     if question.strip() and not _is_subsequence(
         [e.token for e in entries], tokenize_question(question)
     ):
@@ -102,7 +111,9 @@ def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
     return True
 
 
-def _entries_from_records(records: list) -> tuple[list[AlignmentEntry], int]:
+def _entries_from_records(
+    records: list, shared: dict[tuple, AlignmentEntry]
+) -> tuple[list[AlignmentEntry], int]:
     entries: list[AlignmentEntry] = []
     repairs = 0
     for record in records:
@@ -126,20 +137,80 @@ def _entries_from_records(records: list) -> tuple[list[AlignmentEntry], int]:
             schema_entity = None
             entity_type = None
             repairs += 1
-        # Interned: a pool's alignments repeat the same tokens and names.
-        entries.append(
-            AlignmentEntry(
-                token=sys.intern(str(token)),
-                schema_entity=schema_entity,
-                entity_type=entity_type,
-            )
-        )
+        # Interned and shared: a pool's alignments repeat the same tokens and
+        # names, and the same entries.
+        key = (sys.intern(str(token)), schema_entity, entity_type)
+        entry = shared.get(key)
+        if entry is None:
+            entry = shared[key] = AlignmentEntry(*key)
+        entries.append(entry)
     return entries, repairs
 
 
+# The shape of list that models answer the linking prompt with, decoded in
+# one pass: flat dicts with string keys, whose values are strings, the three
+# constants in Python or JSON spelling, or ints. Strings may hold no
+# backslash, control character or surrogate, ints no leading zero and at most
+# 18 digits, and whitespace is ASCII only; so whichever of
+# ``ast.literal_eval`` and ``json.loads`` takes such a list gives what this
+# decoder gives.
+_WS = r"[ \t\n\r]*"
+_STRING = r"""(?:'[^'\\\x00-\x1f\ud800-\udfff]*'|"[^"\\\x00-\x1f\ud800-\udfff]*")"""
+_VALUE = rf"(?:{_STRING}|None|True|False|null|true|false|-?(?:0|[1-9][0-9]{{0,17}}))"
+_PAIR = rf"{_STRING}{_WS}:{_WS}{_VALUE}"
+_DICT = rf"\{{{_WS}(?:{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS})?\}}"
+_RECORDS = re.compile(rf"\[{_WS}(?:{_DICT}(?:{_WS},{_WS}{_DICT})*{_WS})?\]")
+_RECORD_PARTS = re.compile(rf"(\{{)|({_STRING}){_WS}:{_WS}({_VALUE})")
+# Constant -> (value, spelling): Python's names fail json.loads, JSON's fail
+# ast.literal_eval.
+_CONSTANTS = {
+    "None": (None, "python"), "True": (True, "python"), "False": (False, "python"),
+    "null": (None, "json"), "true": (True, "json"), "false": (False, "json"),
+}
+
+
+def _decode_records(raw: str, start: int) -> list[dict] | None:
+    """The list of dicts at ``raw[start]``, a ``[``, when it has the shape
+    above and one of the two decoders would take it; None otherwise."""
+    match = _RECORDS.match(raw, start)
+    if match is None:
+        return None
+    records: list[dict] = []
+    spellings = set()
+    for brace, key, value in _RECORD_PARTS.findall(raw, start, match.end()):
+        if brace:
+            record: dict = {}
+            records.append(record)
+            continue
+        if key[0] == "'":
+            spellings.add("python")
+        if value[0] == "'":
+            spellings.add("python")
+            record[key[1:-1]] = value[1:-1]
+        elif value[0] == '"':
+            record[key[1:-1]] = value[1:-1]
+        elif value in _CONSTANTS:
+            constant, spelling = _CONSTANTS[value]
+            spellings.add(spelling)
+            record[key[1:-1]] = constant
+        else:
+            record[key[1:-1]] = int(value)
+    # Both spellings at once: ast.literal_eval fails on ``null``, json.loads on
+    # ``None`` or on single quotes.
+    return None if len(spellings) == 2 else records
+
+
 def _first_list_literal(raw: str) -> list | None:
-    """Scan for the first balanced ``[...]`` span that decodes as a list."""
-    i = 0
+    """The first balanced ``[...]`` span that ``ast.literal_eval``, or else
+    ``json.loads``, decodes as a list. The span at the first ``[`` is read
+    in one pass when it has the shape models answer with; anything else is
+    left to the two decoders, span after span."""
+    i = raw.find("[")
+    if i < 0:
+        return None
+    records = _decode_records(raw, i)
+    if records is not None:
+        return records
     n = len(raw)
     while i < n:
         start = raw.find("[", i)

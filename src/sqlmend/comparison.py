@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractViolationError, TokenizationError
+from .errors import ContractViolationError
 from .schema import SchemaCatalog
-from .sql_analysis import SqlEntities, extract_entities, extract_skeleton
+from .sql_analysis import SqlAnalysis, SqlEntities, analyze_sql, entities_of
 
 MISSING_ENTITIES = "missing_entities"
 SKELETON_MISMATCH = "skeleton_mismatch"
@@ -62,15 +62,17 @@ class Feedback:
         }
 
 
+def _analysis(sql: str | SqlAnalysis) -> SqlAnalysis:
+    return sql if isinstance(sql, SqlAnalysis) else analyze_sql(sql)
+
+
 def compare_entities(
-    linked: SqlEntities, sql: str, catalog: SchemaCatalog
+    linked: SqlEntities, sql: str | SqlAnalysis, catalog: SchemaCatalog
 ) -> Feedback | None:
-    """Report linked tables/columns that the SQL does not use; none when the
-    linked entities are a subset of the used ones."""
-    try:
-        used = extract_entities(sql, catalog)
-    except TokenizationError:
-        used = SqlEntities()
+    """Report linked tables/columns that the SQL (its text, or its
+    ``analyze_sql`` analysis) does not use; none when the linked entities
+    are a subset of the used ones. SQL that does not tokenize uses none."""
+    used = entities_of(_analysis(sql), catalog)
     used_tables = {name.lower() for name in used.tables}
     used_columns = {name.lower() for name in used.columns}
     missing_tables = {t for t in linked.tables if t.lower() not in used_tables}
@@ -84,13 +86,12 @@ def compare_entities(
     )
 
 
-def compare_skeletons(current_sql: str, parsed: str) -> Feedback | None:
-    """Mismatch feedback carrying the full parsed skeleton; an untokenizable
-    current SQL counts as a mismatch."""
-    try:
-        if extract_skeleton(current_sql) == parsed:
-            return None
-    except TokenizationError:
-        pass
+def compare_skeletons(current_sql: str | SqlAnalysis, parsed: str) -> Feedback | None:
+    """Mismatch feedback carrying the full parsed skeleton; the current SQL
+    is its text or its ``analyze_sql`` analysis, and an untokenizable one
+    counts as a mismatch."""
+    analysis = _analysis(current_sql)
+    if analysis.tokenizes and " ".join(analysis.skeleton) == parsed:
+        return None
     return Feedback(kind=SKELETON_MISMATCH, expected_skeleton=parsed)
 

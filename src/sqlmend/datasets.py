@@ -60,7 +60,13 @@ def load_dataset(path: str | Path) -> list[Example]:
         gold_sql = record.get("query", record.get("sql"))
         gold_sql = entry_text(path, index, "query", gold_sql, required=False)
         hardness = entry_text(path, index, "hardness", record.get("hardness"), required=False)
-        example_id = str(record.get("example_id", index))
+        example_id = record.get("example_id", index)
+        if type(example_id) is not int and not isinstance(example_id, str):
+            raise MalformedDatasetError(
+                f"{path}: entry {index}: example_id must be a string or an integer,"
+                f" not {example_id!r:.40}"
+            )
+        example_id = str(example_id)
         first = first_index.setdefault(example_id, index)
         if first != index:
             raise MalformedDatasetError(
@@ -79,7 +85,8 @@ def load_dataset(path: str | Path) -> list[Example]:
 
 
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
-    """Attach sidecar line *i* to question *i*; blank lines mean no gold."""
+    """Attach sidecar line *i* to question *i*; blank lines mean no gold.
+    Equal entries of different lines are one ``AlignmentEntry``."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) > len(questions):
@@ -87,6 +94,7 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
             f"{path}: {len(lines)} sidecar lines for {len(questions)} examples"
         )
     alignments: list[Alignment | None] = []
+    shared: dict = {}
     for index, question in enumerate(questions):
         line = lines[index].strip() if index < len(lines) else ""
         if not line:
@@ -98,5 +106,5 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
             raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
         if not isinstance(records, list):
             raise MalformedDatasetError(f"{path}: line {index + 1}: expected a list")
-        alignments.append(Alignment.from_records(records, question=question))
+        alignments.append(Alignment.from_records(records, question=question, shared=shared))
     return alignments

@@ -31,10 +31,11 @@ DEFAULT_TIMEOUT = 30.0
 MAX_RESULT_ROWS = 100_000
 NUMERIC_TOLERANCE = 1e-6
 # Page cache, in KiB, of each connection that evaluate_run keeps open for
-# the whole call, one per database file: SQLite's default of 2,000 KiB would
-# grow peak memory with the number of files, and the OS page cache serves
-# the re-reads. A connection opened for a single query keeps the default,
-# since it is closed at once and a smaller cache makes that query slower.
+# the whole call, or the pipeline for its examples, one per database file:
+# SQLite's default of 2,000 KiB would grow peak memory with the number of
+# files, and the OS page cache serves the re-reads. A connection opened for
+# a single query keeps the default, since it is closed at once and a
+# smaller cache makes that query slower.
 _KEPT_PAGE_CACHE_KIB = 1
 
 TABLE_ERROR = "table_error"
@@ -69,13 +70,17 @@ class ExecutionResult:
 class _Connections:
     """Read-only connections to SQLite files, one per path, kept until
     ``close``. Each gets its page cache size (SQLite's default when
-    ``page_cache_kib`` is None), the allowlist authorizer, no attached
-    databases and a watchdog once, when it opens; ``execute`` restarts the
-    watchdog's deadline on every query. A connection that timed out or
-    raised something other than ``sqlite3.Error`` is dropped."""
+    ``page_cache_kib`` is None), its prepared-statement cache size, the
+    allowlist authorizer, no attached databases and a watchdog once, when it
+    opens; ``execute`` restarts the watchdog's deadline on every query. A
+    connection that timed out or raised something other than
+    ``sqlite3.Error`` is dropped. One thread uses a set at a time, though not
+    always the same thread: the pipeline hands its sets from one worker to
+    the next."""
 
-    def __init__(self, page_cache_kib: int | None = None) -> None:
+    def __init__(self, page_cache_kib: int | None = None, cached_statements: int = 128) -> None:
         self._page_cache_kib = page_cache_kib
+        self._cached_statements = cached_statements
         self._open: dict[Path, sqlite3.Connection] = {}
         self._deadline = 0.0
         self._timed_out = False
@@ -87,7 +92,10 @@ class _Connections:
         return 0
 
     def _connect(self, path: Path) -> sqlite3.Connection:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = sqlite3.connect(
+            f"file:{path}?mode=ro", uri=True, check_same_thread=False,
+            cached_statements=self._cached_statements,
+        )
         if self._page_cache_kib is not None:
             try:
                 # Before the authorizer, which refuses every PRAGMA.
@@ -147,19 +155,29 @@ class _Connections:
         self._open.clear()
 
 
-# The connections of the evaluate_run in progress in this context (each
-# thread has its own), so that every query still goes through execute_sql.
+# The connections of the evaluate_run or pipeline example in progress in this
+# context (each thread has its own), so that every query still goes through
+# execute_sql.
 _kept: ContextVar[_Connections | None] = ContextVar("sqlmend_connections", default=None)
 
 
 @contextmanager
-def _keeping_connections():
-    connections = _Connections(_KEPT_PAGE_CACHE_KIB)
+def _using(connections: _Connections):
+    """Send this context's ``execute_sql`` calls to *connections*."""
     token = _kept.set(connections)
     try:
         yield
     finally:
         _kept.reset(token)
+
+
+@contextmanager
+def _keeping_connections():
+    connections = _Connections(_KEPT_PAGE_CACHE_KIB)
+    try:
+        with _using(connections):
+            yield
+    finally:
         connections.close()
 
 
@@ -170,8 +188,9 @@ def execute_sql(
     connection that authorizes only reads (a refused statement fails with
     ``not authorized``); long queries are interrupted once *timeout*
     passes, and at most ``MAX_RESULT_ROWS`` rows are fetched. Inside
-    ``evaluate_run`` the connection is the one that call keeps open for the
-    file; anywhere else it is opened for this query and closed after it."""
+    ``evaluate_run`` or a pipeline example the connection is the one kept
+    open for the file; anywhere else it is opened for this query and closed
+    after it."""
     if catalog.source_path is None:
         raise EvaluationError(f"catalog {catalog.db_id} has no SQLite source path")
     connections = _kept.get()

@@ -16,7 +16,15 @@ recorded in ``stage_errors`` and the step falls back. So a failed sub-task only
 disables its own feedback channel, a failed correction keeps the SQL it was
 sent, and the pipeline always emits a final SQL. Rounds never loop backward:
 after a correction the earlier checks are not re-run, and the skeleton check is
-evaluated against the post-entity-correction SQL.
+evaluated against the post-entity-correction SQL. The entity and skeleton
+checks read one analysis of each distinct SQL text.
+
+The execution check runs on read-only connections the pipeline keeps, one per
+database file for each example running at once: a running example holds one
+set, and hands it to the next example when it ends. They have no
+prepared-statement cache, so nothing one example ran is kept for the next.
+``close()`` closes them, and so does the end of ``run()``; the next example
+opens them again.
 """
 
 from __future__ import annotations
@@ -32,11 +40,11 @@ from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import Feedback, compare_entities, compare_skeletons
 from .datasets import Example
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
-from .evaluation import execute_sql
+from .evaluation import _KEPT_PAGE_CACHE_KIB, _Connections, _using, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
-from .sql_analysis import extract_skeleton
+from .sql_analysis import SqlAnalysis, analyze_sql, extract_skeleton
 
 ORACLE_MODES = ("none", "entities", "skeleton", "both")
 
@@ -151,6 +159,9 @@ class MendPipeline:
         self.config = config or PipelineConfig()
         if self.config.shots > 0 and (not pool or index is None):
             raise SqlMendError("few-shot inference requires a demonstration pool and index")
+        # Connection sets no running example holds. ``list.pop`` and
+        # ``append`` are atomic, so two threads never take the same set.
+        self._idle: list[_Connections] = []
 
     # -- stage helpers -----------------------------------------------------
 
@@ -293,14 +304,20 @@ class MendPipeline:
     ) -> str:
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
+        analysis: SqlAnalysis | None = None  # of ``current``, for both checks
 
         if alignment is not None and current:
-            feedback = compare_entities(linked_entities(alignment), current, catalog)
+            analysis = analyze_sql(current)
+            feedback = compare_entities(linked_entities(alignment), analysis, catalog)
             if feedback is not None:
-                current = self._correction_round(example, current, feedback, trace)
+                corrected = self._correction_round(example, current, feedback, trace)
+                if corrected != current:
+                    current, analysis = corrected, None
 
         if parsed_skeleton is not None and current:
-            feedback = compare_skeletons(current, parsed_skeleton)
+            if analysis is None:
+                analysis = analyze_sql(current)
+            feedback = compare_skeletons(analysis, parsed_skeleton)
             if feedback is not None:
                 current = self._correction_round(example, current, feedback, trace)
 
@@ -324,23 +341,41 @@ class MendPipeline:
         if example.db_id not in self.catalogs:
             trace.stage_errors.append((STAGE_GENERATION, f"unknown db_id {example.db_id!r}"))
             return trace
-        # The three sub-task prompts share one ranking of the pool.
-        selected = self.select_demos(example.question)
-        skeleton = self.submit_skeleton(example, selected)
-        trace.initial_sql = self.generate_initial_sql(example, trace, selected)
-        alignment = self.link_entities(example, trace.initial_sql, trace, selected)
-        trace.alignment = alignment
-        parsed = self.parse_question_skeleton(example, trace, skeleton)
-        trace.parsed_skeleton = parsed
-        trace.final_sql = self.correct(example, trace, alignment, parsed)
+        try:
+            connections = self._idle.pop()
+        except IndexError:
+            connections = _Connections(_KEPT_PAGE_CACHE_KIB, cached_statements=0)
+        try:
+            with _using(connections):
+                # The three sub-task prompts share one ranking of the pool.
+                selected = self.select_demos(example.question)
+                skeleton = self.submit_skeleton(example, selected)
+                trace.initial_sql = self.generate_initial_sql(example, trace, selected)
+                alignment = self.link_entities(example, trace.initial_sql, trace, selected)
+                trace.alignment = alignment
+                parsed = self.parse_question_skeleton(example, trace, skeleton)
+                trace.parsed_skeleton = parsed
+                trace.final_sql = self.correct(example, trace, alignment, parsed)
+        finally:
+            self._idle.append(connections)
         return trace
 
     def run(self, examples: list[Example]) -> list[CorrectionTrace]:
-        """Run every example; output order always matches input order."""
-        if self.config.workers <= 1:
-            return [self.run_example(example) for example in examples]
-        with ThreadPoolExecutor(max_workers=self.config.workers) as executor:
-            return list(executor.map(self.run_example, examples))
+        """Run every example; output order always matches input order. The
+        kept connections are closed at the end."""
+        try:
+            if self.config.workers <= 1:
+                return [self.run_example(example) for example in examples]
+            with ThreadPoolExecutor(max_workers=self.config.workers) as executor:
+                return list(executor.map(self.run_example, examples))
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Close the connections kept for the execution check; the next
+        example opens them again. Call it while no example is running."""
+        while self._idle:
+            self._idle.pop().close()
 
 
 def write_traces(traces: list[CorrectionTrace], path: str | Path) -> None:

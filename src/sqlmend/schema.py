@@ -192,6 +192,15 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
             raise MalformedDatasetError(f"entry {index}: missing key {key!r}")
 
     db_id = entry["db_id"]
+    if not isinstance(db_id, str) or not db_id.strip():
+        raise MalformedDatasetError(
+            f"entry {index}: db_id must be a non-blank string, not {db_id!r:.40}"
+        )
+    for key in required[1:]:
+        if not isinstance(entry[key], list):
+            raise MalformedDatasetError(
+                f"entry {index} ({db_id}): {key} must be a list, not {entry[key]!r:.40}"
+            )
     table_names = entry["table_names_original"]
     column_names = entry["column_names_original"]
     column_types = entry["column_types"]
@@ -200,17 +209,24 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
             f"entry {index} ({db_id}): column_types length does not match columns"
         )
 
+    for table_idx, name in enumerate(table_names):
+        if not isinstance(name, str):
+            raise MalformedDatasetError(
+                f"entry {index} ({db_id}): table name {table_idx} must be a string,"
+                f" not {name!r:.40}"
+            )
     tables: list[TableDef] = [TableDef(name=n, columns=[]) for n in table_names]
     # Position of each column in the original (global) index space, so that
     # primary_keys / foreign_keys indices can be resolved.
     column_owner: dict[int, tuple[int, str]] = {}
     for col_idx, pair in enumerate(column_names):
-        try:
-            table_idx, col_name = pair
-        except (TypeError, ValueError):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) is int and isinstance(pair[1], str)):
             raise MalformedDatasetError(
-                f"entry {index} ({db_id}): column entry {col_idx} is not a pair"
-            ) from None
+                f"entry {index} ({db_id}): column entry {col_idx} is not a"
+                " [table index, name] pair"
+            )
+        table_idx, col_name = pair
         if table_idx == -1:
             continue  # the '*' pseudo-column
         if not 0 <= table_idx < len(tables):

@@ -166,21 +166,25 @@ def _scan_number(sql: str, start: int) -> int:
 # --------------------------------------------------------------------------
 
 @dataclass
-class _Analysis:
+class SqlAnalysis:
+    """What one scan of a query's tokens finds; empty, with ``tokenizes``
+    False, for text that does not tokenize."""
+
     skeleton: list[str] = field(default_factory=list)  # "_", "*" or kept text
     from_tables: list[str] = field(default_factory=list)
     aliases: dict[str, str | None] = field(default_factory=dict)
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
     values: list[str] = field(default_factory=list)
     ordered: bool = False  # ORDER then BY outside every parenthesis
+    tokenizes: bool = True
 
 
-def _analyze(tokens: list[SqlToken]) -> _Analysis:
+def _analyze(tokens: list[SqlToken]) -> SqlAnalysis:
     """Single forward scan classifying every token: table references and
     alias declarations in FROM/JOIN clauses, qualified/bare column
     references elsewhere, literals, and syntax to keep. The skeleton is
     written as the scan goes; a dropped token is not appended."""
-    out = _Analysis()
+    out = SqlAnalysis()
     skeleton = out.skeleton
     # Per-paren-depth state of the FROM-clause scanner.
     NONE, EXPECT_TABLE, AFTER_TABLE, AFTER_ALIAS = 0, 1, 2, 3
@@ -292,6 +296,16 @@ def _analyze(tokens: list[SqlToken]) -> _Analysis:
     return out
 
 
+def analyze_sql(sql: str) -> SqlAnalysis:
+    """Analyse a query once, for a caller that reads both its entities
+    (``entities_of``) and its skeleton. Text that does not tokenize gets an
+    empty analysis; empty text raises ``EmptyInputError``."""
+    try:
+        return _analyze(tokenize_sql(sql))
+    except TokenizationError:
+        return SqlAnalysis(tokenizes=False)
+
+
 def extract_entities(sql: str, catalog: SchemaCatalog) -> SqlEntities:
     """Extract the catalog tables, columns, and literal values a query uses.
 
@@ -299,7 +313,11 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> SqlEntities:
     matched against every table in the query's FROM scope; anything that
     matches no catalog entity is silently ignored.
     """
-    analysis = _analyze(tokenize_sql(sql))
+    return entities_of(_analyze(tokenize_sql(sql)), catalog)
+
+
+def entities_of(analysis: SqlAnalysis, catalog: SchemaCatalog) -> SqlEntities:
+    """``extract_entities`` of an analysed query."""
     entities = SqlEntities(values=list(analysis.values))
 
     scope: list = []

@@ -15,7 +15,13 @@ import sqlite3
 from pathlib import Path
 
 from sqlmend.alignment import tokenize_question
-from sqlmend.backends import ModelBackend, ModelRequest, ModelResponse, RecordingBackend, ReplayStore
+from sqlmend.backends import (
+    ModelBackend,
+    ModelRequest,
+    ModelResponse,
+    RecordingBackend,
+    ReplayStore,
+)
 from sqlmend.cli import main
 from sqlmend.datasets import load_alignment_sidecar, load_dataset
 from sqlmend.pipeline import ORACLE_MODES, MendPipeline, PipelineConfig

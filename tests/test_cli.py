@@ -258,6 +258,50 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {traces}: line 2: ")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("db_id", 5, "entry 1: db_id must be a non-blank string, not 5"),
+        ("db_id", "  ", "entry 1: db_id must be a non-blank string, not '  '"),
+        ("db_id", None, "entry 1: db_id must be a non-blank string, not None"),
+        ("table_names_original", None,
+         "entry 1 (market): table_names_original must be a list, not None"),
+        ("column_names_original", {"0": "idx_name"},
+         "entry 1 (market): column_names_original must be a list, not {'0': 'idx_name'}"),
+        ("column_types", "text", "entry 1 (market): column_types must be a list, not 'text'"),
+        ("primary_keys", 0, "entry 1 (market): primary_keys must be a list, not 0"),
+        ("foreign_keys", None, "entry 1 (market): foreign_keys must be a list, not None"),
+        # Names that are not strings used to reach str.lower.
+        ("table_names_original", [5],
+         "entry 1 (market): table name 0 must be a string, not 5"),
+        ("column_names_original", [[-1, "*"], [0, 7], [0, "earnings"], [0, "volume"]],
+         "entry 1 (market): column entry 1 is not a [table index, name] pair"),
+        ("column_names_original", [[-1, "*"], ["0", "idx_name"], [0, "earnings"], [0, "volume"]],
+         "entry 1 (market): column entry 1 is not a [table index, name] pair"),
+    ])
+    def test_tables_json_field_of_the_wrong_type_exits_2_naming_the_entry(
+        self, mini_paths, tmp_path, capsys, key, value, message
+    ):
+        # A null table list used to raise a bare TypeError, and an int db_id
+        # loaded as a catalog keyed by the int.
+        entries = json.loads(mini_paths["tables"].read_text(encoding="utf-8"))
+        entries[1][key] = value
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(entries), encoding="utf-8")
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text(
+            json.dumps({"example_id": "0", "initial_sql": "", "final_sql": ""}) + "\n",
+            encoding="utf-8",
+        )
+        code = main(
+            [
+                "evaluate", str(traces),
+                "--dataset", str(mini_paths["dataset"]),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(tables),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_ids_nonzero(self, mini_paths, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         traces.write_text(

@@ -10,8 +10,8 @@ from sqlmend.comparison import (
     compare_entities,
     compare_skeletons,
 )
-from sqlmend.errors import ContractViolationError
-from sqlmend.sql_analysis import SqlEntities, extract_skeleton
+from sqlmend.errors import ContractViolationError, EmptyInputError
+from sqlmend.sql_analysis import SqlEntities, analyze_sql, extract_skeleton
 
 
 def _linked(tables=(), columns=(), values=()):
@@ -93,6 +93,32 @@ class TestCompareSkeletons:
         forward = compare_skeletons(left, extract_skeleton(right)) is not None
         backward = compare_skeletons(right, extract_skeleton(left)) is not None
         assert forward == backward
+
+
+class TestAnalysedSql:
+    """Each check gives the same feedback for a text and for its analysis,
+    so ``correct`` can analyse a text once for both."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM singer",
+        "SELECT T1.age FROM singer AS T1 WHERE T1.country = 'US'",
+        "SELECT venue FROM concert WHERE year > 5",
+        "@@@@",
+        "SELECT 'unterminated",
+        ";",
+    ])
+    @pytest.mark.parametrize("parsed", ["SELECT _ FROM _", "", "SELECT _ FROM _ WHERE _ > _"])
+    def test_text_and_analysis_give_the_same_feedback(self, catalog, sql, parsed):
+        linked = _linked(tables=["singer", "concert"], columns=["age", "venue"])
+        analysis = analyze_sql(sql)
+        assert compare_entities(linked, analysis, catalog) == compare_entities(linked, sql, catalog)
+        assert compare_skeletons(analysis, parsed) == compare_skeletons(sql, parsed)
+
+    def test_empty_sql_is_still_an_error(self):
+        with pytest.raises(EmptyInputError):
+            analyze_sql("   ")
+        with pytest.raises(EmptyInputError):
+            compare_skeletons("   ", "SELECT _")
 
 
 class TestFeedbackInvariants:

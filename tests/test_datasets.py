@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -62,6 +63,28 @@ def test_load_dataset_optional_fields_may_be_null(tmp_path):
     assert example.gold_sql is None and example.hardness_label is None
 
 
+@pytest.mark.parametrize("example_id", [None, 1.0, [1], {"id": 1}, True])
+def test_load_dataset_rejects_example_ids_of_the_wrong_type(tmp_path, example_id):
+    # null used to load as the id "None", and 1.0 as "1.0".
+    records = [{"question": "q", "db_id": "d"}, {"question": "q", "db_id": "d"}]
+    records[1]["example_id"] = example_id
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(
+        MalformedDatasetError,
+        match="dev.json: entry 1: example_id must be a string or an integer, not ",
+    ):
+        load_dataset(path)
+
+
+def test_load_dataset_integer_example_ids_keep_their_string_form(tmp_path):
+    records = [{"question": "q", "db_id": "d", "example_id": example_id}
+               for example_id in (7, -3, "x", "")]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    assert [e.example_id for e in load_dataset(path)] == ["7", "-3", "x", ""]
+
+
 @pytest.mark.parametrize("ids, message", [
     (["x", "y", "x"], "entries 0 and 2 share example_id 'x'"),
     (["1", None], "entries 0 and 1 share example_id '1'"),  # the index is the default id
@@ -101,3 +124,24 @@ def test_sidecar_bad_json_names_line(tmp_path):
     path.write_text("{broken\n", encoding="utf-8")
     with pytest.raises(MalformedDatasetError, match="line 1"):
         load_alignment_sidecar(path, ["q"])
+
+
+def test_sidecar_shares_equal_entries_across_lines(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    line = [{"token": "singers", "schema": "singer", "type": "tbl"},
+            {"token": "the", "schema": None, "type": None}]
+    path.write_text(f"{json.dumps(line)}\n{json.dumps(line[::-1])}\n", encoding="utf-8")
+    first, second = load_alignment_sidecar(path, ["the singers", "the singers"])
+    assert first.entries[0] is second.entries[1]
+    assert first.entries[1] is second.entries[0]
+    # A second load builds its own entries.
+    again, _ = load_alignment_sidecar(path, ["the singers", "the singers"])
+    assert again.entries[0] == first.entries[0] and again.entries[0] is not first.entries[0]
+
+
+def test_shared_entries_cannot_be_changed(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    path.write_text('[{"token": "a", "schema": null, "type": null}]\n', encoding="utf-8")
+    [alignment] = load_alignment_sidecar(path, ["a"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alignment.entries[0].schema_entity = "singer"

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import sqlite3
 import sys
 import threading
 
 import pytest
 
 import sqlmend.pipeline
+from sqlmend import evaluation
 from sqlmend.backends import (
     ModelBackend,
     ModelResponse,
@@ -25,10 +28,11 @@ from sqlmend.pipeline import (
     read_traces,
     write_traces,
 )
+from sqlmend.cli import main
 from sqlmend.sql_analysis import extract_skeleton
 
 from conftest import CountingBackend
-from support.mini import EXAMPLES, ScriptedBackend
+from support.mini import EXAMPLES, ScriptedBackend, run_args
 
 ROUND_ORDER = ["missing_entities", "skeleton_mismatch", "execution_error"]
 
@@ -386,6 +390,140 @@ class TestCorrectionFailures:
         with pytest.raises(FixtureMissingError) as excinfo:
             pipeline.run_example(mini_env.examples[0])
         assert excinfo.value.prompt_sha256 == dropped[0]
+
+
+class _SameSql(ModelBackend):
+    """Answers every prompt with ``sql``, fenced."""
+
+    backend_id = "same-sql"
+
+    def __init__(self, sql: str):
+        self.sql = sql
+
+    def complete(self, request):
+        return ModelResponse(text=f"```sql\n{self.sql}\n```", backend_id=self.backend_id)
+
+
+class TestKeptConnections:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_closes_every_connection_it_opened(
+        self, mini_paths, replay_store_path, tmp_path, monkeypatch, workers
+    ):
+        # Python 3.11 warns about no unclosed sqlite3 connection, so each one
+        # is tracked from where it is opened.
+        opened = []
+        connect = sqlite3.connect
+
+        def tracked(*args, **kwargs):
+            opened.append((connect(*args, **kwargs), kwargs))
+            return opened[-1][0]
+
+        monkeypatch.setattr(evaluation.sqlite3, "connect", tracked)
+        output = tmp_path / "out"
+        assert main(run_args(mini_paths, replay_store_path, output, "--workers", str(workers))) == 0
+        # Ten examples on two database files: a connection per file and
+        # running example, not per query, and none caches statements.
+        assert 2 <= len(opened) <= 2 * workers
+        assert all(kwargs["cached_statements"] == 0 for _, kwargs in opened)
+        for conn, _ in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.total_changes
+
+    def test_threads_never_hold_one_connection_set_at_once(self, mini_env, monkeypatch):
+        # Stand-in sets that run no SQLite: two threads on one real
+        # connection can deadlock the interpreter instead of failing.
+        class Recorded:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def execute(self, sql, path, timeout):
+                return evaluation.ExecutionResult(status="ok", rows=[])
+
+            def close(self):
+                pass
+
+        lock = threading.Lock()
+        held: set = set()
+        overlaps: list = []
+        using = sqlmend.pipeline._using
+
+        @contextlib.contextmanager
+        def exclusive(connections):
+            with lock:
+                if connections in held:
+                    overlaps.append(connections)
+                held.add(connections)
+            try:
+                with using(connections):
+                    yield
+            finally:
+                with lock:
+                    held.discard(connections)
+
+        monkeypatch.setattr(sqlmend.pipeline, "_Connections", Recorded)
+        monkeypatch.setattr(sqlmend.pipeline, "_using", exclusive)
+        pipeline = mini_env.pipeline(_SameSql("SELECT name FROM singer"), shots=0)
+        examples = mini_env.examples
+        expected = [pipeline.run_example(e).to_dict() for e in examples]
+        threads_count, rounds = 8, 5
+        mismatches: list = []
+
+        def client(offset):
+            for i in range(rounds * len(examples)):
+                k = (i + offset) % len(examples)
+                if pipeline.run_example(examples[k]).to_dict() != expected[k]:
+                    mismatches.append(examples[k].example_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlaps == [] and mismatches == []
+        assert 1 <= len(pipeline._idle) <= threads_count
+        pipeline.close()
+        assert pipeline._idle == []
+
+    def test_run_example_reopens_after_close(self, mini_env):
+        pipeline = mini_env.pipeline(_SameSql("SELECT name FROM singer"), shots=0)
+        example = next(e for e in mini_env.examples if e.db_id == "talent_show")
+        first = pipeline.run_example(example)
+        pipeline.close()
+        assert pipeline.run_example(example).to_dict() == first.to_dict()
+        pipeline.close()
+
+    @pytest.mark.parametrize("hostile, probe, expected", [
+        ("ATTACH DATABASE '{side}' AS side", "SELECT count(*) FROM side.sqlite_master",
+         "no such table: side.sqlite_master"),
+        ("CREATE TEMP TABLE leak AS SELECT 1 AS x", "SELECT x FROM leak", "no such table: leak"),
+        ("PRAGMA case_sensitive_like = ON", "SELECT 'a' LIKE 'A'", [(1,)]),
+    ])
+    def test_refused_statement_leaves_no_file_and_no_state(
+        self, mini_env, tmp_path, hostile, probe, expected
+    ):
+        side = tmp_path / "side.sqlite"
+        pipeline = mini_env.pipeline(_SameSql(hostile.format(side=side)), shots=0)
+        example = next(e for e in mini_env.examples if e.db_id == "talent_show")
+        trace = pipeline.run_example(example)
+        execution = [r.feedback for r in trace.rounds if r.feedback.kind == "execution_error"]
+        assert execution and execution[0].error_message == "not authorized"
+        assert not side.exists()
+        # The connection the next example gets is the one that refused it.
+        [connections] = pipeline._idle
+        path = mini_env.catalogs["talent_show"].source_path
+        assert path in connections._open
+        result = connections.execute(probe, path, timeout=5.0)
+        if isinstance(expected, str):
+            assert (result.status, result.error_message) == ("engine_error", expected)
+        else:
+            assert result.rows == expected
+        pipeline.close()
 
 
 class TestConfig:

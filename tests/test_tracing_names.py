@@ -1,18 +1,25 @@
-"""Every name the benchmark's tracer wraps must exist in the package.
+"""Every name the benchmark's tracer wraps must exist in the package, and
+the layers a run goes through must still call it by that name.
 
 ``perfbench/tracing.py`` patches functions and stage methods by name, and a
 name the program no longer has crashes the benchmark's traced pass. This
 test reads the tracer's tables from its source, without importing or
-running the benchmark, so a dropped name fails here first.
+running the benchmark, so a dropped name fails here first. A layer that
+stops calling a wrapped function through a module name would instead read
+as never called, so a mini replay run checks the layers that call it.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from sqlmend.backends import ReplayBackend, ReplayStore
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,3 +51,32 @@ def test_traced_function_exists(span, module, attribute):
 def test_traced_method_exists(span, module, class_name, method):
     owner = getattr(importlib.import_module(module), class_name, None)
     assert callable(getattr(owner, method, None)), span
+
+
+def _count_calls(monkeypatch, span: str) -> list:
+    """Wrap the function the tracer names *span* the way the tracer does,
+    in every module namespace that holds it; returns the list each call
+    appends to."""
+    [(module, attribute)] = [row[1:] for row in _table("FUNCTIONS") if row[0] == span]
+    original = getattr(importlib.import_module(module), attribute)
+    calls: list = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for held_in in [m for m in sys.modules.values() if isinstance(m, types.ModuleType)]:
+        for name, value in list(vars(held_in).items()):
+            if value is original:
+                monkeypatch.setattr(held_in, name, wrapper)
+    return calls
+
+
+def test_replay_run_reaches_the_traced_layers(mini_env, replay_store_path, monkeypatch):
+    executions = _count_calls(monkeypatch, "evaluation.execute_sql")
+    linkings = _count_calls(monkeypatch, "alignment.parse_alignment")
+    mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path))).run(mini_env.examples)
+    # Every example's database has a file, so each runs the execution check;
+    # each of the ten linking answers is decoded.
+    assert len(executions) >= 10
+    assert len(linkings) == len(mini_env.examples) == 10
