@@ -158,8 +158,10 @@ _WS = r"[ \t\n\r]*"
 _STRING = r"""(?:'[^'\\\x00-\x1f\ud800-\udfff]*'|"[^"\\\x00-\x1f\ud800-\udfff]*")"""
 _VALUE = rf"(?:{_STRING}|None|True|False|null|true|false|-?(?:0|[1-9][0-9]{{0,17}}))"
 _PAIR = rf"{_STRING}{_WS}:{_WS}{_VALUE}"
-_DICT = rf"\{{{_WS}(?:{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS})?\}}"
-_RECORDS = re.compile(rf"\[{_WS}(?:{_DICT}(?:{_WS},{_WS}{_DICT})*{_WS})?\]")
+# Each item is followed by a comma and the next item, or by the closing
+# bracket: so no trailing comma, with each item written once in the pattern.
+_DICT = rf"\{{{_WS}(?:{_PAIR}{_WS}(?:,{_WS}(?=['\"])|(?=\}})))*\}}"
+_RECORDS = re.compile(rf"\[{_WS}(?:{_DICT}{_WS}(?:,{_WS}(?=\{{)|(?=\])))*\]")
 _RECORD_PARTS = re.compile(rf"(\{{)|({_STRING}){_WS}:{_WS}({_VALUE})")
 # Constant -> (value, spelling): Python's names fail json.loads, JSON's fail
 # ast.literal_eval.
