@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import AlignmentParseError, EmptyInputError, ScoringError
+from .errors import AlignmentParseError, EmptyInputError, MalformedDatasetError, ScoringError
 from .sql_analysis import SqlEntities
 
 _EDGE_PUNCTUATION = set(",.?!;:\"'")
@@ -48,11 +48,16 @@ class Alignment:
 
     @classmethod
     def from_records(
-        cls, records: list[dict], question: str, shared: dict | None = None
+        cls, records: list[dict], question: str, shared: dict | None = None,
+        strict: bool = False,
     ) -> "Alignment":
         """The alignment *records* describe. Entries equal to one already in
-        *shared*, a table the caller keeps across calls, are that entry."""
-        entries, repairs = _entries_from_records(records, {} if shared is None else shared)
+        *shared*, a table the caller keeps across calls, are that entry.
+        *strict* refuses what would otherwise be repaired (see
+        ``_entries_from_records``)."""
+        entries, repairs = _entries_from_records(
+            records, {} if shared is None else shared, strict
+        )
         return cls(entries=entries, question=question, repairs=repairs)
 
 
@@ -112,31 +117,50 @@ def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
 
 
 def _entries_from_records(
-    records: list, shared: dict[tuple, AlignmentEntry]
+    records: list, shared: dict[tuple, AlignmentEntry], strict: bool = False
 ) -> tuple[list[AlignmentEntry], int]:
+    """The entries of *records* and the number of repairs made to them.
+    With *strict*, as for gold data, a record that would be repaired, or
+    whose token or schema is not a string, raises ``MalformedDatasetError``
+    naming its position instead."""
     entries: list[AlignmentEntry] = []
     repairs = 0
-    for record in records:
+
+    def repair(position: int, fault: str) -> int:
+        if strict:
+            raise MalformedDatasetError(f"record {position}: {fault}")
+        return 1
+
+    for position, record in enumerate(records):
         if not isinstance(record, dict):
-            repairs += 1
+            repairs += repair(position, f"not an object: {record!r:.40}")
             continue
         token = record.get("token")
-        if token is None or str(token) == "":
-            repairs += 1
+        if token is None or str(token) == "" or strict and not (
+            isinstance(token, str) and token.strip()
+        ):
+            repairs += repair(position, f"token must be a non-blank string, not {token!r:.40}")
             continue
         schema_entity = record.get("schema")
-        entity_type = record.get("type")
+        raw_type = record.get("type")
+        if strict and not isinstance(schema_entity, str | None):
+            raise MalformedDatasetError(
+                f"record {position}: schema must be a string or null, not {schema_entity!r:.40}"
+            )
         if schema_entity is not None:
             schema_entity = sys.intern(str(schema_entity))
-        if entity_type is not None:
-            entity_type = _TYPE_SYNONYMS.get(str(entity_type).strip().lower())
-        if (schema_entity is None) != (entity_type is None) or (
-            entity_type is None and record.get("type") is not None
-        ):
+        entity_type = fault = None
+        if raw_type is not None:
+            entity_type = _TYPE_SYNONYMS.get(str(raw_type).strip().lower())
+            if entity_type is None:
+                fault = f"unknown type {raw_type!r:.40}"
+        if fault is None and (schema_entity is None) != (entity_type is None):
+            fault = (f"schema {schema_entity!r:.40} and type {raw_type!r:.40}"
+                     " must both be set or both be null")
+        if fault:
             # One-sided link or unrecognized type: unlink and flag.
-            schema_entity = None
-            entity_type = None
-            repairs += 1
+            repairs += repair(position, fault)
+            schema_entity = entity_type = None
         # Interned and shared: a pool's alignments repeat the same tokens and
         # names, and the same entries.
         key = (sys.intern(str(token)), schema_entity, entity_type)

@@ -11,6 +11,10 @@ one request while it works on another. Replay answers in the calling thread;
 the two backends that wait on a live model, ``HttpBackend`` and
 ``RecordingBackend``, answer on a thread pool whose threads start on first
 use.
+
+``requests`` is imported by ``HttpBackend`` alone, when one is built, so
+that replaying, recording with an offline model and evaluating never load
+the HTTP client.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailableError, FixtureMissingError, SqlMendError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +113,8 @@ class HttpBackend(ModelBackend):
     ``max_in_flight`` caps the requests in flight, submitted or not."""
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self.backend_id = f"http:{config.model}"
         self._session = session or requests.Session()
@@ -114,6 +122,8 @@ class HttpBackend(ModelBackend):
         self._pool = ThreadPoolExecutor(config.max_in_flight, thread_name_prefix="sqlmend-http")
 
     def complete(self, request: ModelRequest) -> ModelResponse:
+        import requests  # loaded by __init__: a lookup in sys.modules
+
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -163,14 +173,29 @@ class HttpBackend(ModelBackend):
         )
 
 
+def _record_problem(record: object) -> str | None:
+    """What makes a decoded store line not a replay record, or None."""
+    if not isinstance(record, dict):
+        return f"expected a JSON object, not {record!r:.40}"
+    for key in ("prompt_sha256", "response_text"):
+        if not isinstance(record.get(key), str):
+            return f"{key} must be a string, not {record.get(key)!r:.40}"
+    backend_id = record.get("backend_id")
+    if not isinstance(backend_id, str | None):
+        return f"backend_id must be a string or null, not {backend_id!r:.40}"
+    return None
+
+
 class ReplayStore:
     """JSON-lines store of {prompt_sha256, prompt_text, response_text,
     backend_id} records, keyed by prompt hash. Append-only while recording.
 
-    A last line with no newline after it that does not parse is a write cut
+    A last line with no newline after it that is not JSON is a write cut
     short, as a killed recording leaves: it is skipped with a warning and
-    cut off before the next append. Any other line that does not parse
-    raises ``SqlMendError``.
+    cut off before the next append. Any other line that is not JSON, and
+    any line whose ``prompt_sha256`` or ``response_text`` is not a string or
+    whose ``backend_id`` is neither a string nor absent or null, raises
+    ``SqlMendError`` naming it.
 
     Only what ``get`` answers is held in memory: the response text and the
     backend id of each hash, not the prompt text."""
@@ -194,10 +219,7 @@ class ReplayStore:
                     continue
                 try:
                     record = json.loads(line)
-                    self._records[record["prompt_sha256"]] = (
-                        record["response_text"], record.get("backend_id")
-                    )
-                except (ValueError, KeyError, TypeError) as exc:
+                except ValueError as exc:
                     if line.endswith(b"\n"):
                         raise SqlMendError(
                             f"{self.path}: line {number} is not a replay record: {exc}"
@@ -207,6 +229,15 @@ class ReplayStore:
                         self.path, len(line),
                     )
                     self._torn_at = start
+                    continue
+                problem = _record_problem(record)
+                if problem:
+                    raise SqlMendError(
+                        f"{self.path}: line {number} is not a replay record: {problem}"
+                    )
+                self._records[record["prompt_sha256"]] = (
+                    record["response_text"], record.get("backend_id")
+                )
         self._unterminated = not last.endswith(b"\n") and self._torn_at is None
 
     def __len__(self) -> int:

@@ -86,7 +86,11 @@ def load_dataset(path: str | Path) -> list[Example]:
 
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
     """Attach sidecar line *i* to question *i*; blank lines mean no gold.
-    Equal entries of different lines are one ``AlignmentEntry``."""
+    Equal entries of different lines are one ``AlignmentEntry``. Gold data
+    is not repaired: a record that is not an object, has no non-blank string
+    token, a schema that is not a string, an unknown type or a link with
+    only one of schema and type is a ``MalformedDatasetError`` naming the
+    file and line."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) > len(questions):
@@ -106,5 +110,10 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
             raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
         if not isinstance(records, list):
             raise MalformedDatasetError(f"{path}: line {index + 1}: expected a list")
-        alignments.append(Alignment.from_records(records, question=question, shared=shared))
+        try:
+            alignments.append(
+                Alignment.from_records(records, question=question, shared=shared, strict=True)
+            )
+        except MalformedDatasetError as exc:
+            raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
     return alignments

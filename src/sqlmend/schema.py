@@ -172,7 +172,10 @@ def load_tables_json(path: str | Path) -> list[SchemaCatalog]:
 
     catalogs = []
     for index, entry in enumerate(raw):
-        catalogs.append(_catalog_from_entry(entry, index))
+        try:
+            catalogs.append(_catalog_from_entry(entry, index))
+        except (MalformedDatasetError, SchemaIntegrityError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return catalogs
 
 
@@ -209,12 +212,13 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
             f"entry {index} ({db_id}): column_types length does not match columns"
         )
 
-    for table_idx, name in enumerate(table_names):
-        if not isinstance(name, str):
-            raise MalformedDatasetError(
-                f"entry {index} ({db_id}): table name {table_idx} must be a string,"
-                f" not {name!r:.40}"
-            )
+    for what, names in (("table name", table_names), ("column type", column_types)):
+        for position, name in enumerate(names):
+            if not isinstance(name, str):
+                raise MalformedDatasetError(
+                    f"entry {index} ({db_id}): {what} {position} must be a string,"
+                    f" not {name!r:.40}"
+                )
     tables: list[TableDef] = [TableDef(name=n, columns=[]) for n in table_names]
     # Position of each column in the original (global) index space, so that
     # primary_keys / foreign_keys indices can be resolved.
@@ -235,12 +239,12 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
                 f"index {table_idx} out of range"
             )
         tables[table_idx].columns.append(
-            ColumnDef(name=col_name, data_type=str(column_types[col_idx]))
+            ColumnDef(name=col_name, data_type=column_types[col_idx])
         )
         column_owner[col_idx] = (table_idx, col_name)
 
     def resolve(col_idx: object, what: str) -> tuple[int, str]:
-        if not isinstance(col_idx, int) or col_idx not in column_owner:
+        if type(col_idx) is not int or col_idx not in column_owner:
             raise SchemaIntegrityError(
                 f"entry {index} ({db_id}): {what} column index {col_idx!r} "
                 "does not name a real column"

@@ -85,6 +85,36 @@ class TestReplayStore:
         with pytest.raises(SqlMendError, match="line 1"):
             ReplayStore(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"prompt_sha256": "ab", "response_text": 5}, "response_text must be a string, not 5"),
+        ({"prompt_sha256": "ab", "response_text": None},
+         "response_text must be a string, not None"),
+        ({"prompt_sha256": ["ab"], "response_text": "r"},
+         "prompt_sha256 must be a string, not ['ab']"),
+        ({"response_text": "r"}, "prompt_sha256 must be a string, not None"),
+        ({"prompt_sha256": "ab", "response_text": "r", "backend_id": {}},
+         "backend_id must be a string or null, not {}"),
+        (["ab", "r"], "expected a JSON object, not ['ab', 'r']"),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", ""])
+    def test_field_of_the_wrong_type_raises_naming_the_line(
+        self, tmp_path, record, message, newline
+    ):
+        # A whole last line without a newline is not torn: it raises too.
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        path.write_bytes(path.read_bytes() + (json.dumps(record) + newline).encode())
+        with pytest.raises(SqlMendError) as raised:
+            ReplayStore(path)
+        assert str(raised.value) == f"{path}: line 2 is not a replay record: {message}"
+
+    def test_null_backend_id_is_none(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        record = {"prompt_sha256": prompt_sha256("p"), "response_text": "r", "backend_id": None}
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert ReplayStore(path).get(prompt_sha256("p")) == {"response_text": "r",
+                                                            "backend_id": None}
+
     def test_loaded_store_holds_no_prompt_text(self, tmp_path):
         path = tmp_path / "store.jsonl"
         prompts = [f"{i} " + "p" * 500_000 for i in range(2)]

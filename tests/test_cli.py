@@ -59,6 +59,26 @@ class TestRun:
         assert main(_run_args(mini_paths, store, tmp_path / "out")) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("response_text", 5), ("response_text", ["x"]), ("response_text", None),
+        ("prompt_sha256", 5), ("backend_id", 5),
+    ])
+    def test_store_field_of_the_wrong_type_exits_2_naming_the_line(
+        self, mini_paths, replay_store_path, tmp_path, capsys, key, value
+    ):
+        # An int response text used to end in an AttributeError traceback,
+        # and a null one in "fixture missing" for a recorded hash.
+        lines = replay_store_path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record[key] = value
+        lines[1] = json.dumps(record)
+        store = tmp_path / "store.jsonl"
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(_run_args(mini_paths, store, tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {store}: line 2 is not a replay record: {key} must be "
+        )
+
     def test_bad_dataset_path_nonzero(self, mini_paths, replay_store_path, tmp_path, capsys):
         args = _run_args(mini_paths, replay_store_path, tmp_path / "out")
         args[args.index("--dataset") + 1] = str(tmp_path / "missing.json")
@@ -300,7 +320,7 @@ class TestEvaluate:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tables}: {message}\n"
 
     def test_unknown_ids_nonzero(self, mini_paths, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"

@@ -145,3 +145,40 @@ def test_shared_entries_cannot_be_changed(tmp_path):
     [alignment] = load_alignment_sidecar(path, ["a"])
     with pytest.raises(dataclasses.FrozenInstanceError):
         alignment.entries[0].schema_entity = "singer"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("singers", "record 1: not an object: 'singers'"),
+    ({"schema": None, "type": None}, "record 1: token must be a non-blank string, not None"),
+    ({"token": " ", "schema": None, "type": None},
+     "record 1: token must be a non-blank string, not ' '"),
+    ({"token": 5, "schema": None, "type": None},
+     "record 1: token must be a non-blank string, not 5"),
+    ({"token": "singers", "schema": 5, "type": "tbl"},
+     "record 1: schema must be a string or null, not 5"),
+    ({"token": "singers", "schema": "singer", "type": "table"},
+     "record 1: unknown type 'table'"),
+    ({"token": "singers", "schema": None, "type": 3}, "record 1: unknown type 3"),
+    ({"token": "singers", "schema": "singer", "type": None},
+     "record 1: schema 'singer' and type None must both be set or both be null"),
+    ({"token": "singers", "schema": None, "type": "tbl"},
+     "record 1: schema None and type 'tbl' must both be set or both be null"),
+])
+def test_sidecar_record_that_would_be_repaired_names_file_and_line(tmp_path, record, message):
+    # These used to load silently, only counted in Alignment.repairs.
+    path = tmp_path / "alignments.jsonl"
+    line = [{"token": "the", "schema": None, "type": None}, record]
+    path.write_text(f"[]\n{json.dumps(line)}\n", encoding="utf-8")
+    with pytest.raises(MalformedDatasetError) as raised:
+        load_alignment_sidecar(path, ["the singers", "the singers"])
+    assert str(raised.value) == f"{path}: line 2: {message}"
+
+
+def test_sidecar_keeps_tab_as_tbl_and_loads_without_repairs(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    line = [{"token": "the", "schema": None, "type": None},
+            {"token": "singers", "schema": "singer", "type": "tab"}]
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    [alignment] = load_alignment_sidecar(path, ["the singers"])
+    assert alignment.entries[1].entity_type == "tbl"
+    assert alignment.repairs == 0

@@ -69,6 +69,36 @@ class TestLoadTablesJson:
         with pytest.raises(MalformedDatasetError, match="entry 0"):
             load_tables_json(path)
 
+    def test_errors_start_with_the_path(self, tmp_path):
+        entry = {
+            "db_id": "bad",
+            "table_names_original": ["t"],
+            "column_names_original": [[-1, "*"], [0, "a"]],
+            "column_types": ["text", "integer"],
+            "primary_keys": [],
+            "foreign_keys": [[1, 5]],
+        }
+        path = _write_tables(tmp_path, [entry])
+        with pytest.raises(SchemaIntegrityError) as raised:
+            load_tables_json(path)
+        assert str(raised.value).startswith(f"{path}: entry 0 (bad): foreign key column index 5")
+        path = _write_tables(tmp_path, [{**entry, "foreign_keys": [], "column_types": ["text", 5]}])
+        with pytest.raises(MalformedDatasetError) as raised:
+            load_tables_json(path)
+        assert str(raised.value) == f"{path}: entry 0 (bad): column type 1 must be a string, not 5"
+
+    def test_boolean_primary_key_index_rejected(self, tmp_path):
+        path = _write_tables(tmp_path, [{
+            "db_id": "bad",
+            "table_names_original": ["t"],
+            "column_names_original": [[-1, "*"], [0, "a"]],
+            "column_types": ["text", "integer"],
+            "primary_keys": [True],
+            "foreign_keys": [],
+        }])
+        with pytest.raises(SchemaIntegrityError, match="primary key column index True"):
+            load_tables_json(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "tables.json"
         path.write_text("nope[", encoding="utf-8")
