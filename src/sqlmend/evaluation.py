@@ -6,24 +6,27 @@ Result comparison follows the usual Spider conventions: column order is
 significant, rows compare as ordered sequences only when the gold query has
 a top-level ORDER BY (multisets otherwise), numbers match within an absolute
 tolerance of 1e-6, strings exactly, and NULL only equals NULL.
+
+Each scored trace becomes one ``EvalRecord`` holding every fact the report
+summarises, and each report field is a fold over those records. The gold
+query and each distinct predicted text of a trace are analysed at most once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sqlite3
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .alignment import Alignment, score_alignment
+from .alignment import Alignment, LinkingScore, score_alignment
 from .datasets import Example
 from .errors import EvaluationError, SqlMendError
 from .schema import SchemaCatalog
-from .sql_analysis import extract_entities, extract_skeleton, is_ordered
+from .sql_analysis import SqlAnalysis, _analyze, entities_of, tokenize_sql
 
 DEFAULT_TIMEOUT = 30.0
 # A result with more rows fails with ``too_many_rows``, so a runaway join
@@ -173,12 +176,8 @@ def _using(connections: _Connections):
 
 @contextmanager
 def _keeping_connections():
-    connections = _Connections(_KEPT_PAGE_CACHE_KIB)
-    try:
-        with _using(connections):
-            yield
-    finally:
-        connections.close()
+    with closing(_Connections(_KEPT_PAGE_CACHE_KIB)) as connections, _using(connections):
+        yield
 
 
 def execute_sql(
@@ -196,11 +195,8 @@ def execute_sql(
     connections = _kept.get()
     if connections is not None:
         return connections.execute(sql, catalog.source_path, timeout)
-    connections = _Connections()
-    try:
+    with closing(_Connections()) as connections:
         return connections.execute(sql, catalog.source_path, timeout)
-    finally:
-        connections.close()
 
 
 def _cells_equal(a, b) -> bool:
@@ -251,10 +247,22 @@ def _exact_cells(rows: list[tuple]) -> bool:
     return True
 
 
+def _analysed(sql: str | SqlAnalysis) -> SqlAnalysis:
+    """*sql* if it is an analysis, else the analysis of the text; an empty
+    one, with ``tokenizes`` False, for text whose analysis raises anything."""
+    if isinstance(sql, SqlAnalysis):
+        return sql
+    try:
+        return _analyze(tokenize_sql(sql))
+    except Exception:
+        return SqlAnalysis(tokenizes=False)
+
+
 def results_match(
-    predicted: ExecutionResult, gold: ExecutionResult, gold_sql: str
+    predicted: ExecutionResult, gold: ExecutionResult, gold_sql: str | SqlAnalysis
 ) -> bool:
-    """Execution-accuracy verdict for one example."""
+    """Execution-accuracy verdict for one example; the gold query is its
+    text or its analysis."""
     if not predicted.ok or not gold.ok:
         return False
     left = predicted.rows or []
@@ -263,41 +271,35 @@ def results_match(
         return False
     if left == right and _exact_cells(left) and _exact_cells(right):
         return True
-    if not is_ordered(gold_sql):
+    if not _analysed(gold_sql).ordered:
         left = sorted(left, key=_sort_key)
         right = sorted(right, key=_sort_key)
     return all(_rows_equal(a, b) for a, b in zip(left, right))
 
 
-def _same_skeleton(sql: str, gold_skeleton: str) -> bool:
-    """Whether ``sql`` masks to ``gold_skeleton``; False for text that does
-    not tokenize."""
-    try:
-        return extract_skeleton(sql) == gold_skeleton
-    except Exception:
-        return False
-
-
 def classify_errors(
-    predicted_sql: str,
-    gold_sql: str,
+    predicted_sql: str | SqlAnalysis,
+    gold_sql: str | SqlAnalysis,
     catalog: SchemaCatalog,
     gold_skeleton: str,
     predicted_execution: ExecutionResult,
 ) -> set[str]:
-    """Error categories for a non-matching prediction; an untokenizable
-    prediction lands in all four."""
-    gold_entities = extract_entities(gold_sql, catalog)  # errors propagate
-    try:
-        predicted_entities = extract_entities(predicted_sql, catalog)
-    except Exception:
+    """Error categories for a non-matching prediction; each query is its
+    text or its analysis. A prediction that does not tokenize lands in all
+    four."""
+    if not isinstance(gold_sql, SqlAnalysis):
+        gold_sql = _analyze(tokenize_sql(gold_sql))  # errors propagate
+    predicted = _analysed(predicted_sql)
+    if not predicted.tokenizes:
         return set(ERROR_CATEGORIES)
+    gold_entities = entities_of(gold_sql, catalog)
+    predicted_entities = entities_of(predicted, catalog)
     categories: set[str] = set()
     if not gold_entities.tables <= predicted_entities.tables:
         categories.add(TABLE_ERROR)
     if not gold_entities.columns <= predicted_entities.columns:
         categories.add(COLUMN_ERROR)
-    if not _same_skeleton(predicted_sql, gold_skeleton):
+    if " ".join(predicted.skeleton) != gold_skeleton:
         categories.add(SKELETON_ERROR)
     if not predicted_execution.ok:
         categories.add(EXECUTION_ERROR)
@@ -306,6 +308,8 @@ def classify_errors(
 
 @dataclass
 class EvalRecord:
+    """One example's verdicts and the facts the report summarises."""
+
     example_id: str
     predicted_sql: str
     gold_sql: str
@@ -313,6 +317,10 @@ class EvalRecord:
     ex_match_initial: bool
     error_categories: set[str] = field(default_factory=set)
     error_categories_initial: set[str] = field(default_factory=set)
+    hardness: str | None = None
+    skeleton_hit: bool = False  # the initial SQL's skeleton is the gold's
+    parsed_skeleton_hit: bool | None = None  # None: the trace parsed no skeleton
+    linking: LinkingScore | None = None  # None: no predicted or no gold alignment
 
 
 @dataclass
@@ -331,11 +339,7 @@ class Report:
 
     def to_dict(self) -> dict:
         """Every field except the per-example ``records``."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "records"
-        }
+        return {name: value for name, value in vars(self).items() if name != "records"}
 
 
 def evaluate_run(
@@ -343,9 +347,9 @@ def evaluate_run(
     dataset: list[Example],
     catalogs: dict[str, SchemaCatalog],
 ) -> Report:
-    """Score a trace file against its dataset: EX over the final SQL, EX over
-    the initial SQL (the no-correction baseline), skeleton accuracy, and the
-    error histogram before and after correction."""
+    """Score a trace file against its dataset: one ``EvalRecord`` per trace
+    whose gold query runs and tokenizes, the rest listed in ``invalid_gold``;
+    ``_report`` folds them into every report field."""
     by_id = {example.example_id: example for example in dataset}
     unknown = [t.get("example_id") for t in traces if t.get("example_id") not in by_id]
     if unknown:
@@ -353,107 +357,105 @@ def evaluate_run(
 
     records: list[EvalRecord] = []
     invalid_gold: list[str] = []
-    skeleton_hits = 0
-    parsed_total = 0
-    parsed_hits = 0
-    histogram = {
-        stage: dict.fromkeys(ERROR_CATEGORIES, 0) for stage in ("initial", "final")
-    }
-    macro_scores: list = []
-    hardness: dict[str, dict] = {}
-
     with _keeping_connections():
         for trace in traces:
             example = by_id[trace["example_id"]]
-            if not example.gold_sql:
+            gold_sql = example.gold_sql
+            if not gold_sql:
                 invalid_gold.append(example.example_id)
                 continue
             catalog = catalogs.get(example.db_id)
             if catalog is None:
                 raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
-            gold_result = execute_sql(example.gold_sql, catalog)
+            gold_result = execute_sql(gold_sql, catalog)
             try:
-                gold_skeleton = extract_skeleton(example.gold_sql) if gold_result.ok else None
+                gold = _analyze(tokenize_sql(gold_sql)) if gold_result.ok else None
             except SqlMendError:
-                gold_skeleton = None  # SQLite runs it, but the tokenizer rejects it
-            if gold_skeleton is None:
+                gold = None  # SQLite runs it, but the tokenizer rejects it
+            if gold is None:
                 invalid_gold.append(example.example_id)
                 continue
-
+            gold_skeleton = " ".join(gold.skeleton)
             initial_sql = trace.get("initial_sql") or ""
             final_sql = trace.get("final_sql") or ""
+            initial = gold if initial_sql == gold_sql else _analysed(initial_sql)
             # (ex_match, error_categories) of each distinct text: a trace with no
             # rounds has final == initial, and the text is scored once. Verdicts
-            # are not kept across traces; a text equal to the gold reuses its rows.
+            # are not kept across traces; a text equal to the gold reuses its rows
+            # and its analysis. The final text is analysed only to classify a miss.
             verdicts: dict[str, tuple[bool, set[str]]] = {}
-            for stage, text in (("initial", initial_sql), ("final", final_sql)):
+            for text in (initial_sql, final_sql):
                 if text not in verdicts:
-                    result = (gold_result if text == example.gold_sql
+                    result = (gold_result if text == gold_sql
                               else execute_sql(text, catalog))
-                    if results_match(result, gold_result, example.gold_sql):
+                    if results_match(result, gold_result, gold):
                         verdicts[text] = (True, set())
                     else:
+                        analysis = (initial if text == initial_sql
+                                    else gold if text == gold_sql else _analysed(text))
                         verdicts[text] = (False, classify_errors(
-                            text, example.gold_sql, catalog, gold_skeleton,
-                            predicted_execution=result,
+                            analysis, gold, catalog, gold_skeleton, predicted_execution=result,
                         ))
-                for category in verdicts[text][1]:
-                    histogram[stage][category] += 1
-            ex_initial, categories_initial = verdicts[initial_sql]
-            ex_final, categories_final = verdicts[final_sql]
-            records.append(EvalRecord(
-                example_id=example.example_id,
-                predicted_sql=final_sql,
-                gold_sql=example.gold_sql,
-                ex_match=ex_final,
-                ex_match_initial=ex_initial,
-                error_categories=categories_final,
-                error_categories_initial=categories_initial,
-            ))
-
-            skeleton_hits += _same_skeleton(initial_sql, gold_skeleton)
             parsed = trace.get("parsed_skeleton")
-            if parsed is not None:
-                parsed_total += 1
-                parsed_hits += parsed == gold_skeleton
-
+            linking = None
             if example.gold_alignment is not None and trace.get("alignment") is not None:
                 predicted_alignment = Alignment.from_records(
                     trace["alignment"], question=example.gold_alignment.question
                 )
-                macro_scores.append(score_alignment(predicted_alignment, example.gold_alignment))
+                linking = score_alignment(predicted_alignment, example.gold_alignment)
+            records.append(EvalRecord(
+                example_id=example.example_id,
+                predicted_sql=final_sql,
+                gold_sql=gold_sql,
+                ex_match=verdicts[final_sql][0],
+                ex_match_initial=verdicts[initial_sql][0],
+                error_categories=verdicts[final_sql][1],
+                error_categories_initial=verdicts[initial_sql][1],
+                hardness=example.hardness_label,
+                skeleton_hit=initial.tokenizes and " ".join(initial.skeleton) == gold_skeleton,
+                parsed_skeleton_hit=None if parsed is None else parsed == gold_skeleton,
+                linking=linking,
+            ))
+    return _report(records, invalid_gold)
 
-            if example.hardness_label:
-                bucket = hardness.setdefault(
-                    example.hardness_label, {"count": 0, "ex_initial": 0, "ex_final": 0}
-                )
-                bucket["count"] += 1
-                bucket["ex_initial"] += int(ex_initial)
-                bucket["ex_final"] += int(ex_final)
 
-    count = len(records)
-    linking = None
-    if macro_scores:
-        linking = {
-            "precision": sum(s.macro.precision for s in macro_scores) / len(macro_scores),
-            "recall": sum(s.macro.recall for s in macro_scores) / len(macro_scores),
-            "f1": sum(s.macro.f1 for s in macro_scores) / len(macro_scores),
-            "scored_examples": len(macro_scores),
-        }
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def _report(records: list[EvalRecord], invalid_gold: list[str]) -> Report:
+    """Every report field, folded from the records."""
+    per_hardness: dict[str, dict] = {}
+    for r in records:
+        if r.hardness:
+            bucket = per_hardness.setdefault(
+                r.hardness, {"count": 0, "ex_initial": 0, "ex_final": 0}
+            )
+            bucket["count"] += 1
+            bucket["ex_initial"] += r.ex_match_initial
+            bucket["ex_final"] += r.ex_match
+    scores = [r.linking.macro for r in records if r.linking is not None]
     return Report(
-        record_count=count,
-        ex_accuracy=(sum(r.ex_match for r in records) / count) if count else None,
-        ex_accuracy_initial=(sum(r.ex_match_initial for r in records) / count) if count else None,
-        ex_delta=(
-            (sum(r.ex_match for r in records) - sum(r.ex_match_initial for r in records)) / count
-        )
-        if count
-        else None,
-        skeleton_accuracy=(skeleton_hits / count) if count else None,
-        parsed_skeleton_accuracy=(parsed_hits / parsed_total) if parsed_total else None,
-        error_histogram=histogram,
-        linking_scores=linking,
-        per_hardness=hardness,
+        record_count=len(records),
+        ex_accuracy=_mean([r.ex_match for r in records]),
+        ex_accuracy_initial=_mean([r.ex_match_initial for r in records]),
+        ex_delta=_mean([r.ex_match - r.ex_match_initial for r in records]),
+        skeleton_accuracy=_mean([r.skeleton_hit for r in records]),
+        parsed_skeleton_accuracy=_mean(
+            [r.parsed_skeleton_hit for r in records if r.parsed_skeleton_hit is not None]
+        ),
+        error_histogram={
+            stage: {c: sum(c in categories for categories in column) for c in ERROR_CATEGORIES}
+            for stage, column in (("initial", [r.error_categories_initial for r in records]),
+                                  ("final", [r.error_categories for r in records]))
+        },
+        linking_scores={
+            "precision": _mean([s.precision for s in scores]),
+            "recall": _mean([s.recall for s in scores]),
+            "f1": _mean([s.f1 for s in scores]),
+            "scored_examples": len(scores),
+        } if scores else None,
+        per_hardness=per_hardness,
         invalid_gold=invalid_gold,
         records=records,
     )

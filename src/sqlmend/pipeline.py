@@ -398,11 +398,12 @@ _TRACE_FIELD_TYPES = {
 
 def read_traces(path: str | Path) -> list[dict]:
     """The trace records of a JSON-lines file, skipping blank lines; a line
-    that is not a JSON object, or one with a field of a type
-    ``_TRACE_FIELD_TYPES`` does not allow, is a ``MalformedDatasetError``
-    naming it."""
+    that is not a JSON object, one with a field of a type
+    ``_TRACE_FIELD_TYPES`` does not allow, or one that repeats an earlier
+    line's ``example_id`` is a ``MalformedDatasetError`` naming it."""
     path = Path(path)
     records = []
+    first_line: dict[str, int] = {}
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -416,5 +417,10 @@ def read_traces(path: str | Path) -> list[dict]:
             if not isinstance(record.get(key), kinds):
                 names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
                 raise MalformedDatasetError(f"{path}: line {number}: {key} must be {names}")
+        first = first_line.setdefault(record["example_id"], number)
+        if first != number:
+            raise MalformedDatasetError(
+                f"{path}: lines {first} and {number} share example_id {record['example_id']!r}"
+            )
         records.append(record)
     return records

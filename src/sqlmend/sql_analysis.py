@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyInputError, SqlMendError, TokenizationError
+from .errors import EmptyInputError, TokenizationError
 from .schema import SchemaCatalog
 
 KEYWORDS = frozenset(
@@ -361,12 +361,3 @@ def entities_of(analysis: SqlAnalysis, catalog: SchemaCatalog) -> SqlEntities:
 def extract_skeleton(sql: str) -> str:
     """Mask a query down to its canonical skeleton string."""
     return " ".join(_analyze(tokenize_sql(sql)).skeleton)
-
-
-def is_ordered(sql: str) -> bool:
-    """Whether a query orders its result: a top-level ORDER BY. False for
-    text that does not tokenize."""
-    try:
-        return _analyze(tokenize_sql(sql)).ordered
-    except SqlMendError:
-        return False

@@ -1,7 +1,7 @@
-"""Reference ORDER BY detection: the separate token-depth scanner that
-``sql_analysis.is_ordered`` replaced. A query orders its rows when ORDER is
-followed by BY outside every parenthesis; text that does not tokenize does
-not."""
+"""Reference ORDER BY detection: the separate token-depth scanner that the
+``ordered`` flag of ``sql_analysis._analyze`` replaced. A query orders its
+rows when ORDER is followed by BY outside every parenthesis; text that does
+not tokenize does not."""
 
 from __future__ import annotations
 

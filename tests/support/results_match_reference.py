@@ -6,7 +6,8 @@ same verdict on every input."""
 from __future__ import annotations
 
 from sqlmend.evaluation import NUMERIC_TOLERANCE, ExecutionResult
-from sqlmend.sql_analysis import is_ordered
+
+from support.order_by_reference import has_top_level_order_by
 
 
 def _cells_equal(a, b) -> bool:
@@ -48,7 +49,7 @@ def results_match(predicted: ExecutionResult, gold: ExecutionResult, gold_sql: s
     right = gold.rows or []
     if len(left) != len(right):
         return False
-    if not is_ordered(gold_sql):
+    if not has_top_level_order_by(gold_sql):
         left = sorted(left, key=_sort_key)
         right = sorted(right, key=_sort_key)
     return all(_rows_equal(a, b) for a, b in zip(left, right))

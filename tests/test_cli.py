@@ -278,6 +278,26 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {traces}: line 2: ")
 
+    def test_repeated_example_id_exits_2_naming_both_lines(self, mini_paths, tmp_path, capsys):
+        # A repeated trace used to be scored twice, so it counted twice in EX.
+        traces = tmp_path / "traces.jsonl"
+        lines = [json.dumps({"example_id": i, "initial_sql": "", "final_sql": ""})
+                 for i in ("0", "1", "0")]
+        traces.write_text(f"{lines[0]}\n{lines[1]}\n\n{lines[2]}\n", encoding="utf-8")
+        code = main(
+            [
+                "evaluate", str(traces),
+                "--dataset", str(mini_paths["dataset"]),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {traces}: lines 1 and 4 share example_id '0'\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("db_id", 5, "entry 1: db_id must be a non-blank string, not 5"),
         ("db_id", "  ", "entry 1: db_id must be a non-blank string, not '  '"),

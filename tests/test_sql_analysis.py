@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from sqlmend import sql_analysis
 from sqlmend.errors import EmptyInputError, TokenizationError
+from sqlmend.evaluation import _analysed
 from sqlmend.sql_analysis import (
     KEYWORDS,
     extract_entities,
     extract_skeleton,
-    is_ordered,
     tokenize_sql,
 )
 
@@ -229,6 +229,12 @@ _ORDER_FRAGMENTS = [
     "(", ")", "((", "))", "SELECT", "x", "FROM", "t", "T1.", "WHERE", "IN",
     "LIMIT", "1", ",", "*", "=", "UNION", "AS", "'", "#", ";",
 ]
+
+
+def is_ordered(sql: str) -> bool:
+    """The ORDER BY flag ``results_match`` reads from a gold query's
+    analysis; False for text that does not tokenize."""
+    return _analysed(sql).ordered
 
 
 class TestIsOrdered:

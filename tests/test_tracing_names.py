@@ -6,7 +6,8 @@ name the program no longer has crashes the benchmark's traced pass. This
 test reads the tracer's tables from its source, without importing or
 running the benchmark, so a dropped name fails here first. A layer that
 stops calling a wrapped function through a module name would instead read
-as never called, so a mini replay run checks the layers that call it.
+as never called, so a mini replay run, and an evaluation of its traces,
+check the layers that call it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import ast
 import importlib
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from sqlmend.backends import ReplayBackend, ReplayStore
+from sqlmend.evaluation import evaluate_run
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -72,11 +75,50 @@ def _count_calls(monkeypatch, span: str) -> list:
     return calls
 
 
+def _replay(mini_env, replay_store_path, oracle: str = "none") -> list[dict]:
+    pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path)), oracle=oracle)
+    return [trace.to_dict() for trace in pipeline.run(mini_env.examples)]
+
+
 def test_replay_run_reaches_the_traced_layers(mini_env, replay_store_path, monkeypatch):
     executions = _count_calls(monkeypatch, "evaluation.execute_sql")
     linkings = _count_calls(monkeypatch, "alignment.parse_alignment")
-    mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path))).run(mini_env.examples)
+    traces = _replay(mini_env, replay_store_path)
     # Every example's database has a file, so each runs the execution check;
     # each of the ten linking answers is decoded.
     assert len(executions) >= 10
     assert len(linkings) == len(mini_env.examples) == 10
+
+    executions.clear()
+    scoring = {span: _count_calls(monkeypatch, span) for span in (
+        "evaluation.results_match", "evaluation.classify_errors", "alignment.score_alignment",
+    )}
+    report = evaluate_run(traces, mini_env.examples, mini_env.catalogs)
+    # Each gold query runs; one example stays wrong, so its final SQL is
+    # classified; each trace with a linking answer is scored.
+    assert len(executions) >= 10
+    assert len(scoring["evaluation.results_match"]) >= 10
+    assert scoring["evaluation.classify_errors"]
+    linked = [record for record in report.records if record.linking is not None]
+    assert len(scoring["alignment.score_alignment"]) == len(linked) > 0
+
+
+def test_evaluate_tokenizes_each_text_of_a_trace_at_most_once(
+    mini_env, replay_store_path, monkeypatch
+):
+    traces = _replay(mini_env, replay_store_path) + _replay(mini_env, replay_store_path, "both")
+    traces += [  # misses in both stages, texts that do not tokenize, the gold itself
+        {"example_id": "2", "initial_sql": "SELECT `x` FROM t",
+         "final_sql": "SELECT age FROM singer"},
+        {"example_id": "5", "initial_sql": "", "final_sql": "SELECT venue FROM concert"},
+        {"example_id": "8", "initial_sql": "SELECT count(*) FROM concert", "final_sql": "@"},
+    ]
+    gold = {example.example_id: example.gold_sql for example in mini_env.examples}
+    tokenized = _count_calls(monkeypatch, "sql_analysis.tokenize_sql")
+    for trace in traces:
+        tokenized.clear()
+        evaluate_run([trace], mini_env.examples, mini_env.catalogs)
+        texts = Counter(args[0] for args in tokenized)
+        trace_texts = {gold[trace["example_id"]], trace["initial_sql"], trace["final_sql"]}
+        assert set(texts) <= trace_texts, trace
+        assert max(texts.values()) == 1, trace
