@@ -45,8 +45,10 @@ from .schema import (
     render_schema_prompt,
 )
 from .sql_analysis import (
+    SqlAnalysis,
     SqlEntities,
     SqlToken,
+    analyze_sql,
     extract_entities,
     extract_skeleton,
     tokenize_sql,

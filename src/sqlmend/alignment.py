@@ -226,43 +226,60 @@ def _decode_records(raw: str, start: int) -> list[dict] | None:
     return None if len(spellings) == 2 else records
 
 
+# The fallback scan's work budget, in characters looked at while seeking a
+# closing bracket plus characters handed to a decoder. From each ``[`` it
+# scans and decodes at most the rest of the answer, so an answer of n
+# characters costs at most 3 * n * (n + 1) / 2, which is 60,300 for n = 200:
+# every answer that short decodes as with no budget. A long one of unmatched
+# brackets or open quotes, whose cost grows with the square of its length,
+# gives up instead.
+_FALLBACK_BUDGET = 100_000
+_DECODERS = (ast.literal_eval, json.loads)
+
+
 def _first_list_literal(raw: str) -> list | None:
     """The first balanced ``[...]`` span that ``ast.literal_eval``, or else
     ``json.loads``, decodes as a list. The span at the first ``[`` is read
     in one pass when it has the shape models answer with; anything else is
-    left to the two decoders, span after span."""
+    left to the two decoders, span after span, until ``_FALLBACK_BUDGET``
+    runs out."""
     i = raw.find("[")
     if i < 0:
         return None
     records = _decode_records(raw, i)
     if records is not None:
         return records
-    n = len(raw)
-    while i < n:
-        start = raw.find("[", i)
-        if start < 0:
-            return None
-        end = _match_bracket(raw, start)
+    budget = _FALLBACK_BUDGET
+    while (start := raw.find("[", i)) >= 0:
+        end = _match_bracket(raw, start, budget)
         if end is None:
-            i = start + 1
-            continue
-        candidate = raw[start : end + 1]
-        for decoder in (ast.literal_eval, json.loads):
-            try:
-                value = decoder(candidate)
-            except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
-                continue
-            if isinstance(value, list):
-                return value
+            budget -= len(raw) - start
+        else:
+            candidate = raw[start : end + 1]
+            budget -= len(candidate)
+            for decoder in _DECODERS:
+                if budget < len(candidate):
+                    return None
+                budget -= len(candidate)
+                try:
+                    value = decoder(candidate)
+                except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
+                    continue
+                if isinstance(value, list):
+                    return value
+        if budget <= 0:
+            return None
         i = start + 1
     return None
 
 
-def _match_bracket(raw: str, start: int) -> int | None:
+def _match_bracket(raw: str, start: int, limit: int) -> int | None:
+    """The index of the ``]`` that closes the ``[`` at *start*, looking at
+    fewer than *limit* characters; None when there is none among them."""
     depth = 0
     quote: str | None = None
     i = start
-    n = len(raw)
+    n = min(len(raw), start + limit)
     while i < n:
         ch = raw[i]
         if quote is not None:

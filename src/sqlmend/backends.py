@@ -294,7 +294,9 @@ class RecordingBackend(ModelBackend):
 
     Workers sending the same prompt take turns on one lock per prompt hash,
     so the prompt is sent to the inner backend and recorded once; different
-    prompts never wait on each other."""
+    prompts never wait on each other. A lock is dropped from the table once
+    its prompt is recorded: a worker still waiting on it then finds the
+    record, and one that comes later needs no turn."""
 
     def __init__(self, inner: ModelBackend, store: ReplayStore):
         self.inner = inner
@@ -312,12 +314,16 @@ class RecordingBackend(ModelBackend):
             lock = self._prompt_locks.setdefault(digest, threading.Lock())
         with lock:
             record = self.store.get(digest)
-            if record is not None:
-                return ModelResponse(
+            if record is None:
+                # A failed completion raises here and keeps its lock.
+                response = self.inner.complete(request)
+                self.store.append(request.prompt, response.text, response.backend_id)
+            else:
+                response = ModelResponse(
                     text=record["response_text"],
                     backend_id=record["backend_id"] or self.inner.backend_id,
                     cached=True,
                 )
-            response = self.inner.complete(request)
-            self.store.append(request.prompt, response.text, response.backend_id)
-            return response
+        with self._prompt_locks_guard:
+            self._prompt_locks.pop(digest, None)
+        return response

@@ -192,8 +192,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except FixtureMissingError as exc:
         print(f"fixture missing from replay store: {exc.prompt_sha256}", file=sys.stderr)
         return EXIT_FIXTURE_MISSING
-    finally:
-        pipeline.close()
     trace_path = output_dir / "traces.jsonl"
     write_traces(traces, trace_path)
     manifest_path = output_dir / "manifest.json"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolationError
 from .schema import SchemaCatalog
-from .sql_analysis import SqlAnalysis, SqlEntities, analyze_sql, entities_of
+from .sql_analysis import SqlAnalysis, SqlEntities, entities_of
 
 MISSING_ENTITIES = "missing_entities"
 SKELETON_MISMATCH = "skeleton_mismatch"
@@ -62,17 +62,13 @@ class Feedback:
         }
 
 
-def _analysis(sql: str | SqlAnalysis) -> SqlAnalysis:
-    return sql if isinstance(sql, SqlAnalysis) else analyze_sql(sql)
-
-
 def compare_entities(
-    linked: SqlEntities, sql: str | SqlAnalysis, catalog: SchemaCatalog
+    linked: SqlEntities, analysis: SqlAnalysis, catalog: SchemaCatalog
 ) -> Feedback | None:
-    """Report linked tables/columns that the SQL (its text, or its
-    ``analyze_sql`` analysis) does not use; none when the linked entities
-    are a subset of the used ones. SQL that does not tokenize uses none."""
-    used = entities_of(_analysis(sql), catalog)
+    """Report linked tables/columns that the analysed SQL does not use; none
+    when the linked entities are a subset of the used ones. SQL that does
+    not tokenize uses none."""
+    used = entities_of(analysis, catalog)
     used_tables = {name.lower() for name in used.tables}
     used_columns = {name.lower() for name in used.columns}
     missing_tables = {t for t in linked.tables if t.lower() not in used_tables}
@@ -86,12 +82,9 @@ def compare_entities(
     )
 
 
-def compare_skeletons(current_sql: str | SqlAnalysis, parsed: str) -> Feedback | None:
-    """Mismatch feedback carrying the full parsed skeleton; the current SQL
-    is its text or its ``analyze_sql`` analysis, and an untokenizable one
-    counts as a mismatch."""
-    analysis = _analysis(current_sql)
-    if analysis.tokenizes and " ".join(analysis.skeleton) == parsed:
+def compare_skeletons(analysis: SqlAnalysis, parsed: str) -> Feedback | None:
+    """Mismatch feedback carrying the full parsed skeleton; SQL that does
+    not tokenize counts as a mismatch."""
+    if analysis.tokenizes and analysis.skeleton == parsed:
         return None
     return Feedback(kind=SKELETON_MISMATCH, expected_skeleton=parsed)
-

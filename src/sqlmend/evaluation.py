@@ -24,9 +24,9 @@ from pathlib import Path
 
 from .alignment import Alignment, LinkingScore, score_alignment
 from .datasets import Example
-from .errors import EvaluationError, SqlMendError
+from .errors import EvaluationError
 from .schema import SchemaCatalog
-from .sql_analysis import SqlAnalysis, _analyze, entities_of, tokenize_sql
+from .sql_analysis import SqlAnalysis, analyze_sql, entities_of
 
 DEFAULT_TIMEOUT = 30.0
 # A result with more rows fails with ``too_many_rows``, so a runaway join
@@ -247,22 +247,10 @@ def _exact_cells(rows: list[tuple]) -> bool:
     return True
 
 
-def _analysed(sql: str | SqlAnalysis) -> SqlAnalysis:
-    """*sql* if it is an analysis, else the analysis of the text; an empty
-    one, with ``tokenizes`` False, for text whose analysis raises anything."""
-    if isinstance(sql, SqlAnalysis):
-        return sql
-    try:
-        return _analyze(tokenize_sql(sql))
-    except Exception:
-        return SqlAnalysis(tokenizes=False)
-
-
-def results_match(
-    predicted: ExecutionResult, gold: ExecutionResult, gold_sql: str | SqlAnalysis
-) -> bool:
-    """Execution-accuracy verdict for one example; the gold query is its
-    text or its analysis."""
+def results_match(predicted: ExecutionResult, gold: ExecutionResult, ordered: bool) -> bool:
+    """Execution-accuracy verdict for one example; *ordered* is the gold
+    query's top-level ORDER BY flag (``SqlAnalysis.ordered``), under which
+    rows compare as sequences rather than multisets."""
     if not predicted.ok or not gold.ok:
         return False
     left = predicted.rows or []
@@ -271,35 +259,31 @@ def results_match(
         return False
     if left == right and _exact_cells(left) and _exact_cells(right):
         return True
-    if not _analysed(gold_sql).ordered:
+    if not ordered:
         left = sorted(left, key=_sort_key)
         right = sorted(right, key=_sort_key)
     return all(_rows_equal(a, b) for a, b in zip(left, right))
 
 
 def classify_errors(
-    predicted_sql: str | SqlAnalysis,
-    gold_sql: str | SqlAnalysis,
+    predicted: SqlAnalysis,
+    gold: SqlAnalysis,
     catalog: SchemaCatalog,
-    gold_skeleton: str,
     predicted_execution: ExecutionResult,
 ) -> set[str]:
-    """Error categories for a non-matching prediction; each query is its
-    text or its analysis. A prediction that does not tokenize lands in all
-    four."""
-    if not isinstance(gold_sql, SqlAnalysis):
-        gold_sql = _analyze(tokenize_sql(gold_sql))  # errors propagate
-    predicted = _analysed(predicted_sql)
+    """Error categories for a non-matching prediction, from the analyses of
+    the predicted and the gold query. A prediction that does not tokenize
+    lands in all four."""
     if not predicted.tokenizes:
         return set(ERROR_CATEGORIES)
-    gold_entities = entities_of(gold_sql, catalog)
+    gold_entities = entities_of(gold, catalog)
     predicted_entities = entities_of(predicted, catalog)
     categories: set[str] = set()
     if not gold_entities.tables <= predicted_entities.tables:
         categories.add(TABLE_ERROR)
     if not gold_entities.columns <= predicted_entities.columns:
         categories.add(COLUMN_ERROR)
-    if " ".join(predicted.skeleton) != gold_skeleton:
+    if predicted.skeleton != gold.skeleton:
         categories.add(SKELETON_ERROR)
     if not predicted_execution.ok:
         categories.add(EXECUTION_ERROR)
@@ -368,17 +352,14 @@ def evaluate_run(
             if catalog is None:
                 raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
             gold_result = execute_sql(gold_sql, catalog)
-            try:
-                gold = _analyze(tokenize_sql(gold_sql)) if gold_result.ok else None
-            except SqlMendError:
-                gold = None  # SQLite runs it, but the tokenizer rejects it
-            if gold is None:
+            # Analysed only once SQLite has run it; the tokenizer may still reject it.
+            gold = analyze_sql(gold_sql) if gold_result.ok else None
+            if gold is None or not gold.tokenizes:
                 invalid_gold.append(example.example_id)
                 continue
-            gold_skeleton = " ".join(gold.skeleton)
             initial_sql = trace.get("initial_sql") or ""
             final_sql = trace.get("final_sql") or ""
-            initial = gold if initial_sql == gold_sql else _analysed(initial_sql)
+            initial = gold if initial_sql == gold_sql else analyze_sql(initial_sql)
             # (ex_match, error_categories) of each distinct text: a trace with no
             # rounds has final == initial, and the text is scored once. Verdicts
             # are not kept across traces; a text equal to the gold reuses its rows
@@ -388,13 +369,13 @@ def evaluate_run(
                 if text not in verdicts:
                     result = (gold_result if text == gold_sql
                               else execute_sql(text, catalog))
-                    if results_match(result, gold_result, gold):
+                    if results_match(result, gold_result, gold.ordered):
                         verdicts[text] = (True, set())
                     else:
                         analysis = (initial if text == initial_sql
-                                    else gold if text == gold_sql else _analysed(text))
+                                    else gold if text == gold_sql else analyze_sql(text))
                         verdicts[text] = (False, classify_errors(
-                            analysis, gold, catalog, gold_skeleton, predicted_execution=result,
+                            analysis, gold, catalog, predicted_execution=result,
                         ))
             parsed = trace.get("parsed_skeleton")
             linking = None
@@ -412,8 +393,8 @@ def evaluate_run(
                 error_categories=verdicts[final_sql][1],
                 error_categories_initial=verdicts[initial_sql][1],
                 hardness=example.hardness_label,
-                skeleton_hit=initial.tokenizes and " ".join(initial.skeleton) == gold_skeleton,
-                parsed_skeleton_hit=None if parsed is None else parsed == gold_skeleton,
+                skeleton_hit=initial.tokenizes and initial.skeleton == gold.skeleton,
+                parsed_skeleton_hit=None if parsed is None else parsed == gold.skeleton,
                 linking=linking,
             ))
     return _report(records, invalid_gold)

@@ -170,7 +170,7 @@ class SqlAnalysis:
     """What one scan of a query's tokens finds; empty, with ``tokenizes``
     False, for text that does not tokenize."""
 
-    skeleton: list[str] = field(default_factory=list)  # "_", "*" or kept text
+    skeleton: str = ""  # each token "_", "*" or kept text, space-joined
     from_tables: list[str] = field(default_factory=list)
     aliases: dict[str, str | None] = field(default_factory=dict)
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
@@ -185,7 +185,7 @@ def _analyze(tokens: list[SqlToken]) -> SqlAnalysis:
     references elsewhere, literals, and syntax to keep. The skeleton is
     written as the scan goes; a dropped token is not appended."""
     out = SqlAnalysis()
-    skeleton = out.skeleton
+    skeleton: list[str] = []
     # Per-paren-depth state of the FROM-clause scanner.
     NONE, EXPECT_TABLE, AFTER_TABLE, AFTER_ALIAS = 0, 1, 2, 3
     state: dict[int, int] = {0: NONE}
@@ -293,16 +293,18 @@ def _analyze(tokens: list[SqlToken]) -> SqlAnalysis:
         skeleton.append(token.text)
         i += 1
 
+    out.skeleton = " ".join(skeleton)
     return out
 
 
 def analyze_sql(sql: str) -> SqlAnalysis:
-    """Analyse a query once, for a caller that reads both its entities
-    (``entities_of``) and its skeleton. Text that does not tokenize gets an
-    empty analysis; empty text raises ``EmptyInputError``."""
+    """Analyse a query once: its skeleton, the parts ``entities_of``
+    resolves and its ORDER BY flag, for the checks and the EX verdict to
+    read. Empty or untokenizable text gets an empty analysis with
+    ``tokenizes`` False."""
     try:
         return _analyze(tokenize_sql(sql))
-    except TokenizationError:
+    except (EmptyInputError, TokenizationError):
         return SqlAnalysis(tokenizes=False)
 
 
@@ -360,4 +362,4 @@ def entities_of(analysis: SqlAnalysis, catalog: SchemaCatalog) -> SqlEntities:
 
 def extract_skeleton(sql: str) -> str:
     """Mask a query down to its canonical skeleton string."""
-    return " ".join(_analyze(tokenize_sql(sql)).skeleton)
+    return _analyze(tokenize_sql(sql)).skeleton

@@ -24,7 +24,7 @@ from sqlmend.evaluation import (
     results_match,
 )
 from sqlmend.schema import SchemaCatalog
-from sqlmend.sql_analysis import extract_entities, extract_skeleton
+from sqlmend.sql_analysis import analyze_sql, extract_entities, extract_skeleton
 
 
 def _same_skeleton(sql: str, gold_skeleton: str) -> bool:
@@ -115,7 +115,8 @@ def evaluate_run(
                 if text not in verdicts:
                     result = (gold_result if text == example.gold_sql
                               else execute_sql(text, catalog))
-                    if results_match(result, gold_result, example.gold_sql):
+                    if results_match(result, gold_result,
+                                     analyze_sql(example.gold_sql).ordered):
                         verdicts[text] = (True, set())
                     else:
                         verdicts[text] = (False, classify_errors(

@@ -23,7 +23,7 @@ from sqlmend.evaluation import evaluate_run
 from sqlmend.pipeline import write_traces
 from sqlmend.prompts import PromptDemo, PromptKind, build_prompt, correction_prompt
 from sqlmend.retrieval import Demonstration, build_index, top_k
-from sqlmend.sql_analysis import SqlEntities, extract_entities, extract_skeleton
+from sqlmend.sql_analysis import SqlEntities, analyze_sql, extract_entities, extract_skeleton
 
 from conftest import CountingBackend
 from support.ast_oracle import oracle_entities
@@ -136,7 +136,7 @@ def test_criterion_4_comparison_properties(catalog):
             tables={t for t in rng.sample(table_names, rng.randint(0, len(table_names)))},
             columns={c for c in rng.sample(column_names, rng.randint(0, 4))},
         )
-        feedback = compare_entities(linked, sql, catalog)
+        feedback = compare_entities(linked, analyze_sql(sql), catalog)
         used_tables = {t.lower() for t in used.tables}
         used_columns = {c.lower() for c in used.columns}
         subset = {t.lower() for t in linked.tables} <= used_tables and {
@@ -157,7 +157,7 @@ def test_criterion_4_comparison_properties(catalog):
         left = rng.choice(sqls)
         right = left if rng.random() < 0.5 else rng.choice(sqls)
         parsed = extract_skeleton(right)
-        feedback = compare_skeletons(left, parsed)
+        feedback = compare_skeletons(analyze_sql(left), parsed)
         equal = extract_skeleton(left) == parsed
         # (c) feedback is None exactly on canonical equality
         assert (feedback is None) == equal

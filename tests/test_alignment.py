@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqlmend import alignment
 from sqlmend.alignment import (
     Alignment,
     AlignmentEntry,
@@ -11,6 +14,8 @@ from sqlmend.alignment import (
     tokenize_question,
 )
 from sqlmend.errors import AlignmentParseError, EmptyInputError, ScoringError
+
+from support import alignment_reference
 
 
 class TestTokenizeQuestion:
@@ -244,3 +249,83 @@ class TestScoreAlignment:
         gold = _alignment([("a", "Stock_Idx", "tbl")])
         predicted = _alignment([("a", "stock_idx", "tbl")])
         assert score_alignment(predicted, gold).macro.f1 == 1.0
+
+
+def _fallback_work(monkeypatch) -> list[int]:
+    """The work of each step of the fallback scan as it runs: the characters
+    each bracket scan looks at and each decoder is handed."""
+    work: list[int] = []
+    match_bracket = alignment._match_bracket
+
+    def counted_match(raw, start, limit):
+        end = match_bracket(raw, start, limit)
+        work.append(min(limit, len(raw) - start) if end is None else end - start + 1)
+        return end
+
+    def counted(decoder):
+        def decode(text):
+            work.append(len(text))
+            return decoder(text)
+        return decode
+
+    monkeypatch.setattr(alignment, "_match_bracket", counted_match)
+    monkeypatch.setattr(alignment, "_DECODERS", tuple(map(counted, alignment._DECODERS)))
+    return work
+
+
+# Unmatched brackets, brackets each in an open quote, and a deep nest that
+# neither decoder takes: with no budget, each costs work quadratic in its
+# length (16 million characters for the first at 8,000 characters).
+_HOSTILE_ANSWERS = {
+    "unmatched": lambda n: "x[" * (n // 2),
+    "quoted": lambda n: "'[" * (n // 2),
+    "nested": lambda n: "[" * (n // 2) + "x" + "]" * (n // 2),
+}
+# Fragments that make the scan start often, look far and decode often.
+_SCAN_FRAGMENTS = ["[", "]", "'", '"', "\\", "x", "1", ",", " ", "{", "}", ":", "'a'",
+                   "[1]", "[]", "null", "None"]
+
+
+class TestFallbackBudget:
+    @pytest.mark.parametrize("shape", sorted(_HOSTILE_ANSWERS))
+    def test_hostile_answer_gives_up_within_the_budget(self, monkeypatch, shape):
+        work = _fallback_work(monkeypatch)
+        spent = {}
+        for length in (8_000, 32_000):
+            work.clear()
+            with pytest.raises(AlignmentParseError):
+                parse_alignment(_HOSTILE_ANSWERS[shape](length), "q")
+            spent[length] = sum(work)
+            assert 0 < spent[length] <= alignment._FALLBACK_BUDGET
+        # Four times the answer, not even twice the work (16 times with no budget).
+        assert spent[32_000] < 2 * spent[8_000]
+
+    def test_answer_after_prose_decodes_for_its_own_length(self, monkeypatch):
+        # A float is outside the one-pass shape, so the fallback reads it.
+        raw = "See [1]: [{'token': 'x', 'schema': 1.5}]"
+        work = _fallback_work(monkeypatch)
+        assert alignment._first_list_literal(raw) == [1]
+        assert work == [3, 3]
+        work.clear()
+        raw = "See (1): [{'token': 'x', 'schema': 1.5}]"
+        assert alignment._first_list_literal(raw) == [{"token": "x", "schema": 1.5}]
+        assert work == [31, 31]
+
+    def test_budget_covers_every_answer_of_200_characters(self, monkeypatch):
+        # From each of n starts: a scan and two decodes of at most the rest.
+        assert 3 * 200 * 201 // 2 <= alignment._FALLBACK_BUDGET
+        work = _fallback_work(monkeypatch)
+        for raw in ("[" * 200, "'[" * 100, "[" * 199 + "]", "[x]" * 66 + "[]"):
+            work.clear()
+            assert repr(alignment._first_list_literal(raw)) == repr(
+                alignment_reference._first_list_literal(raw)
+            )
+            assert sum(work) <= alignment._FALLBACK_BUDGET
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.lists(st.sampled_from(_SCAN_FRAGMENTS), max_size=120)
+           .map("".join).map(lambda text: text[:200]))
+    def test_short_answers_decode_as_with_no_budget(self, raw):
+        assert repr(alignment._first_list_literal(raw)) == repr(
+            alignment_reference._first_list_literal(raw)
+        )

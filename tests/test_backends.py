@@ -261,6 +261,56 @@ class TestRecordingBackendConcurrency:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 7
 
 
+class _FailingOnceBackend(_SlowBackend):
+    """A ``_SlowBackend`` whose first completion raises."""
+
+    def complete(self, request):
+        if self.calls == 0:
+            self.calls += 1
+            raise BackendUnavailableError("first call fails")
+        return super().complete(request)
+
+
+class TestRecordingBackendPromptLocks:
+    """The table of per-prompt locks holds only prompts not yet recorded."""
+
+    def test_table_empty_after_sequential_recording(self, tmp_path):
+        recorder = RecordingBackend(_SlowBackend(delay=0), ReplayStore(tmp_path / "s.jsonl"))
+        for prompt in ["a", "b", "a", "c", "b"]:
+            recorder.complete(ModelRequest(prompt=prompt))
+        assert recorder.inner.calls == 3
+        assert recorder._prompt_locks == {}
+
+    def test_table_empty_after_recording_on_8_threads(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        inner = _SlowBackend(delay=0.002)
+        recorder = RecordingBackend(inner, ReplayStore(path))
+        prompts = [f"p{i % 7}" for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(
+                8,
+                lambda w: [recorder.complete(ModelRequest(prompt=p)) for p in prompts[w::8]],
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert inner.calls == 7
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 7
+        assert recorder._prompt_locks == {}
+
+    def test_failed_completion_keeps_its_lock_until_recorded(self, tmp_path):
+        inner = _FailingOnceBackend(delay=0)
+        recorder = RecordingBackend(inner, ReplayStore(tmp_path / "s.jsonl"))
+        with pytest.raises(BackendUnavailableError):
+            recorder.complete(ModelRequest(prompt="p"))
+        assert list(recorder._prompt_locks) == [prompt_sha256("p")]
+        assert recorder.complete(ModelRequest(prompt="p")).text == "reply to p"
+        assert recorder.complete(ModelRequest(prompt="p")).cached
+        assert inner.calls == 2
+        assert recorder._prompt_locks == {}
+
+
 class _FakeResponse:
     def __init__(self, status: int, payload: dict, headers: dict | None = None):
         self.status_code = status

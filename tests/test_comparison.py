@@ -10,8 +10,8 @@ from sqlmend.comparison import (
     compare_entities,
     compare_skeletons,
 )
-from sqlmend.errors import ContractViolationError, EmptyInputError
-from sqlmend.sql_analysis import SqlEntities, analyze_sql, extract_skeleton
+from sqlmend.errors import ContractViolationError, EmptyInputError, TokenizationError
+from sqlmend.sql_analysis import SqlEntities, analyze_sql, extract_entities, extract_skeleton
 
 
 def _linked(tables=(), columns=(), values=()):
@@ -22,7 +22,7 @@ class TestCompareEntities:
     def test_missing_column_reported(self, catalog):
         feedback = compare_entities(
             _linked(tables=["singer"], columns=["age"]),
-            "SELECT name FROM singer",
+            analyze_sql("SELECT name FROM singer"),
             catalog,
         )
         assert feedback is not None
@@ -33,7 +33,7 @@ class TestCompareEntities:
     def test_subset_gives_none(self, catalog):
         feedback = compare_entities(
             _linked(tables=["singer"], columns=["name"]),
-            "SELECT name, age FROM singer",
+            analyze_sql("SELECT name, age FROM singer"),
             catalog,
         )
         assert feedback is None
@@ -43,27 +43,27 @@ class TestCompareEntities:
         # are not mistakes.
         feedback = compare_entities(
             _linked(tables=["singer"], columns=["name"]),
-            "SELECT T1.name FROM singer AS T1 JOIN performance AS T2"
-            " ON T1.singer_id = T2.singer_id",
+            analyze_sql("SELECT T1.name FROM singer AS T1 JOIN performance AS T2"
+                        " ON T1.singer_id = T2.singer_id"),
             catalog,
         )
         assert feedback is None
 
     def test_case_insensitive_difference(self, catalog):
         feedback = compare_entities(
-            _linked(columns=["NAME"]), "SELECT name FROM singer", catalog
+            _linked(columns=["NAME"]), analyze_sql("SELECT name FROM singer"), catalog
         )
         assert feedback is None
 
     def test_linked_values_never_reported(self, catalog):
         feedback = compare_entities(
-            _linked(values=["5000"]), "SELECT name FROM singer", catalog
+            _linked(values=["5000"]), analyze_sql("SELECT name FROM singer"), catalog
         )
         assert feedback is None
 
     def test_untokenizable_sql_reports_all_linked(self, catalog):
         feedback = compare_entities(
-            _linked(tables=["singer"]), "$$$ not sql", catalog
+            _linked(tables=["singer"]), analyze_sql("$$$ not sql"), catalog
         )
         assert feedback is not None
         assert feedback.missing_tables == {"singer"}
@@ -72,32 +72,33 @@ class TestCompareEntities:
 class TestCompareSkeletons:
     def test_mismatch_carries_full_parsed_skeleton(self):
         parsed = "SELECT _ FROM _ WHERE _ > _"
-        feedback = compare_skeletons("SELECT name FROM singer", parsed)
+        feedback = compare_skeletons(analyze_sql("SELECT name FROM singer"), parsed)
         assert feedback is not None
         assert feedback.kind == "skeleton_mismatch"
         assert feedback.expected_skeleton == parsed
 
     def test_equal_skeletons_give_none(self):
         parsed = extract_skeleton("SELECT name FROM singer WHERE age > 20")
-        assert compare_skeletons("SELECT venue FROM concert WHERE year > 5", parsed) is None
+        current = analyze_sql("SELECT venue FROM concert WHERE year > 5")
+        assert compare_skeletons(current, parsed) is None
 
     def test_untokenizable_sql_counts_as_mismatch(self):
         parsed = "SELECT _ FROM _"
-        feedback = compare_skeletons("@@@@", parsed)
+        feedback = compare_skeletons(analyze_sql("@@@@"), parsed)
         assert feedback is not None
         assert feedback.expected_skeleton == parsed
 
     def test_detection_is_symmetric(self):
         left = "SELECT name FROM singer"
         right = "SELECT name FROM singer WHERE age > 2"
-        forward = compare_skeletons(left, extract_skeleton(right)) is not None
-        backward = compare_skeletons(right, extract_skeleton(left)) is not None
+        forward = compare_skeletons(analyze_sql(left), extract_skeleton(right)) is not None
+        backward = compare_skeletons(analyze_sql(right), extract_skeleton(left)) is not None
         assert forward == backward
 
 
 class TestAnalysedSql:
-    """Each check gives the same feedback for a text and for its analysis,
-    so ``correct`` can analyse a text once for both."""
+    """Each check's feedback on ``analyze_sql(text)`` is the one the text's
+    own extractors imply, so ``correct`` can analyse a text once for both."""
 
     @pytest.mark.parametrize("sql", [
         "SELECT name FROM singer",
@@ -110,15 +111,28 @@ class TestAnalysedSql:
     @pytest.mark.parametrize("parsed", ["SELECT _ FROM _", "", "SELECT _ FROM _ WHERE _ > _"])
     def test_text_and_analysis_give_the_same_feedback(self, catalog, sql, parsed):
         linked = _linked(tables=["singer", "concert"], columns=["age", "venue"])
+        try:
+            used, skeleton = extract_entities(sql, catalog), extract_skeleton(sql)
+        except (EmptyInputError, TokenizationError):
+            used, skeleton = SqlEntities(), None
+        missing_tables = {t for t in linked.tables if t not in used.tables}
+        missing_columns = {c for c in linked.columns if c not in used.columns}
+        expected_entities = (
+            Feedback(kind="missing_entities", missing_tables=missing_tables,
+                     missing_columns=missing_columns)
+            if missing_tables or missing_columns else None
+        )
+        expected_skeleton = (
+            None if skeleton == parsed
+            else Feedback(kind="skeleton_mismatch", expected_skeleton=parsed)
+        )
         analysis = analyze_sql(sql)
-        assert compare_entities(linked, analysis, catalog) == compare_entities(linked, sql, catalog)
-        assert compare_skeletons(analysis, parsed) == compare_skeletons(sql, parsed)
+        assert analysis.tokenizes is (skeleton is not None)
+        assert compare_entities(linked, analysis, catalog) == expected_entities
+        assert compare_skeletons(analysis, parsed) == expected_skeleton
 
-    def test_empty_sql_is_still_an_error(self):
-        with pytest.raises(EmptyInputError):
-            analyze_sql("   ")
-        with pytest.raises(EmptyInputError):
-            compare_skeletons("   ", "SELECT _")
+    def test_empty_sql_does_not_tokenize(self):
+        assert analyze_sql("   ").tokenizes is False
 
 
 class TestFeedbackInvariants:

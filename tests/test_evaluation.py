@@ -23,7 +23,7 @@ from sqlmend.evaluation import (
     execute_sql,
     results_match,
 )
-from sqlmend.sql_analysis import extract_skeleton
+from sqlmend.sql_analysis import analyze_sql, extract_skeleton
 
 from support import results_match_reference
 from support.corpus import corpus_catalog
@@ -243,57 +243,71 @@ def _ok(rows):
     return ExecutionResult(status="ok", rows=rows)
 
 
+def _ordered(gold_sql):
+    """The ORDER BY flag ``evaluate_run`` passes for a gold query."""
+    return analyze_sql(gold_sql).ordered
+
+
 class TestResultsMatch:
     def test_multiset_rule_ignores_row_order(self):
         gold = _ok([("a",), ("b",)])
         predicted = _ok([("b",), ("a",)])
-        assert results_match(predicted, gold, "SELECT x FROM t")
+        assert results_match(predicted, gold, ordered=_ordered("SELECT x FROM t"))
 
     def test_order_by_makes_sequences_significant(self):
         gold = _ok([("a",), ("b",)])
         predicted = _ok([("b",), ("a",)])
-        assert not results_match(predicted, gold, "SELECT x FROM t ORDER BY x")
+        assert not results_match(predicted, gold, ordered=_ordered("SELECT x FROM t ORDER BY x"))
 
     def test_order_by_inside_subquery_does_not_count(self):
         gold = _ok([("a",), ("b",)])
         predicted = _ok([("b",), ("a",)])
         sql = "SELECT x FROM (SELECT x FROM t ORDER BY x)"
-        assert results_match(predicted, gold, sql)
+        assert results_match(predicted, gold, ordered=_ordered(sql))
 
     def test_numeric_tolerance(self):
-        assert results_match(_ok([(0.1 + 0.2,)]), _ok([(0.3,)]), "SELECT v FROM t")
+        ordered = _ordered("SELECT v FROM t")
+        assert results_match(_ok([(0.1 + 0.2,)]), _ok([(0.3,)]), ordered=ordered)
 
     def test_numeric_difference_beyond_tolerance(self):
-        assert not results_match(_ok([(0.3001,)]), _ok([(0.3,)]), "SELECT v FROM t")
+        ordered = _ordered("SELECT v FROM t")
+        assert not results_match(_ok([(0.3001,)]), _ok([(0.3,)]), ordered=ordered)
 
     def test_strings_exact(self):
-        assert not results_match(_ok([("a",)]), _ok([("A",)]), "SELECT v FROM t")
+        ordered = _ordered("SELECT v FROM t")
+        assert not results_match(_ok([("a",)]), _ok([("A",)]), ordered=ordered)
 
     def test_null_only_equals_null(self):
-        assert results_match(_ok([(None,)]), _ok([(None,)]), "SELECT v FROM t")
-        assert not results_match(_ok([(None,)]), _ok([(0,)]), "SELECT v FROM t")
-        assert not results_match(_ok([(None,)]), _ok([("",)]), "SELECT v FROM t")
+        ordered = _ordered("SELECT v FROM t")
+        assert results_match(_ok([(None,)]), _ok([(None,)]), ordered=ordered)
+        assert not results_match(_ok([(None,)]), _ok([(0,)]), ordered=ordered)
+        assert not results_match(_ok([(None,)]), _ok([("",)]), ordered=ordered)
 
     def test_engine_error_never_matches(self):
         error = ExecutionResult(status="engine_error", error_message="boom")
-        assert not results_match(error, _ok([(1,)]), "SELECT 1")
+        assert not results_match(error, _ok([(1,)]), ordered=_ordered("SELECT 1"))
 
     def test_column_count_mismatch(self):
-        assert not results_match(_ok([(1, 2)]), _ok([(1,)]), "SELECT a FROM t")
+        ordered = _ordered("SELECT a FROM t")
+        assert not results_match(_ok([(1, 2)]), _ok([(1,)]), ordered=ordered)
 
     def test_row_count_mismatch(self):
-        assert not results_match(_ok([(1,)]), _ok([(1,), (1,)]), "SELECT a FROM t")
+        ordered = _ordered("SELECT a FROM t")
+        assert not results_match(_ok([(1,)]), _ok([(1,), (1,)]), ordered=ordered)
 
     def test_reflexivity(self):
         for rows in ([], [(1, "x")], [(None,)], [(2.5,), (1.5,)]):
             result = _ok(rows)
-            assert results_match(result, result, "SELECT a FROM t")
+            assert results_match(result, result, ordered=_ordered("SELECT a FROM t"))
 
     def test_symmetry_without_order_semantics(self):
         left = _ok([(1,), (2,)])
         right = _ok([(2,), (1,)])
         sql = "SELECT a FROM t"
-        assert results_match(left, right, sql) == results_match(right, left, sql)
+        ordered = _ordered(sql)
+        assert results_match(left, right, ordered=ordered) == results_match(
+            right, left, ordered=ordered
+        )
 
 
 _CELLS = st.one_of(
@@ -362,9 +376,8 @@ class TestResultsMatchReference:
     def test_same_verdict_as_the_sorting_comparison(self, pair, ordered):
         predicted, gold = (_ok(rows) for rows in pair)
         gold_sql = "SELECT a FROM t ORDER BY a" if ordered else "SELECT a FROM t"
-        assert results_match(predicted, gold, gold_sql) == results_match_reference.results_match(
-            predicted, gold, gold_sql
-        )
+        verdict = results_match(predicted, gold, ordered=_ordered(gold_sql))
+        assert verdict == results_match_reference.results_match(predicted, gold, gold_sql)
 
 
 class TestSkeletonAccuracy:
@@ -402,7 +415,7 @@ class TestSkeletonAccuracy:
 
 def _classify(predicted, gold, catalog):
     return classify_errors(
-        predicted, gold, catalog, extract_skeleton(gold), execute_sql(predicted, catalog)
+        analyze_sql(predicted), analyze_sql(gold), catalog, execute_sql(predicted, catalog)
     )
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from sqlmend import sql_analysis
 from sqlmend.errors import EmptyInputError, TokenizationError
-from sqlmend.evaluation import _analysed
 from sqlmend.sql_analysis import (
     KEYWORDS,
+    analyze_sql,
     extract_entities,
     extract_skeleton,
     tokenize_sql,
@@ -232,9 +232,9 @@ _ORDER_FRAGMENTS = [
 
 
 def is_ordered(sql: str) -> bool:
-    """The ORDER BY flag ``results_match`` reads from a gold query's
-    analysis; False for text that does not tokenize."""
-    return _analysed(sql).ordered
+    """The ORDER BY flag of a gold query's analysis, which ``evaluate_run``
+    passes to ``results_match``; False for text that does not tokenize."""
+    return analyze_sql(sql).ordered
 
 
 class TestIsOrdered:
