@@ -105,6 +105,32 @@ def parse_alignment(raw: str, question: str) -> Alignment:
     return Alignment(entries=entries, question=question, repairs=repairs)
 
 
+def gold_entries_of_line(line: str, shared: dict) -> list[AlignmentEntry] | None:
+    """The entries of a gold alignment line written as ``json.dumps`` writes
+    a list of records, ``[{...}, {...}]``, read as ``Alignment.from_records``
+    reads it with *strict* and *shared*. Each distinct record text is decoded
+    and checked once, and filed in *shared* under that text. None when the
+    line is written otherwise or a record does not decode or pass: the line
+    is then for ``json.loads`` and ``from_records`` to read or refuse."""
+    if not (line.startswith("[{") and line.endswith("}]")):
+        return None
+    entries = []
+    # The line is "[{" + "}, {".join(texts) + "}]". When every "{" + text +
+    # "}" decodes whole as an object, every split fell between two records,
+    # and the line is the list of those objects; a split inside a string
+    # leaves texts that do not decode.
+    for text in line[2:-2].split("}, {"):
+        entry = shared.get(text)
+        if entry is None:
+            try:
+                [entry], _ = _entries_from_records([json.loads("{" + text + "}")], shared, True)
+            except (ValueError, MalformedDatasetError):
+                return None
+            shared[text] = entry
+        entries.append(entry)
+    return entries
+
+
 def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
     position = 0
     for token in candidate:
@@ -122,7 +148,10 @@ def _entries_from_records(
     """The entries of *records* and the number of repairs made to them.
     With *strict*, as for gold data, a record that would be repaired, or
     whose token or schema is not a string, raises ``MalformedDatasetError``
-    naming its position instead."""
+    naming its position instead; and each record that passes is also filed
+    in *shared* under its raw token, schema and type, so that a repeat of it
+    is that entry with no second check. Such a table holds only records that
+    passed the strict checks, and serves strict calls only."""
     entries: list[AlignmentEntry] = []
     repairs = 0
 
@@ -132,6 +161,17 @@ def _entries_from_records(
         return 1
 
     for position, record in enumerate(records):
+        if strict and type(record) is dict:
+            # The checks read nothing but these three values, so equal values
+            # pass as they did before. A gold pool repeats few distinct ones.
+            raw = (record.get("token"), record.get("schema"), record.get("type"))
+            try:
+                entry = shared.get(raw)
+            except TypeError:  # an unhashable value, which the checks refuse
+                entry = None
+            if entry is not None:
+                entries.append(entry)
+                continue
         if not isinstance(record, dict):
             repairs += repair(position, f"not an object: {record!r:.40}")
             continue
@@ -167,6 +207,8 @@ def _entries_from_records(
         entry = shared.get(key)
         if entry is None:
             entry = shared[key] = AlignmentEntry(*key)
+        if strict:
+            shared[raw] = entry
         entries.append(entry)
     return entries, repairs
 
@@ -227,13 +269,17 @@ def _decode_records(raw: str, start: int) -> list[dict] | None:
 
 
 # The fallback scan's work budget, in characters looked at while seeking a
-# closing bracket plus characters handed to a decoder. From each ``[`` it
-# scans and decodes at most the rest of the answer, so an answer of n
-# characters costs at most 3 * n * (n + 1) / 2, which is 60,300 for n = 200:
-# every answer that short decodes as with no budget. A long one of unmatched
-# brackets or open quotes, whose cost grows with the square of its length,
-# gives up instead.
+# closing bracket plus characters handed to a decoder, plus
+# ``_DECODER_CALL_CHARS`` for each decoder call: a call costs about 10 us
+# however short its text, as much as a hundred characters of scanning.
+# From each ``[`` it scans and decodes at most the rest of the answer, so an
+# answer of n characters costs at most 3 * n * (n + 1) / 2 + 2 * n * 99,
+# which is 99,900 for n = 200: every answer that short decodes as with no
+# budget. A long one of unmatched brackets, open quotes or many short
+# lists, whose cost grows with the square of its length or with its number
+# of brackets, gives up instead.
 _FALLBACK_BUDGET = 100_000
+_DECODER_CALL_CHARS = 99
 _DECODERS = (ast.literal_eval, json.loads)
 
 
@@ -258,9 +304,9 @@ def _first_list_literal(raw: str) -> list | None:
             candidate = raw[start : end + 1]
             budget -= len(candidate)
             for decoder in _DECODERS:
-                if budget < len(candidate):
+                if budget < len(candidate) + _DECODER_CALL_CHARS:
                     return None
-                budget -= len(candidate)
+                budget -= len(candidate) + _DECODER_CALL_CHARS
                 try:
                     value = decoder(candidate)
                 except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):

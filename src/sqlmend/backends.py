@@ -189,6 +189,8 @@ def _record_problem(record: object) -> str | None:
 class ReplayStore:
     """JSON-lines store of {prompt_sha256, prompt_text, response_text,
     backend_id} records, keyed by prompt hash. Append-only while recording.
+    It is read a line at a time, and a line ends at ``"\n"`` only; each is
+    taken or refused as ``json.loads`` takes its bytes.
 
     A last line with no newline after it that is not JSON is a write cut
     short, as a killed recording leaves: it is skipped with a warning and
@@ -211,22 +213,34 @@ class ReplayStore:
 
     def _load(self) -> None:
         offset = 0
-        last = b"\n"
-        with self.path.open("rb") as handle:
+        last = "\n"
+        # Text lines, split at "\n" only, as bytes would be. A line that this
+        # store wrote is ASCII and starts '{"', and json.loads reads it as
+        # text as it would read its bytes, with no blank-line test, encoding
+        # guess or second decoding. Any other line goes back to its bytes, so
+        # that a blank line, an undecodable byte, a byte-order mark or another
+        # encoding is taken or refused as before.
+        with self.path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
             for number, line in enumerate(handle, 1):
-                start, offset, last = offset, offset + len(line), line
-                if not line.strip():
-                    continue
+                start, last = offset, line
+                if line.startswith('{"') and line.isascii():
+                    offset += len(line)
+                    text = line
+                else:
+                    text = line.encode("utf-8", "surrogateescape")
+                    offset += len(text)
+                    if not text.strip():
+                        continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(text)
                 except ValueError as exc:
-                    if line.endswith(b"\n"):
+                    if line.endswith("\n"):
                         raise SqlMendError(
                             f"{self.path}: line {number} is not a replay record: {exc}"
                         ) from exc
                     logger.warning(
                         "%s: skipping torn last line (%d bytes); it is cut off before the next append",
-                        self.path, len(line),
+                        self.path, offset - start,
                     )
                     self._torn_at = start
                     continue
@@ -238,7 +252,7 @@ class ReplayStore:
                 self._records[record["prompt_sha256"]] = (
                     record["response_text"], record.get("backend_id")
                 )
-        self._unterminated = not last.endswith(b"\n") and self._torn_at is None
+        self._unterminated = not last.endswith("\n") and self._torn_at is None
 
     def __len__(self) -> int:
         return len(self._records)

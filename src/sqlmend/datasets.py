@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import Alignment
+from .alignment import Alignment, gold_entries_of_line
 from .errors import MalformedDatasetError
 
 
@@ -84,15 +84,27 @@ def load_dataset(path: str | Path) -> list[Example]:
     return examples
 
 
+def jsonl_lines(path: Path) -> list[str]:
+    """The lines of a JSON-lines file. A line ends at ``"\n"`` only, so that
+    U+2028 and the other breaks ``str.splitlines`` knows may stand raw inside
+    a JSON string; a ``"\r"`` before it is whitespace to JSON, and a final
+    newline ends the last line rather than starting an empty one."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
     """Attach sidecar line *i* to question *i*; blank lines mean no gold.
-    Equal entries of different lines are one ``AlignmentEntry``. Gold data
-    is not repaired: a record that is not an object, has no non-blank string
-    token, a schema that is not a string, an unknown type or a link with
-    only one of schema and type is a ``MalformedDatasetError`` naming the
-    file and line."""
+    Lines end at ``"\n"`` (see ``jsonl_lines``). Equal entries of different
+    lines are one ``AlignmentEntry``, and each distinct record is checked
+    once. Gold data is not repaired: a record that is not an object, has no
+    non-blank string token, a schema that is not a string, an unknown type
+    or a link with only one of schema and type is a ``MalformedDatasetError``
+    naming the file and line."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = jsonl_lines(path)
     if len(lines) > len(questions):
         raise MalformedDatasetError(
             f"{path}: {len(lines)} sidecar lines for {len(questions)} examples"
@@ -103,6 +115,10 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         line = lines[index].strip() if index < len(lines) else ""
         if not line:
             alignments.append(None)
+            continue
+        entries = gold_entries_of_line(line, shared)
+        if entries is not None:
+            alignments.append(Alignment(entries=entries, question=question))
             continue
         try:
             records = json.loads(line)

@@ -38,7 +38,7 @@ from typing import Callable, TypeVar
 from .alignment import Alignment, linked_entities, parse_alignment, tokenize_question
 from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import Feedback, compare_entities, compare_skeletons
-from .datasets import Example
+from .datasets import Example, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
 from .evaluation import _KEPT_PAGE_CACHE_KIB, _Connections, _using, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
@@ -397,14 +397,15 @@ _TRACE_FIELD_TYPES = {
 
 
 def read_traces(path: str | Path) -> list[dict]:
-    """The trace records of a JSON-lines file, skipping blank lines; a line
-    that is not a JSON object, one with a field of a type
-    ``_TRACE_FIELD_TYPES`` does not allow, or one that repeats an earlier
-    line's ``example_id`` is a ``MalformedDatasetError`` naming it."""
+    """The trace records of a JSON-lines file, skipping blank lines; lines
+    end at ``"\n"`` (see ``datasets.jsonl_lines``). A line that is not a JSON
+    object, one with a field of a type ``_TRACE_FIELD_TYPES`` does not allow,
+    or one that repeats an earlier line's ``example_id`` is a
+    ``MalformedDatasetError`` naming it."""
     path = Path(path)
     records = []
     first_line: dict[str, int] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(jsonl_lines(path), 1):
         if not line.strip():
             continue
         try:

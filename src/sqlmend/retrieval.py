@@ -25,7 +25,6 @@ import math
 import re
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .alignment import Alignment
 from .datasets import entry_text
 from .errors import EmptyPoolError, MalformedDatasetError
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKENS = re.compile(r"[0-9a-z]+").findall
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -49,7 +48,10 @@ class Demonstration:
 
 def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     """Read a JSON array of {question, query, db_id} records (the Spider
-    training-set shape; ``sql`` is accepted as a synonym for ``query``)."""
+    training-set shape; ``sql`` is accepted as a synonym for ``query``).
+    The question and query must be non-blank strings and the db_id a string
+    or absent; otherwise ``datasets.entry_text`` names the first field at
+    fault."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -61,15 +63,23 @@ def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     for index, record in enumerate(raw):
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: entry {index} is not an object")
-        question = entry_text(path, index, "question", record.get("question"))
-        sql = entry_text(path, index, "query", record.get("query", record.get("sql")))
-        db_id = entry_text(path, index, "db_id", record.get("db_id"), required=False) or ""
-        pool.append(Demonstration(question=question, sql=sql, db_id=db_id))
+        question, db_id = record.get("question"), record.get("db_id")
+        sql = record["query"] if "query" in record else record.get("sql")
+        # s.strip() is empty exactly when s is empty or all whitespace.
+        if not (isinstance(question, str) and question and not question.isspace()
+                and isinstance(sql, str) and sql and not sql.isspace()
+                and (db_id is None or isinstance(db_id, str))):
+            entry_text(path, index, "question", question)
+            entry_text(path, index, "query", sql)
+            entry_text(path, index, "db_id", db_id, required=False)
+        pool.append(Demonstration(question, sql, db_id or ""))
     return pool
 
 
 def bm25_tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """The maximal runs of ``[0-9a-z]`` in the lowercased text: what is left
+    of splitting it on runs of any other character, empty pieces dropped."""
+    return _TOKENS(text.lower())
 
 
 @dataclass
@@ -88,32 +98,43 @@ class Bm25Index:
 
 
 def build_index(pool: list[Demonstration]) -> Bm25Index:
+    """The BM25 index of the pool's questions. One pass over the documents
+    counts each one's terms into the dict that becomes its forward map and
+    fills the postings; a second, once the document frequencies and the
+    average length are known, turns each count into its weight in place.
+    Terms are interned, so each is stored once across the pool."""
     if not pool:
         raise EmptyPoolError("demonstration pool is empty")
     k1, b = DEFAULT_K1, DEFAULT_B
-    # Interned, so each distinct term is stored once across the pool.
-    counts = [Counter(map(sys.intern, bm25_tokenize(demo.question))) for demo in pool]
     postings: dict[str, array] = {}
-    for doc_index, tf in enumerate(counts):
+    forward: list[dict] = []
+    lengths: list[int] = []
+    for doc_index, demo in enumerate(pool):
+        tokens = list(map(sys.intern, bm25_tokenize(demo.question)))
+        lengths.append(len(tokens))
+        tf = dict.fromkeys(tokens, 1)
+        if len(tf) < len(tokens):  # a term repeats: count every occurrence
+            tf = dict.fromkeys(tf, 0)
+            for term in tokens:
+                tf[term] += 1
+        forward.append(tf)
         for term in tf:
-            if term not in postings:
-                postings[term] = array("i")
-            postings[term].append(doc_index)
-    total = len(counts)
-    average = sum(tf.total() for tf in counts) / total
+            docs = postings.get(term)
+            if docs is None:
+                docs = postings[term] = array("i")
+            docs.append(doc_index)
+    total = len(pool)
+    average = sum(lengths) / total
     idfs = {
         term: math.log((total - len(docs) + 0.5) / (len(docs) + 0.5) + 1.0)
         for term, docs in postings.items()
     }
-    forward: list[dict[str, float]] = []
     maxima = dict.fromkeys(postings, 0.0)
-    for tf in counts:
-        weights: dict[str, float] = {}
-        forward.append(weights)
-        if not tf:
+    for weights, length in zip(forward, lengths):
+        if not length:
             continue  # the average is 0 when every document is empty
-        norm = k1 * (1 - b + b * tf.total() / average)
-        for term, f in tf.items():
+        norm = k1 * (1 - b + b * length / average)
+        for term, f in weights.items():
             weight = weights[term] = idfs[term] * (f * (k1 + 1)) / (f + norm)
             if weight > maxima[term]:
                 maxima[term] = weight

@@ -64,15 +64,16 @@ class SchemaCatalog:
     def validate(self) -> None:
         if not self.db_id:
             raise SchemaIntegrityError("db_id must be non-empty")
-        seen_tables: set[str] = set()
+        # Each table's lowercased column names: a key column is found when its
+        # lowercased name is among them, as ``find_column`` would find it.
+        columns_of: dict[str, set[str]] = {}
         for table in self.tables:
             key = table.name.lower()
-            if key in seen_tables:
+            if key in columns_of:
                 raise SchemaIntegrityError(
                     f"{self.db_id}: duplicate table name {table.name!r}"
                 )
-            seen_tables.add(key)
-            seen_cols: set[str] = set()
+            seen_cols = columns_of[key] = set()
             for col in table.columns:
                 if not col.name:
                     raise SchemaIntegrityError(
@@ -85,26 +86,25 @@ class SchemaCatalog:
                     )
                 seen_cols.add(ckey)
             for pk in table.primary_key:
-                if table.find_column(pk) is None:
+                if pk.lower() not in seen_cols:
                     raise SchemaIntegrityError(
                         f"{self.db_id}.{table.name}: primary key column {pk!r} missing"
                     )
             for fk in table.foreign_keys:
-                if table.find_column(fk.column) is None:
+                if fk.column.lower() not in seen_cols:
                     raise SchemaIntegrityError(
                         f"{self.db_id}.{table.name}: foreign key column {fk.column!r} missing"
                     )
         # Foreign-key targets must resolve within the catalog.
-        names = {t.name.lower(): t for t in self.tables}
         for table in self.tables:
             for fk in table.foreign_keys:
-                target = names.get(fk.foreign_table.lower())
+                target = columns_of.get(fk.foreign_table.lower())
                 if target is None:
                     raise SchemaIntegrityError(
                         f"{self.db_id}.{table.name}: foreign key targets unknown "
                         f"table {fk.foreign_table!r}"
                     )
-                if target.find_column(fk.foreign_column) is None:
+                if fk.foreign_column.lower() not in target:
                     raise SchemaIntegrityError(
                         f"{self.db_id}.{table.name}: foreign key targets unknown "
                         f"column {fk.foreign_table}.{fk.foreign_column}"
@@ -160,7 +160,9 @@ def load_tables_json(path: str | Path) -> list[SchemaCatalog]:
     """Load Spider-style ``tables.json`` into one catalog per database.
 
     The ``*`` pseudo-column (table index -1) is dropped; foreign-key column
-    index pairs are resolved to (column, table, column) name triples.
+    index pairs are resolved to (column, table, column) name triples. Key
+    indices are resolved against the column list itself, and each table's
+    key columns are checked against one set of its lowercased column names.
     """
     path = Path(path)
     try:
@@ -220,10 +222,8 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
                     f" not {name!r:.40}"
                 )
     tables: list[TableDef] = [TableDef(name=n, columns=[]) for n in table_names]
-    # Position of each column in the original (global) index space, so that
-    # primary_keys / foreign_keys indices can be resolved.
-    column_owner: dict[int, tuple[int, str]] = {}
-    for col_idx, pair in enumerate(column_names):
+    columns_of = [table.columns for table in tables]
+    for col_idx, (pair, data_type) in enumerate(zip(column_names, column_types)):
         if not (isinstance(pair, list) and len(pair) == 2
                 and type(pair[0]) is int and isinstance(pair[1], str)):
             raise MalformedDatasetError(
@@ -238,18 +238,19 @@ def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
                 f"entry {index} ({db_id}): column {col_name!r} names table "
                 f"index {table_idx} out of range"
             )
-        tables[table_idx].columns.append(
-            ColumnDef(name=col_name, data_type=column_types[col_idx])
-        )
-        column_owner[col_idx] = (table_idx, col_name)
+        columns_of[table_idx].append(ColumnDef(col_name, data_type))
 
     def resolve(col_idx: object, what: str) -> tuple[int, str]:
-        if type(col_idx) is not int or col_idx not in column_owner:
-            raise SchemaIntegrityError(
-                f"entry {index} ({db_id}): {what} column index {col_idx!r} "
-                "does not name a real column"
-            )
-        return column_owner[col_idx]
+        """The [table index, name] pair at a position of the original (global)
+        column list, which every pair above has passed; not the ``*``."""
+        if type(col_idx) is int and 0 <= col_idx < len(column_names):
+            pair = column_names[col_idx]
+            if pair[0] != -1:
+                return pair
+        raise SchemaIntegrityError(
+            f"entry {index} ({db_id}): {what} column index {col_idx!r} "
+            "does not name a real column"
+        )
 
     for pk in entry["primary_keys"]:
         members = pk if isinstance(pk, list) else [pk]

@@ -329,3 +329,31 @@ class TestFallbackBudget:
         assert repr(alignment._first_list_literal(raw)) == repr(
             alignment_reference._first_list_literal(raw)
         )
+
+
+class TestDecoderCallCharge:
+    def test_many_short_lists_give_up_after_few_decoder_calls(self, monkeypatch):
+        # Each "[x]" is a short span that neither decoder takes. Charged only
+        # its three characters, each call left room for 22,222 calls (about
+        # 0.16 s); charged a fixed cost per call besides, the scan stops
+        # within the budget's worth of calls.
+        calls = []
+
+        def counted(decoder):
+            def decode(text):
+                calls.append(text)
+                return decoder(text)
+            return decode
+
+        monkeypatch.setattr(alignment, "_DECODERS", tuple(map(counted, alignment._DECODERS)))
+        with pytest.raises(AlignmentParseError):
+            parse_alignment("[x]" * 100_000, "q")
+        per_start = 3 + 2 * (3 + alignment._DECODER_CALL_CHARS)  # one scan, two decodes
+        assert len(calls) == 2 * (alignment._FALLBACK_BUDGET // per_start)
+        assert len(calls) < 1_000
+
+    def test_charge_keeps_every_answer_of_200_characters_covered(self):
+        n = 200
+        assert 3 * n * (n + 1) // 2 + 2 * n * alignment._DECODER_CALL_CHARS <= (
+            alignment._FALLBACK_BUDGET
+        )

@@ -147,6 +147,68 @@ class TestReplayStore:
         )
 
 
+def _store_line(prompt: str, response: str, **dumps) -> bytes:
+    record = {"backend_id": "b", "prompt_sha256": prompt_sha256(prompt),
+              "prompt_text": prompt, "response_text": response}
+    return (json.dumps(record, sort_keys=True, **dumps) + "\n").encode("utf-8")
+
+
+class TestReplayStoreLines:
+    """How the store reads its lines: as bytes split at b"\n" and read by
+    ``json.loads``, whichever way it streams them."""
+
+    def test_crlf_lines(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(_store_line("a", "1").replace(b"\n", b"\r\n")
+                         + _store_line("c", "2").replace(b"\n", b"\r\n"))
+        store = ReplayStore(path)
+        assert [store.get(prompt_sha256(p))["response_text"] for p in "ac"] == ["1", "2"]
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(b"\n  \t\r\n" + _store_line("a", "1")
+                         + b"\x0b\x0c\n \n" + _store_line("c", "2"))
+        assert len(ReplayStore(path)) == 2
+
+    def test_non_ascii_whitespace_line_is_not_blank(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(_store_line("a", "1") + "\u00a0\n".encode() + _store_line("c", "2"))
+        with pytest.raises(SqlMendError, match="line 2 is not a replay record"):
+            ReplayStore(path)
+
+    def test_raw_line_separators_inside_a_string(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw; a line ends at "\n" only.
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(_store_line("a\u2028b", "1\u2029\u0085", ensure_ascii=False)
+                         + _store_line("c", "2"))
+        store = ReplayStore(path)
+        assert store.get(prompt_sha256("a\u2028b"))["response_text"] == "1\u2029\u0085"
+        assert len(store) == 2
+
+    def test_undecodable_byte_on_a_middle_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        bad = _store_line("c", "2").replace(b'"2"', b'"\xff"')
+        path.write_bytes(_store_line("a", "1") + bad + _store_line("d", "3"))
+        with pytest.raises(ValueError) as decoded:
+            json.loads(bad)
+        with pytest.raises(SqlMendError) as raised:
+            ReplayStore(path)
+        assert str(raised.value) == f"{path}: line 2 is not a replay record: {decoded.value}"
+
+    def test_torn_multibyte_last_line_cut_at_its_first_byte(self, tmp_path, caplog):
+        path = tmp_path / "store.jsonl"
+        whole = _store_line("\u00e9t\u00e9", "\u2603", ensure_ascii=False)
+        torn = _store_line("\u00e9", "\u2603\u2603", ensure_ascii=False)
+        cut = torn.index("\u2603".encode()) + 1  # inside the three bytes of the first snowman
+        path.write_bytes(whole + torn[:cut])
+        with caplog.at_level(logging.WARNING, logger="sqlmend.backends"):
+            store = ReplayStore(path)
+        assert len(store) == 1
+        assert f"torn last line ({cut} bytes)" in caplog.text
+        store.append("c", "2", "b")
+        assert path.read_bytes() == whole + _store_line("c", "2")
+
+
 class TestReplayBackend:
     def test_hit(self, tmp_path):
         store = ReplayStore(tmp_path / "s.jsonl")

@@ -4,9 +4,13 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlmend.datasets import load_alignment_sidecar, load_dataset
 from sqlmend.errors import MalformedDatasetError
+
+from support import sidecar_reference
 
 
 def test_load_dataset_spider_shape(tmp_path):
@@ -182,3 +186,96 @@ def test_sidecar_keeps_tab_as_tbl_and_loads_without_repairs(tmp_path):
     [alignment] = load_alignment_sidecar(path, ["the singers"])
     assert alignment.entries[1].entity_type == "tbl"
     assert alignment.repairs == 0
+
+
+def test_sidecar_lines_end_at_newline_only(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
+    # str.splitlines() breaks lines at each of them.
+    path = tmp_path / "alignments.jsonl"
+    tokens = ["a\u2028b", "c\u2029d", "e\u0085f"]
+    lines = [json.dumps([{"token": t, "schema": None, "type": None}], ensure_ascii=False)
+             for t in tokens]
+    path.write_text("\n".join(lines[:2]), encoding="utf-8")
+    alignments = load_alignment_sidecar(path, ["q1", "q2"])
+    assert [a.entries[0].token for a in alignments] == tokens[:2]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    alignments = load_alignment_sidecar(path, ["q1", "q2", "q3"])
+    assert [a.entries[0].token for a in alignments] == tokens
+
+
+def test_sidecar_final_newline_adds_no_line(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    path.write_text("[]\n", encoding="utf-8")
+    assert [a.entries for a in load_alignment_sidecar(path, ["q"])] == [[]]
+    path.write_text("[]\n\n", encoding="utf-8")
+    assert load_alignment_sidecar(path, ["q", "r"])[1] is None
+    with pytest.raises(MalformedDatasetError, match="2 sidecar lines for 1 examples"):
+        load_alignment_sidecar(path, ["q"])
+
+
+# Gold records: mostly ones that pass, and faults that share a token and a
+# schema with them, so that a table of checked records that kept too little
+# of a record would take a fault for a record that passed. A token that
+# holds "}, {" splits a line written by json.dumps inside a string.
+_PASSING = [("the", None, None), ("singers", "singer", "tbl"), ("singers", "singer", "tab"),
+            ("singers", "singer", " COL"), ("singers", "singer", "col"), ("name", "name", "col"),
+            ("a}, {b", None, None), ("\u2028", "x", "val")]
+_FAULTY = [("singers", "singer", "table"), ("singers", "singer", None), ("singers", None, "tbl"),
+           (" ", None, None), ("", None, None), (5, None, None), (None, None, None),
+           ("singers", 5, "tbl"), (["x"], None, None), ("singers", ["s"], "tbl"),
+           ("singers", {"a": 1}, "tbl"), ("singers", "singer", ["col"]),
+           ("singers", "singer", 3), ("singers", "singer", True)]
+
+
+def _records_of(values: list[tuple]) -> st.SearchStrategy:
+    return st.sampled_from(values).map(lambda r: dict(zip(("token", "schema", "type"), r)))
+
+
+_RECORDS = st.one_of(
+    _records_of(_PASSING), _records_of(_PASSING), _records_of(_PASSING), _records_of(_FAULTY),
+    st.dictionaries(st.sampled_from(["type", "schema", "token", "extra"]),
+                    st.sampled_from(["the", "singer", "tbl", None, 5]), max_size=4),
+    st.sampled_from(["singers", 1, [], None]),
+)
+# The layout json.dumps writes by default, and three others.
+_LAYOUTS = [
+    json.dumps,
+    lambda records: json.dumps(records, separators=(",", ":")),
+    lambda records: json.dumps(records, ensure_ascii=False) + " \r",
+    lambda records: "  " + json.dumps(records),
+]
+_LINES = st.one_of(
+    st.builds(lambda layout, records: layout(records),
+              st.sampled_from(_LAYOUTS), st.lists(_RECORDS, max_size=8)),
+    st.sampled_from(["", " ", "{broken", "{}", "[", "[{}]", "null", '[{"token": "a"}, ]',
+                     '[{"token": "a"}, {"token": "b"} ]', '[{"token": "a"}, {"token": "a"}]']),
+)
+
+
+def _outcome(load, path, questions):
+    try:
+        alignments = load(path, questions)
+    except MalformedDatasetError as exc:
+        return "refused", str(exc)
+    return "loaded", alignments
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8), extra=st.integers(min_value=-1, max_value=2))
+def test_sidecar_gives_what_checking_record_by_record_gives(tmp_path_factory, lines, extra):
+    path = tmp_path_factory.mktemp("sidecar") / "alignments.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    questions = [f"q{i}" for i in range(max(0, len(lines) + extra))]
+    kind, loaded = _outcome(load_alignment_sidecar, path, questions)
+    expected = _outcome(sidecar_reference.load_sidecar, path, questions)
+    if kind == "refused":
+        assert (kind, loaded) == expected  # the same line and the same message
+        return
+    assert expected[0] == "loaded"
+    assert [None if a is None else [dataclasses.astuple(e) for e in a.entries]
+            for a in loaded] == expected[1]
+    assert all(a is None or (a.question, a.repairs) == (q, 0) for a, q in zip(loaded, questions))
+    # Equal entries are one object, across lines and within them.
+    shared = {}
+    for entry in (e for a in loaded if a is not None for e in a.entries):
+        assert shared.setdefault(dataclasses.astuple(entry), entry) is entry

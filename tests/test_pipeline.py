@@ -592,3 +592,17 @@ def test_mini_dataset_questions_are_unique_markers():
     assert len(set(questions)) == len(questions)
     for q in questions:
         assert sum(q in other for other in questions) == 1
+
+
+def test_read_traces_lines_end_at_newline_only(tmp_path):
+    # JSON allows U+0085, U+2028 and U+2029 raw inside a string, and
+    # str.splitlines() breaks lines at each of them.
+    path = tmp_path / "traces.jsonl"
+    records = [{"example_id": str(i), "initial_sql": f"SELECT 'a{mark}b'", "final_sql": None,
+                "parsed_skeleton": None, "alignment": None}
+               for i, mark in enumerate(["\u0085", "\u2028", "\u2029"])]
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert read_traces(path) == records
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    assert read_traces(path) == records

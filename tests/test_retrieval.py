@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from sqlmend.retrieval import (
     top_k,
 )
 
-from support.bm25_reference import linear_top_k
+from support.bm25_reference import linear_top_k, reference_index
 
 FIXTURE_POOL = [
     Demonstration(question="show singer names", sql="S1", db_id="d"),
@@ -250,6 +252,35 @@ class TestPruning:
         # Five words over up to 40 documents: ties at the k-th score and
         # early stops are the common case, not the rare one.
         _assert_same_as_scan(questions, query, k)
+
+
+# Characters whose lowercase is not themselves in ASCII's way: the dotted
+# capital I lowers to "i" and a combining dot, the Kelvin sign to "k", and
+# the capital sharp s and final sigma to letters outside [0-9a-z].
+_MIXED_TEXT = st.text(alphabet="ab AB1_-\u0130\u212a\u1e9e\u03a3\u00e9\t", max_size=20)
+
+
+class TestBuildIndexMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(questions=st.lists(st.one_of(_questions, _MIXED_TEXT), min_size=1, max_size=20))
+    def test_same_postings_weights_and_maxima(self, questions):
+        # Empty documents, repeated terms and text that lower() changes.
+        pool = [Demonstration(question=q, sql="S", db_id="d") for q in questions]
+        index = build_index(pool)
+        postings, forward, maxima = reference_index(pool)
+        assert list(index.postings) == list(postings)
+        assert {term: list(docs) for term, docs in index.postings.items()} == postings
+        assert all(type(docs) is array and docs.typecode == "i"
+                   for docs in index.postings.values())
+        assert index.forward == forward  # float for float: == on floats is exact
+        assert [list(weights) for weights in index.forward] == [list(w) for w in forward]
+        assert index.max_weights == maxima and list(index.max_weights) == list(maxima)
+        assert all(term is sys.intern(term) for term in index.postings)
+        assert all(term is sys.intern(term) for weights in index.forward for term in weights)
+
+    def test_dotted_capital_i_holds_an_i(self):
+        index = build_index([Demonstration(question="\u0130D", sql="S", db_id="d")])
+        assert list(index.postings) == ["i", "d"]
 
 
 class TestPoolLoading:
