@@ -105,32 +105,6 @@ def parse_alignment(raw: str, question: str) -> Alignment:
     return Alignment(entries=entries, question=question, repairs=repairs)
 
 
-def gold_entries_of_line(line: str, shared: dict) -> list[AlignmentEntry] | None:
-    """The entries of a gold alignment line written as ``json.dumps`` writes
-    a list of records, ``[{...}, {...}]``, read as ``Alignment.from_records``
-    reads it with *strict* and *shared*. Each distinct record text is decoded
-    and checked once, and filed in *shared* under that text. None when the
-    line is written otherwise or a record does not decode or pass: the line
-    is then for ``json.loads`` and ``from_records`` to read or refuse."""
-    if not (line.startswith("[{") and line.endswith("}]")):
-        return None
-    entries = []
-    # The line is "[{" + "}, {".join(texts) + "}]". When every "{" + text +
-    # "}" decodes whole as an object, every split fell between two records,
-    # and the line is the list of those objects; a split inside a string
-    # leaves texts that do not decode.
-    for text in line[2:-2].split("}, {"):
-        entry = shared.get(text)
-        if entry is None:
-            try:
-                [entry], _ = _entries_from_records([json.loads("{" + text + "}")], shared, True)
-            except (ValueError, MalformedDatasetError):
-                return None
-            shared[text] = entry
-        entries.append(entry)
-    return entries
-
-
 def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
     position = 0
     for token in candidate:
@@ -148,10 +122,15 @@ def _entries_from_records(
     """The entries of *records* and the number of repairs made to them.
     With *strict*, as for gold data, a record that would be repaired, or
     whose token or schema is not a string, raises ``MalformedDatasetError``
-    naming its position instead; and each record that passes is also filed
-    in *shared* under its raw token, schema and type, so that a repeat of it
-    is that entry with no second check. Such a table holds only records that
-    passed the strict checks, and serves strict calls only."""
+    naming its position instead.
+
+    *shared* holds only entries that this function made, keyed by their
+    (token, schema, type). Each such key passes every strict check but the
+    one for a blank token, which only a lenient call lets through: its token
+    is a string, its schema a string or null, and its type a known one, set
+    or null together with the schema. So a strict call takes a record whose
+    raw (token, schema, type) is such a key, with a non-blank token, as that
+    entry with no further check; a gold pool repeats few distinct records."""
     entries: list[AlignmentEntry] = []
     repairs = 0
 
@@ -161,28 +140,24 @@ def _entries_from_records(
         return 1
 
     for position, record in enumerate(records):
-        if strict and type(record) is dict:
-            # The checks read nothing but these three values, so equal values
-            # pass as they did before. A gold pool repeats few distinct ones.
-            raw = (record.get("token"), record.get("schema"), record.get("type"))
-            try:
-                entry = shared.get(raw)
-            except TypeError:  # an unhashable value, which the checks refuse
-                entry = None
-            if entry is not None:
-                entries.append(entry)
-                continue
         if not isinstance(record, dict):
             repairs += repair(position, f"not an object: {record!r:.40}")
             continue
         token = record.get("token")
+        schema_entity, raw_type = record.get("schema"), record.get("type")
+        if strict:
+            try:
+                entry = shared.get((token, schema_entity, raw_type))
+            except TypeError:  # an unhashable value, which the checks refuse
+                entry = None
+            if entry is not None and entry.token.strip():
+                entries.append(entry)
+                continue
         if token is None or str(token) == "" or strict and not (
             isinstance(token, str) and token.strip()
         ):
             repairs += repair(position, f"token must be a non-blank string, not {token!r:.40}")
             continue
-        schema_entity = record.get("schema")
-        raw_type = record.get("type")
         if strict and not isinstance(schema_entity, str | None):
             raise MalformedDatasetError(
                 f"record {position}: schema must be a string or null, not {schema_entity!r:.40}"
@@ -207,8 +182,6 @@ def _entries_from_records(
         entry = shared.get(key)
         if entry is None:
             entry = shared[key] = AlignmentEntry(*key)
-        if strict:
-            shared[raw] = entry
         entries.append(entry)
     return entries, repairs
 

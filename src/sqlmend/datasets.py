@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import Alignment, gold_entries_of_line
+from .alignment import Alignment
 from .errors import MalformedDatasetError
 
 
@@ -87,9 +87,11 @@ def load_dataset(path: str | Path) -> list[Example]:
 def jsonl_lines(path: Path) -> list[str]:
     """The lines of a JSON-lines file. A line ends at ``"\n"`` only, so that
     U+2028 and the other breaks ``str.splitlines`` knows may stand raw inside
-    a JSON string; a ``"\r"`` before it is whitespace to JSON, and a final
-    newline ends the last line rather than starting an empty one."""
-    lines = path.read_text(encoding="utf-8").split("\n")
+    a JSON string. The text is read untranslated: a ``"\r"`` ends no line,
+    and one before ``"\n"`` is whitespace to JSON. A final newline ends the
+    last line rather than starting an empty one."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -98,11 +100,12 @@ def jsonl_lines(path: Path) -> list[str]:
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
     """Attach sidecar line *i* to question *i*; blank lines mean no gold.
     Lines end at ``"\n"`` (see ``jsonl_lines``). Equal entries of different
-    lines are one ``AlignmentEntry``, and each distinct record is checked
-    once. Gold data is not repaired: a record that is not an object, has no
-    non-blank string token, a schema that is not a string, an unknown type
-    or a link with only one of schema and type is a ``MalformedDatasetError``
-    naming the file and line."""
+    lines are one ``AlignmentEntry``, and a record written as an entry
+    already read is that entry, not checked again (see
+    ``alignment._entries_from_records``). Gold data is not repaired: a record
+    that is not an object, has no non-blank string token, a schema that is
+    not a string, an unknown type or a link with only one of schema and type
+    is a ``MalformedDatasetError`` naming the file and line."""
     path = Path(path)
     lines = jsonl_lines(path)
     if len(lines) > len(questions):
@@ -115,10 +118,6 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         line = lines[index].strip() if index < len(lines) else ""
         if not line:
             alignments.append(None)
-            continue
-        entries = gold_entries_of_line(line, shared)
-        if entries is not None:
-            alignments.append(Alignment(entries=entries, question=question))
             continue
         try:
             records = json.loads(line)

@@ -48,10 +48,7 @@ class Demonstration:
 
 def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     """Read a JSON array of {question, query, db_id} records (the Spider
-    training-set shape; ``sql`` is accepted as a synonym for ``query``).
-    The question and query must be non-blank strings and the db_id a string
-    or absent; otherwise ``datasets.entry_text`` names the first field at
-    fault."""
+    training-set shape; ``sql`` is accepted as a synonym for ``query``)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -63,16 +60,10 @@ def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     for index, record in enumerate(raw):
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: entry {index} is not an object")
-        question, db_id = record.get("question"), record.get("db_id")
-        sql = record["query"] if "query" in record else record.get("sql")
-        # s.strip() is empty exactly when s is empty or all whitespace.
-        if not (isinstance(question, str) and question and not question.isspace()
-                and isinstance(sql, str) and sql and not sql.isspace()
-                and (db_id is None or isinstance(db_id, str))):
-            entry_text(path, index, "question", question)
-            entry_text(path, index, "query", sql)
-            entry_text(path, index, "db_id", db_id, required=False)
-        pool.append(Demonstration(question, sql, db_id or ""))
+        question = entry_text(path, index, "question", record.get("question"))
+        sql = entry_text(path, index, "query", record.get("query", record.get("sql")))
+        db_id = entry_text(path, index, "db_id", record.get("db_id"), required=False) or ""
+        pool.append(Demonstration(question=question, sql=sql, db_id=db_id))
     return pool
 
 

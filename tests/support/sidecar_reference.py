@@ -15,7 +15,7 @@ _TYPES = {"tbl": "tbl", "tab": "tbl", "col": "col", "val": "val"}
 
 def load_sidecar(path: Path, questions: list[str]) -> list[list[tuple] | None]:
     """Per question, None or the (token, schema, type) of each entry."""
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = path.read_bytes().decode("utf-8").split("\n")
     if not lines[-1]:
         lines.pop()
     if len(lines) > len(questions):

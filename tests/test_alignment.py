@@ -13,7 +13,12 @@ from sqlmend.alignment import (
     score_alignment,
     tokenize_question,
 )
-from sqlmend.errors import AlignmentParseError, EmptyInputError, ScoringError
+from sqlmend.errors import (
+    AlignmentParseError,
+    EmptyInputError,
+    MalformedDatasetError,
+    ScoringError,
+)
 
 from support import alignment_reference
 
@@ -357,3 +362,20 @@ class TestDecoderCallCharge:
         assert 3 * n * (n + 1) // 2 + 2 * n * alignment._DECODER_CALL_CHARS <= (
             alignment._FALLBACK_BUDGET
         )
+
+
+def test_strict_call_refuses_a_blank_token_a_lenient_call_filed():
+    # A lenient call takes a blank token as it is and files its entry in
+    # *shared*; a strict call with the same table must still refuse it.
+    shared = {}
+    blank = [{"token": " ", "schema": None, "type": None}]
+    assert [e.token for e in Alignment.from_records(blank, "q", shared=shared).entries] == [" "]
+    with pytest.raises(MalformedDatasetError, match="record 0: token must be a non-blank"):
+        Alignment.from_records(blank, "q", shared=shared, strict=True)
+    # An entry a lenient call made for a record that passes strictly is
+    # taken as it is.
+    good = [{"token": "a", "schema": "t", "type": "tbl"}]
+    lenient = Alignment.from_records(good, "q", shared=shared)
+    assert Alignment.from_records(good, "q", shared=shared, strict=True).entries == lenient.entries
+    assert Alignment.from_records(good, "q", shared=shared, strict=True).entries[0] is (
+        lenient.entries[0])

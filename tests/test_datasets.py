@@ -203,6 +203,16 @@ def test_sidecar_lines_end_at_newline_only(tmp_path):
     assert [a.entries[0].token for a in alignments] == tokens
 
 
+def test_sidecar_lone_carriage_return_ends_no_line(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    path.write_bytes(b'[{"token": "a",\r"schema": null, "type": null}]\n')
+    [alignment] = load_alignment_sidecar(path, ["q"])
+    assert alignment.entries[0].token == "a"
+    path.write_bytes(b"[]\r[]\n")  # one line, which is not JSON
+    with pytest.raises(MalformedDatasetError, match="line 1: Extra data"):
+        load_alignment_sidecar(path, ["q", "r"])
+
+
 def test_sidecar_final_newline_adds_no_line(tmp_path):
     path = tmp_path / "alignments.jsonl"
     path.write_text("[]\n", encoding="utf-8")
@@ -215,8 +225,7 @@ def test_sidecar_final_newline_adds_no_line(tmp_path):
 
 # Gold records: mostly ones that pass, and faults that share a token and a
 # schema with them, so that a table of checked records that kept too little
-# of a record would take a fault for a record that passed. A token that
-# holds "}, {" splits a line written by json.dumps inside a string.
+# of a record would take a fault for a record that passed.
 _PASSING = [("the", None, None), ("singers", "singer", "tbl"), ("singers", "singer", "tab"),
             ("singers", "singer", " COL"), ("singers", "singer", "col"), ("name", "name", "col"),
             ("a}, {b", None, None), ("\u2028", "x", "val")]
@@ -237,12 +246,13 @@ _RECORDS = st.one_of(
                     st.sampled_from(["the", "singer", "tbl", None, 5]), max_size=4),
     st.sampled_from(["singers", 1, [], None]),
 )
-# The layout json.dumps writes by default, and three others.
+# The layout json.dumps writes by default, and four others.
 _LAYOUTS = [
     json.dumps,
     lambda records: json.dumps(records, separators=(",", ":")),
     lambda records: json.dumps(records, ensure_ascii=False) + " \r",
     lambda records: "  " + json.dumps(records),
+    lambda records: json.dumps(records).replace(", ", ",\r"),
 ]
 _LINES = st.one_of(
     st.builds(lambda layout, records: layout(records),
@@ -279,3 +289,18 @@ def test_sidecar_gives_what_checking_record_by_record_gives(tmp_path_factory, li
     shared = {}
     for entry in (e for a in loaded if a is not None for e in a.entries):
         assert shared.setdefault(dataclasses.astuple(entry), entry) is entry
+
+
+@pytest.mark.parametrize("earlier", _PASSING)
+def test_sidecar_reads_each_record_after_a_passing_one_as_checking_it_alone(tmp_path, earlier):
+    # Every record from the lists above, after each that passes: a table of
+    # checked records must not take one for an entry it is not.
+    path = tmp_path / "alignments.jsonl"
+    for record in _PASSING + _FAULTY:
+        line = [dict(zip(("token", "schema", "type"), r)) for r in (earlier, record)]
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        kind, loaded = _outcome(load_alignment_sidecar, path, ["q"])
+        expected = _outcome(sidecar_reference.load_sidecar, path, ["q"])
+        if kind == "loaded":
+            loaded = [[dataclasses.astuple(e) for e in loaded[0].entries]]
+        assert (kind, loaded) == expected, record

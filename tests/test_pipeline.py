@@ -606,3 +606,11 @@ def test_read_traces_lines_end_at_newline_only(tmp_path):
     assert read_traces(path) == records
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     assert read_traces(path) == records
+
+
+def test_read_traces_lone_carriage_return_ends_no_line(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    record = {"example_id": "0", "initial_sql": "SELECT 1", "final_sql": None,
+              "parsed_skeleton": None, "alignment": None}
+    path.write_bytes(json.dumps(record).replace(", ", ",\r").encode() + b"\n")
+    assert read_traces(path) == [record]
