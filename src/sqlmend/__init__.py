@@ -24,15 +24,8 @@ from .backends import (
 )
 from .comparison import Feedback, compare_entities, compare_skeletons
 from .datasets import Example, load_alignment_sidecar, load_dataset
-from .evaluation import (
-    EvalRecord,
-    ExecutionResult,
-    Report,
-    classify_errors,
-    evaluate_run,
-    execute_sql,
-    results_match,
-)
+from .evaluation import EvalRecord, Report, classify_errors, evaluate_run, results_match
+from .execution import ExecutionResult, execute_sql
 from .pipeline import CorrectionTrace, MendPipeline, PipelineConfig, read_traces, write_traces
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, build_index, load_demonstration_pool, top_k

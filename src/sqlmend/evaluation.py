@@ -1,6 +1,7 @@
-"""Execution-based evaluation: read-only SQLite execution with a timeout,
-execution-accuracy comparison, skeleton accuracy, and the four-way error
-breakdown (table / column / skeleton / execution).
+"""Execution-based evaluation: execution-accuracy comparison, skeleton
+accuracy, and the four-way error breakdown (table / column / skeleton /
+execution). Queries run through ``execution.execute_sql``; one
+``evaluate_run`` call keeps one connection per database file.
 
 Result comparison follows the usual Spider conventions: column order is
 significant, rows compare as ordered sequences only when the gold query has
@@ -15,188 +16,23 @@ query and each distinct predicted text of a trace are analysed at most once.
 from __future__ import annotations
 
 import math
-import sqlite3
-import time
-from contextlib import closing, contextmanager
-from contextvars import ContextVar
+from contextlib import closing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .alignment import Alignment, LinkingScore, score_alignment
 from .datasets import Example
 from .errors import EvaluationError
+from .execution import Connections, ExecutionResult, execute_sql, using
 from .schema import SchemaCatalog
 from .sql_analysis import SqlAnalysis, analyze_sql, entities_of
 
-DEFAULT_TIMEOUT = 30.0
-# A result with more rows fails with ``too_many_rows``, so a runaway join
-# cannot exhaust memory before the timeout fires.
-MAX_RESULT_ROWS = 100_000
 NUMERIC_TOLERANCE = 1e-6
-# Page cache, in KiB, of each connection that evaluate_run keeps open for
-# the whole call, or the pipeline for its examples, one per database file:
-# SQLite's default of 2,000 KiB would grow peak memory with the number of
-# files, and the OS page cache serves the re-reads. A connection opened for
-# a single query keeps the default, since it is closed at once and a
-# smaller cache makes that query slower.
-_KEPT_PAGE_CACHE_KIB = 1
 
 TABLE_ERROR = "table_error"
 COLUMN_ERROR = "column_error"
 SKELETON_ERROR = "skeleton_error"
 EXECUTION_ERROR = "execution_error"
 ERROR_CATEGORIES = (TABLE_ERROR, COLUMN_ERROR, SKELETON_ERROR, EXECUTION_ERROR)
-
-# Everything else, ATTACH, PRAGMA and temporary tables included, is refused
-# while a statement is prepared, so model-written SQL cannot write anywhere.
-_ALLOWED_ACTIONS = frozenset(
-    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
-)
-
-
-def _authorize(action: int, *_) -> int:
-    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
-
-
-@dataclass
-class ExecutionResult:
-    status: str  # ok | engine_error | timeout | too_many_rows
-    rows: list[tuple] | None = None
-    error_message: str | None = None
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-class _Connections:
-    """Read-only connections to SQLite files, one per path, kept until
-    ``close``. Each gets its page cache size (SQLite's default when
-    ``page_cache_kib`` is None), its prepared-statement cache size, the
-    allowlist authorizer, no attached databases and a watchdog once, when it
-    opens; ``execute`` restarts the watchdog's deadline on every query. A
-    connection that timed out or raised something other than
-    ``sqlite3.Error`` is dropped. One thread uses a set at a time, though not
-    always the same thread: the pipeline hands its sets from one worker to
-    the next."""
-
-    def __init__(self, page_cache_kib: int | None = None, cached_statements: int = 128) -> None:
-        self._page_cache_kib = page_cache_kib
-        self._cached_statements = cached_statements
-        self._open: dict[Path, sqlite3.Connection] = {}
-        self._deadline = 0.0
-        self._timed_out = False
-
-    def _watchdog(self) -> int:
-        if time.monotonic() > self._deadline:
-            self._timed_out = True
-            return 1
-        return 0
-
-    def _connect(self, path: Path) -> sqlite3.Connection:
-        conn = sqlite3.connect(
-            f"file:{path}?mode=ro", uri=True, check_same_thread=False,
-            cached_statements=self._cached_statements,
-        )
-        if self._page_cache_kib is not None:
-            try:
-                # Before the authorizer, which refuses every PRAGMA.
-                conn.execute(f"PRAGMA cache_size = -{self._page_cache_kib}")
-            except sqlite3.Error:
-                conn.close()
-                raise
-        conn.set_authorizer(_authorize)
-        if hasattr(conn, "setlimit"):  # Python >= 3.11
-            conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
-        conn.set_progress_handler(self._watchdog, 10_000)
-        return conn
-
-    def _drop(self, path: Path) -> None:
-        self._open.pop(path).close()
-
-    def execute(self, sql: str, path: Path, timeout: float) -> ExecutionResult:
-        started = time.monotonic()
-        if not sql or not sql.strip():
-            return ExecutionResult(status="engine_error", error_message="empty SQL statement")
-        conn = self._open.get(path)
-        if conn is None:
-            try:
-                conn = self._open[path] = self._connect(path)
-            except sqlite3.Error as exc:
-                return ExecutionResult(status="engine_error", error_message=str(exc))
-        self._deadline = started + timeout
-        self._timed_out = False
-        try:
-            cursor = conn.cursor()
-            try:
-                rows = cursor.execute(sql).fetchmany(MAX_RESULT_ROWS + 1)
-            finally:
-                cursor.close()  # an unfinished read must not stay open on the connection
-        except sqlite3.Error as exc:
-            elapsed = time.monotonic() - started
-            if self._timed_out:
-                self._drop(path)
-                return ExecutionResult(status="timeout", error_message=str(exc), elapsed=elapsed)
-            return ExecutionResult(status="engine_error", error_message=str(exc), elapsed=elapsed)
-        except Exception as exc:  # e.g. overflow converting huge integers
-            self._drop(path)
-            return ExecutionResult(
-                status="engine_error", error_message=str(exc), elapsed=time.monotonic() - started
-            )
-        if len(rows) > MAX_RESULT_ROWS:
-            return ExecutionResult(
-                status="too_many_rows",
-                error_message=f"result has more than {MAX_RESULT_ROWS} rows",
-                elapsed=time.monotonic() - started,
-            )
-        return ExecutionResult(status="ok", rows=rows, elapsed=time.monotonic() - started)
-
-    def close(self) -> None:
-        for conn in self._open.values():
-            conn.close()
-        self._open.clear()
-
-
-# The connections of the evaluate_run or pipeline example in progress in this
-# context (each thread has its own), so that every query still goes through
-# execute_sql.
-_kept: ContextVar[_Connections | None] = ContextVar("sqlmend_connections", default=None)
-
-
-@contextmanager
-def _using(connections: _Connections):
-    """Send this context's ``execute_sql`` calls to *connections*."""
-    token = _kept.set(connections)
-    try:
-        yield
-    finally:
-        _kept.reset(token)
-
-
-@contextmanager
-def _keeping_connections():
-    with closing(_Connections(_KEPT_PAGE_CACHE_KIB)) as connections, _using(connections):
-        yield
-
-
-def execute_sql(
-    sql: str, catalog: SchemaCatalog, timeout: float = DEFAULT_TIMEOUT
-) -> ExecutionResult:
-    """Run a query against the catalog's SQLite file on a read-only
-    connection that authorizes only reads (a refused statement fails with
-    ``not authorized``); long queries are interrupted once *timeout*
-    passes, and at most ``MAX_RESULT_ROWS`` rows are fetched. Inside
-    ``evaluate_run`` or a pipeline example the connection is the one kept
-    open for the file; anywhere else it is opened for this query and closed
-    after it."""
-    if catalog.source_path is None:
-        raise EvaluationError(f"catalog {catalog.db_id} has no SQLite source path")
-    connections = _kept.get()
-    if connections is not None:
-        return connections.execute(sql, catalog.source_path, timeout)
-    with closing(_Connections()) as connections:
-        return connections.execute(sql, catalog.source_path, timeout)
 
 
 def _cells_equal(a, b) -> bool:
@@ -341,7 +177,7 @@ def evaluate_run(
 
     records: list[EvalRecord] = []
     invalid_gold: list[str] = []
-    with _keeping_connections():
+    with closing(Connections()) as connections, using(connections):
         for trace in traces:
             example = by_id[trace["example_id"]]
             gold_sql = example.gold_sql

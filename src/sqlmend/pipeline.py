@@ -19,12 +19,11 @@ after a correction the earlier checks are not re-run, and the skeleton check is
 evaluated against the post-entity-correction SQL. The entity and skeleton
 checks read one analysis of each distinct SQL text.
 
-The execution check runs on read-only connections the pipeline keeps, one per
-database file for each example running at once: a running example holds one
-set, and hands it to the next example when it ends. They have no
-prepared-statement cache, so nothing one example ran is kept for the next.
-``close()`` closes them, and so does the end of ``run()``; the next example
-opens them again.
+The execution check runs through ``execution.execute_sql`` on connection sets
+the pipeline keeps, one connection per database file for each example running
+at once: a running example holds one set (``execution.using``), and hands it
+to the next example when it ends. ``close()`` closes them, and so does the
+end of ``run()``; the next example opens them again.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ from typing import Callable, TypeVar
 
 from .alignment import Alignment, linked_entities, parse_alignment, tokenize_question
 from .backends import ModelBackend, ModelRequest, prompt_sha256
-from .comparison import Feedback, compare_entities, compare_skeletons
+from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
 from .datasets import Example, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
-from .evaluation import _KEPT_PAGE_CACHE_KIB, _Connections, _using, execute_sql
+from .execution import Connections, execute_sql, using
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
@@ -161,7 +160,7 @@ class MendPipeline:
             raise SqlMendError("few-shot inference requires a demonstration pool and index")
         # Connection sets no running example holds. ``list.pop`` and
         # ``append`` are atomic, so two threads never take the same set.
-        self._idle: list[_Connections] = []
+        self._idle: list[Connections] = []
 
     # -- stage helpers -----------------------------------------------------
 
@@ -327,7 +326,7 @@ class MendPipeline:
                 if result.ok:
                     break
                 feedback = Feedback(
-                    kind="execution_error",
+                    kind=EXECUTION_ERROR,
                     error_message=result.error_message or "execution failed",
                 )
                 current = self._correction_round(example, current, feedback, trace)
@@ -344,9 +343,9 @@ class MendPipeline:
         try:
             connections = self._idle.pop()
         except IndexError:
-            connections = _Connections(_KEPT_PAGE_CACHE_KIB, cached_statements=0)
+            connections = Connections()
         try:
-            with _using(connections):
+            with using(connections):
                 # The three sub-task prompts share one ranking of the pool.
                 selected = self.select_demos(example.question)
                 skeleton = self.submit_skeleton(example, selected)

@@ -7,6 +7,8 @@ traces."""
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from sqlmend.alignment import Alignment, score_alignment
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError, SqlMendError
@@ -19,10 +21,10 @@ from sqlmend.evaluation import (
     EvalRecord,
     ExecutionResult,
     Report,
-    _keeping_connections,
     execute_sql,
     results_match,
 )
+from sqlmend.execution import Connections, using
 from sqlmend.schema import SchemaCatalog
 from sqlmend.sql_analysis import analyze_sql, extract_entities, extract_skeleton
 
@@ -87,7 +89,7 @@ def evaluate_run(
     macro_scores: list = []
     hardness: dict[str, dict] = {}
 
-    with _keeping_connections():
+    with closing(Connections()) as connections, using(connections):
         for trace in traces:
             example = by_id[trace["example_id"]]
             if not example.gold_sql:

@@ -5,6 +5,7 @@ import shutil
 import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,14 @@ from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
 from sqlmend import evaluation
-from sqlmend.evaluation import (
+from sqlmend.evaluation import classify_errors, evaluate_run, results_match
+from sqlmend.execution import (
     DEFAULT_TIMEOUT,
     MAX_RESULT_ROWS,
+    Connections,
     ExecutionResult,
-    classify_errors,
-    evaluate_run,
     execute_sql,
-    results_match,
+    using,
 )
 from sqlmend.sql_analysis import analyze_sql, extract_skeleton
 
@@ -75,6 +76,13 @@ def opened(monkeypatch):
 
     monkeypatch.setattr(sqlite3, "connect", spy)
     return connections
+
+
+@contextmanager
+def _keeping_connections():
+    """Keep connections for this context as one ``evaluate_run`` does."""
+    with closing(Connections()) as connections, using(connections):
+        yield
 
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
@@ -157,7 +165,7 @@ class TestExecuteSql:
         assert str(MAX_RESULT_ROWS) in over.error_message
 
     def test_cross_join_over_the_cap_refused(self, db_catalog, monkeypatch):
-        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 16)
+        monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 16)
         assert execute_sql("SELECT a.name FROM singer a, singer b", db_catalog).ok
         result = execute_sql("SELECT a.name FROM singer a, singer b, concert c", db_catalog)
         assert result.status == "too_many_rows"
@@ -172,7 +180,7 @@ class TestKeptConnections:
         self, db_catalog, tmp_path, opened, statement
     ):
         target = tmp_path / "written.sqlite"
-        with evaluation._keeping_connections():
+        with _keeping_connections():
             refused = execute_sql(statement.format(path=target), db_catalog)
             after = execute_sql("SELECT count(*) FROM singer", db_catalog)
         assert refused.status == "engine_error"
@@ -182,7 +190,7 @@ class TestKeptConnections:
         assert len(opened) == 1
 
     def test_timeout_drops_the_connection(self, db_catalog, opened):
-        with evaluation._keeping_connections():
+        with _keeping_connections():
             assert execute_sql(RUNAWAY, db_catalog, timeout=0.2).status == "timeout"
             after = execute_sql("SELECT count(*) FROM singer", db_catalog, timeout=0.2)
             assert after.rows == [(4,)]
@@ -194,7 +202,7 @@ class TestKeptConnections:
             "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 5000) "
             "SELECT count(*) FROM n"
         )
-        with evaluation._keeping_connections():
+        with _keeping_connections():
             assert execute_sql(count_to, db_catalog, timeout=0.3).ok
             time.sleep(0.4)
             assert execute_sql(count_to, db_catalog, timeout=0.3).rows == [(5000,)]
@@ -205,8 +213,8 @@ class TestKeptConnections:
         shutil.copy(corpus_db, copy)
         catalog = _catalog_of(copy)
         del opened[:]
-        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 16)
-        with evaluation._keeping_connections():
+        monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 16)
+        with _keeping_connections():
             over = execute_sql("SELECT a.name FROM singer a, singer b, concert c", catalog)
             assert over.status == "too_many_rows"
             # A read statement left open would hold the file's shared lock.
@@ -221,10 +229,10 @@ class TestKeptConnections:
         assert len(opened) == 2  # the kept connection and the writer
 
     def test_overflow_drops_the_connection(self, db_catalog, monkeypatch, opened):
-        with evaluation._keeping_connections():
-            monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 2**64)
+        with _keeping_connections():
+            monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 2**64)
             overflow = execute_sql("SELECT name FROM singer", db_catalog)
-            monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", MAX_RESULT_ROWS)
+            monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", MAX_RESULT_ROWS)
             assert overflow.status == "engine_error"
             assert "too large" in overflow.error_message
             assert execute_sql("SELECT count(*) FROM singer", db_catalog).rows == [(4,)]
@@ -232,7 +240,7 @@ class TestKeptConnections:
             assert _is_closed(opened[0]) and not _is_closed(opened[1])
 
     def test_no_connection_crosses_threads(self, db_catalog):
-        with evaluation._keeping_connections():
+        with _keeping_connections():
             assert execute_sql("SELECT 1", db_catalog).ok
             with ThreadPoolExecutor(max_workers=1) as pool:
                 other = pool.submit(execute_sql, "SELECT count(*) FROM singer", db_catalog)
@@ -558,7 +566,7 @@ class TestEvaluateRun:
         }
 
     def test_rows_over_the_cap(self, db_catalog, monkeypatch):
-        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 3)
+        monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 3)
         four_rows = "SELECT name FROM singer"
         dataset = [
             Example("0", "q0", "concert_hall", gold_sql=four_rows),

@@ -1,5 +1,5 @@
 """A module's ``_``-prefixed names are its own: no other ``sqlmend`` module
-imports them, except for the pairs allowlisted below."""
+imports them, except for the pairs allowlisted below (none today)."""
 
 from __future__ import annotations
 
@@ -11,11 +11,7 @@ import sqlmend
 PACKAGE_DIR = Path(sqlmend.__file__).parent
 
 # (importing module, imported module) -> the private names it may import.
-# The pipeline keeps one set of read-only connections per running example
-# through the evaluation module's connection machinery.
-ALLOWED = {
-    ("pipeline", "evaluation"): {"_KEPT_PAGE_CACHE_KIB", "_Connections", "_using"},
-}
+ALLOWED: dict[tuple[str, str], set[str]] = {}
 
 
 def _private_imports(path: Path) -> list[tuple[str, str, int]]:
@@ -51,13 +47,13 @@ def test_no_module_imports_another_modules_private_names():
 def test_the_scan_finds_relative_and_absolute_private_imports(tmp_path):
     path = tmp_path / "module.py"
     path.write_text(
-        "from .evaluation import _using, execute_sql\n"
+        "from .execution import _kept, execute_sql\n"
         "def f():\n"
         "    from sqlmend.sql_analysis import _analyze\n"
         "from . import comparison\n",
         encoding="utf-8",
     )
-    assert _private_imports(path) == [("evaluation", "_using", 1), ("sql_analysis", "_analyze", 3)]
+    assert _private_imports(path) == [("execution", "_kept", 1), ("sql_analysis", "_analyze", 3)]
 
 
 def test_every_allowlisted_name_is_imported():

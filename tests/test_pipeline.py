@@ -10,7 +10,7 @@ import threading
 import pytest
 
 import sqlmend.pipeline
-from sqlmend import evaluation
+from sqlmend import execution
 from sqlmend.backends import (
     ModelBackend,
     ModelResponse,
@@ -95,7 +95,7 @@ class TestStageBehaviour:
 
 
     def test_execution_round_sees_the_row_cap(self, mini_env, monkeypatch):
-        monkeypatch.setattr("sqlmend.evaluation.MAX_RESULT_ROWS", 1)
+        monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 1)
         prompts = []
 
         class AllRows(ModelBackend):
@@ -418,7 +418,7 @@ class TestKeptConnections:
             opened.append((connect(*args, **kwargs), kwargs))
             return opened[-1][0]
 
-        monkeypatch.setattr(evaluation.sqlite3, "connect", tracked)
+        monkeypatch.setattr(execution.sqlite3, "connect", tracked)
         output = tmp_path / "out"
         assert main(run_args(mini_paths, replay_store_path, output, "--workers", str(workers))) == 0
         # Ten examples on two database files: a connection per file and
@@ -437,7 +437,7 @@ class TestKeptConnections:
                 pass
 
             def execute(self, sql, path, timeout):
-                return evaluation.ExecutionResult(status="ok", rows=[])
+                return execution.ExecutionResult(status="ok", rows=[])
 
             def close(self):
                 pass
@@ -445,7 +445,7 @@ class TestKeptConnections:
         lock = threading.Lock()
         held: set = set()
         overlaps: list = []
-        using = sqlmend.pipeline._using
+        using = sqlmend.pipeline.using
 
         @contextlib.contextmanager
         def exclusive(connections):
@@ -460,8 +460,8 @@ class TestKeptConnections:
                 with lock:
                     held.discard(connections)
 
-        monkeypatch.setattr(sqlmend.pipeline, "_Connections", Recorded)
-        monkeypatch.setattr(sqlmend.pipeline, "_using", exclusive)
+        monkeypatch.setattr(sqlmend.pipeline, "Connections", Recorded)
+        monkeypatch.setattr(sqlmend.pipeline, "using", exclusive)
         pipeline = mini_env.pipeline(_SameSql("SELECT name FROM singer"), shots=0)
         examples = mini_env.examples
         expected = [pipeline.run_example(e).to_dict() for e in examples]

@@ -1,10 +1,15 @@
-"""The README's library quickstart runs as written, on the mini benchmark."""
+"""The README's library quickstart runs as written, on the mini benchmark,
+and each test its Guarantees section names exists (read from the test files'
+source, running nothing)."""
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 from pathlib import Path
+
+import pytest
 
 from sqlmend.backends import RecordingBackend, ReplayStore
 from sqlmend.datasets import load_dataset
@@ -15,7 +20,9 @@ from sqlmend.sql_analysis import extract_skeleton
 
 from support.mini import ScriptedBackend
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+NODE_ID = re.compile(r"`(tests/[\w/]+\.py(?:::\w+)+)`")
 
 
 def _quickstart_code() -> str:
@@ -47,3 +54,39 @@ def test_library_quickstart_prints_the_first_final_skeleton(
     first = namespace["traces"][0]
     assert first.to_dict() == recorded[0].to_dict()
     assert capsys.readouterr().out == f"{extract_skeleton(first.final_sql)}\n"
+
+
+def _guarantees() -> list[str]:
+    """The bullets of the README's Guarantees section, each on one line."""
+    section = README.read_text(encoding="utf-8").split("\n## Guarantees\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [" ".join(bullet.split()) for bullet in section.split("\n- ")[1:]]
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether the test file at *path* defines the class and function path
+    *names*, such as ``["TestRun", "test_x"]``."""
+    body = ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+    for name in names:
+        found = [node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return isinstance(found[0], ast.FunctionDef) and names[-1].startswith("test_")
+
+
+def test_every_guarantee_names_a_test_or_says_it_is_unpinned():
+    guarantees = _guarantees()
+    assert len(guarantees) >= 10
+    for guarantee in guarantees:
+        assert NODE_ID.search(guarantee) or "unpinned" in guarantee, guarantee
+
+
+@pytest.mark.parametrize(
+    "node_id", sorted({node_id for line in _guarantees() for node_id in NODE_ID.findall(line)})
+)
+def test_named_test_exists(node_id):
+    path, *names = node_id.split("::")
+    assert (REPO / path).is_file(), node_id
+    assert _defines(REPO / path, names), node_id
