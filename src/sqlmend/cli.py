@@ -30,6 +30,7 @@ from .datasets import Example, load_alignment_sidecar, load_dataset
 from .errors import EmptyInputError, FixtureMissingError, SqlMendError
 from .evaluation import ERROR_CATEGORIES, evaluate_run
 from .pipeline import (
+    ORACLE_MODES,
     CorrectionTrace,
     MendPipeline,
     PipelineConfig,
@@ -305,7 +306,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-url", dest="base_url", help="chat-completions base URL")
     parser.add_argument("--model", help="model name for the HTTP backend")
     parser.add_argument("--shots", type=int, help="demonstrations per few-shot prompt")
-    parser.add_argument("--oracle", choices=["none", "entities", "skeleton", "both"],
+    parser.add_argument("--oracle", choices=ORACLE_MODES,
                         help="replace sub-task outputs with gold data")
     parser.add_argument("--workers", type=int, help="concurrent examples")
 

@@ -42,19 +42,27 @@ def entry_text(
     raise MalformedDatasetError(f"{path}: entry {index}: {name} must be {kind}, not {value!r:.40}")
 
 
-def load_dataset(path: str | Path) -> list[Example]:
-    path = Path(path)
+def json_entries(path: Path, what: str) -> list[dict]:
+    """The entries of a file holding a JSON array of objects. A file that
+    cannot be read or parsed (named as *what*), is not an array, or has an
+    entry that is not an object is a ``MalformedDatasetError`` naming it."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedDatasetError(f"{path}: cannot parse dataset: {exc}") from exc
+        raise MalformedDatasetError(f"{path}: cannot parse {what}: {exc}") from exc
     if not isinstance(raw, list):
         raise MalformedDatasetError(f"{path}: expected a top-level array")
+    for index, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise MalformedDatasetError(f"{path}: entry {index} is not an object")
+    return raw
+
+
+def load_dataset(path: str | Path) -> list[Example]:
+    path = Path(path)
     examples = []
     first_index: dict[str, int] = {}
-    for index, record in enumerate(raw):
-        if not isinstance(record, dict):
-            raise MalformedDatasetError(f"{path}: entry {index} is not an object")
+    for index, record in enumerate(json_entries(path, "dataset")):
         question = entry_text(path, index, "question", record.get("question"))
         db_id = entry_text(path, index, "db_id", record.get("db_id"))
         gold_sql = record.get("query", record.get("sql"))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .alignment import Alignment, LinkingScore, score_alignment
 from .datasets import Example
 from .errors import EvaluationError
-from .execution import Connections, ExecutionResult, execute_sql, using
+from .execution import Connections, ExecutionResult, execute_sql
 from .schema import SchemaCatalog
 from .sql_analysis import SqlAnalysis, analyze_sql, entities_of
 
@@ -177,7 +177,7 @@ def evaluate_run(
 
     records: list[EvalRecord] = []
     invalid_gold: list[str] = []
-    with closing(Connections()) as connections, using(connections):
+    with closing(Connections()) as connections:
         for trace in traces:
             example = by_id[trace["example_id"]]
             gold_sql = example.gold_sql
@@ -187,7 +187,7 @@ def evaluate_run(
             catalog = catalogs.get(example.db_id)
             if catalog is None:
                 raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
-            gold_result = execute_sql(gold_sql, catalog)
+            gold_result = execute_sql(gold_sql, catalog, connections=connections)
             # Analysed only once SQLite has run it; the tokenizer may still reject it.
             gold = analyze_sql(gold_sql) if gold_result.ok else None
             if gold is None or not gold.tokenizes:
@@ -204,7 +204,7 @@ def evaluate_run(
             for text in (initial_sql, final_sql):
                 if text not in verdicts:
                     result = (gold_result if text == gold_sql
-                              else execute_sql(text, catalog))
+                              else execute_sql(text, catalog, connections=connections))
                     if results_match(result, gold_result, gold.ordered):
                         verdicts[text] = (True, set())
                     else:

@@ -10,17 +10,16 @@ statement cache would reuse about 2% of the statements in an ``evaluate``
 call. A connection that timed out or raised something other than
 ``sqlite3.Error`` is dropped.
 
-A query runs on the ``Connections`` set that ``using`` gave its context, one
-connection per database file, kept until the set is closed; outside any such
-context it gets a set of its own, closed after the query.
+A query runs on the ``Connections`` set its caller passes, one connection per
+database file, kept until the set is closed; with no set passed it gets a set
+of its own, closed after the query.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import time
-from contextlib import closing, contextmanager
-from contextvars import ContextVar
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,34 +133,20 @@ class Connections:
         self._open.clear()
 
 
-# The connections of the evaluate_run call or pipeline example in progress in
-# this context (each thread has its own), so that every query still goes
-# through execute_sql.
-_kept: ContextVar[Connections | None] = ContextVar("sqlmend_connections", default=None)
-
-
-@contextmanager
-def using(connections: Connections):
-    """Send this context's ``execute_sql`` calls to *connections*."""
-    token = _kept.set(connections)
-    try:
-        yield
-    finally:
-        _kept.reset(token)
-
-
 def execute_sql(
-    sql: str, catalog: SchemaCatalog, timeout: float = DEFAULT_TIMEOUT
+    sql: str,
+    catalog: SchemaCatalog,
+    timeout: float = DEFAULT_TIMEOUT,
+    connections: Connections | None = None,
 ) -> ExecutionResult:
     """Run a query against the catalog's SQLite file on a read-only
     connection that authorizes only reads (a refused statement fails with
     ``not authorized``); long queries are interrupted once *timeout*
     passes, and at most ``MAX_RESULT_ROWS`` rows are fetched. The
-    connection is the one this context's ``using`` set keeps for the file;
-    with no such set it is opened for this query and closed after it."""
+    connection is the one *connections* keeps for the file; with no set it
+    is opened for this query and closed after it."""
     if catalog.source_path is None:
         raise EvaluationError(f"catalog {catalog.db_id} has no SQLite source path")
-    connections = _kept.get()
     if connections is not None:
         return connections.execute(sql, catalog.source_path, timeout)
     with closing(Connections()) as connections:

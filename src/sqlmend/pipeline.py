@@ -14,15 +14,16 @@ Every model-backed step follows one failure rule (``_attempt``): a replay-store
 miss (``FixtureMissingError``) ends the example, and any other package error is
 recorded in ``stage_errors`` and the step falls back. So a failed sub-task only
 disables its own feedback channel, a failed correction keeps the SQL it was
-sent, and the pipeline always emits a final SQL. Rounds never loop backward:
-after a correction the earlier checks are not re-run, and the skeleton check is
-evaluated against the post-entity-correction SQL. The entity and skeleton
-checks read one analysis of each distinct SQL text.
+sent, and an example whose ``db_id`` has a catalog always gets a final SQL (one
+without gets an empty one). Rounds never loop backward: after a correction the
+earlier checks are not re-run, and the skeleton check is evaluated against the
+post-entity-correction SQL. The entity and skeleton checks read one analysis of
+each distinct SQL text.
 
 The execution check runs through ``execution.execute_sql`` on connection sets
 the pipeline keeps, one connection per database file for each example running
-at once: a running example holds one set (``execution.using``), and hands it
-to the next example when it ends. ``close()`` closes them, and so does the
+at once: a running example holds one set, passes it to ``correct``, and hands
+it to the next example when it ends. ``close()`` closes them, and so does the
 end of ``run()``; the next example opens them again.
 """
 
@@ -39,7 +40,7 @@ from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
 from .datasets import Example, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
-from .execution import Connections, execute_sql, using
+from .execution import Connections, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
@@ -300,6 +301,7 @@ class MendPipeline:
         trace: CorrectionTrace,
         alignment: Alignment | None,
         parsed_skeleton: str | None,
+        connections: Connections | None = None,
     ) -> str:
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
@@ -322,7 +324,7 @@ class MendPipeline:
 
         if catalog.source_path is not None:
             for _ in range(self.config.max_execution_retries):
-                result = execute_sql(current, catalog)
+                result = execute_sql(current, catalog, connections=connections)
                 if result.ok:
                     break
                 feedback = Feedback(
@@ -345,16 +347,15 @@ class MendPipeline:
         except IndexError:
             connections = Connections()
         try:
-            with using(connections):
-                # The three sub-task prompts share one ranking of the pool.
-                selected = self.select_demos(example.question)
-                skeleton = self.submit_skeleton(example, selected)
-                trace.initial_sql = self.generate_initial_sql(example, trace, selected)
-                alignment = self.link_entities(example, trace.initial_sql, trace, selected)
-                trace.alignment = alignment
-                parsed = self.parse_question_skeleton(example, trace, skeleton)
-                trace.parsed_skeleton = parsed
-                trace.final_sql = self.correct(example, trace, alignment, parsed)
+            # The three sub-task prompts share one ranking of the pool.
+            selected = self.select_demos(example.question)
+            skeleton = self.submit_skeleton(example, selected)
+            trace.initial_sql = self.generate_initial_sql(example, trace, selected)
+            alignment = self.link_entities(example, trace.initial_sql, trace, selected)
+            trace.alignment = alignment
+            parsed = self.parse_question_skeleton(example, trace, skeleton)
+            trace.parsed_skeleton = parsed
+            trace.final_sql = self.correct(example, trace, alignment, parsed, connections)
         finally:
             self._idle.append(connections)
         return trace

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import re
 import sys
@@ -29,8 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .alignment import Alignment
-from .datasets import entry_text
-from .errors import EmptyPoolError, MalformedDatasetError
+from .datasets import entry_text, json_entries
+from .errors import EmptyPoolError
 
 _TOKENS = re.compile(r"[0-9a-z]+").findall
 
@@ -50,16 +49,8 @@ def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     """Read a JSON array of {question, query, db_id} records (the Spider
     training-set shape; ``sql`` is accepted as a synonym for ``query``)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedDatasetError(f"{path}: cannot parse pool file: {exc}") from exc
-    if not isinstance(raw, list):
-        raise MalformedDatasetError(f"{path}: expected a top-level array")
     pool = []
-    for index, record in enumerate(raw):
-        if not isinstance(record, dict):
-            raise MalformedDatasetError(f"{path}: entry {index} is not an object")
+    for index, record in enumerate(json_entries(path, "pool file")):
         question = entry_text(path, index, "question", record.get("question"))
         sql = entry_text(path, index, "query", record.get("query", record.get("sql")))
         db_id = entry_text(path, index, "db_id", record.get("db_id"), required=False) or ""

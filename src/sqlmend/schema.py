@@ -7,11 +7,11 @@ across worker threads.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .datasets import json_entries
 from .errors import MalformedDatasetError, SchemaIntegrityError
 
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -165,15 +165,8 @@ def load_tables_json(path: str | Path) -> list[SchemaCatalog]:
     key columns are checked against one set of its lowercased column names.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedDatasetError(f"{path}: cannot parse tables.json: {exc}") from exc
-    if not isinstance(raw, list):
-        raise MalformedDatasetError(f"{path}: expected a top-level array")
-
     catalogs = []
-    for index, entry in enumerate(raw):
+    for index, entry in enumerate(json_entries(path, "tables.json")):
         try:
             catalogs.append(_catalog_from_entry(entry, index))
         except (MalformedDatasetError, SchemaIntegrityError) as exc:
@@ -181,9 +174,7 @@ def load_tables_json(path: str | Path) -> list[SchemaCatalog]:
     return catalogs
 
 
-def _catalog_from_entry(entry: object, index: int) -> SchemaCatalog:
-    if not isinstance(entry, dict):
-        raise MalformedDatasetError(f"entry {index}: expected an object")
+def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
     required = (
         "db_id",
         "table_names_original",

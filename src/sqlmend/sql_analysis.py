@@ -19,9 +19,12 @@ as a quoted identifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import EmptyInputError, TokenizationError
-from .schema import SchemaCatalog
+
+if TYPE_CHECKING:
+    from .schema import SchemaCatalog
 
 KEYWORDS = frozenset(
     """

@@ -24,7 +24,7 @@ from sqlmend.evaluation import (
     execute_sql,
     results_match,
 )
-from sqlmend.execution import Connections, using
+from sqlmend.execution import Connections
 from sqlmend.schema import SchemaCatalog
 from sqlmend.sql_analysis import analyze_sql, extract_entities, extract_skeleton
 
@@ -89,7 +89,7 @@ def evaluate_run(
     macro_scores: list = []
     hardness: dict[str, dict] = {}
 
-    with closing(Connections()) as connections, using(connections):
+    with closing(Connections()) as connections:
         for trace in traces:
             example = by_id[trace["example_id"]]
             if not example.gold_sql:
@@ -98,7 +98,7 @@ def evaluate_run(
             catalog = catalogs.get(example.db_id)
             if catalog is None:
                 raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
-            gold_result = execute_sql(example.gold_sql, catalog)
+            gold_result = execute_sql(example.gold_sql, catalog, connections=connections)
             try:
                 gold_skeleton = extract_skeleton(example.gold_sql) if gold_result.ok else None
             except SqlMendError:
@@ -116,7 +116,7 @@ def evaluate_run(
             for stage, text in (("initial", initial_sql), ("final", final_sql)):
                 if text not in verdicts:
                     result = (gold_result if text == example.gold_sql
-                              else execute_sql(text, catalog))
+                              else execute_sql(text, catalog, connections=connections))
                     if results_match(result, gold_result,
                                      analyze_sql(example.gold_sql).ordered):
                         verdicts[text] = (True, set())

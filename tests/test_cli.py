@@ -203,6 +203,36 @@ class TestEvaluate:
         assert "EX (final SQL)" in out
         assert "error histogram" in out
 
+    def test_text_report_prints_the_per_hardness_block(
+        self, mini_paths, trace_dir, tmp_path, capsys
+    ):
+        records = json.loads(mini_paths["dataset"].read_text(encoding="utf-8"))
+        for index, record in enumerate(records):
+            record["hardness"] = "hard" if index < 4 else "easy"
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(records), encoding="utf-8")
+        code = main(
+            [
+                "evaluate", str(trace_dir / "traces.jsonl"),
+                "--dataset", str(dataset),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+                "--report-out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["per_hardness"] == {
+            "easy": {"count": 6, "ex_initial": 3, "ex_final": 6},
+            "hard": {"count": 4, "ex_initial": 2, "ex_final": 3},
+        }
+        out = capsys.readouterr().out
+        assert (
+            "per-hardness EX (initial/final of count):\n"
+            "  easy         3/6 -> 6/6\n"
+            "  hard         2/4 -> 3/4\n"
+        ) in out
+
     def test_json_format_is_parseable(self, mini_paths, trace_dir, capsys):
         code = main(
             [

@@ -22,7 +22,6 @@ from sqlmend.execution import (
     Connections,
     ExecutionResult,
     execute_sql,
-    using,
 )
 from sqlmend.sql_analysis import analyze_sql, extract_skeleton
 
@@ -80,9 +79,9 @@ def opened(monkeypatch):
 
 @contextmanager
 def _keeping_connections():
-    """Keep connections for this context as one ``evaluate_run`` does."""
-    with closing(Connections()) as connections, using(connections):
-        yield
+    """A kept connection set, as one ``evaluate_run`` holds."""
+    with closing(Connections()) as connections:
+        yield connections
 
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
@@ -180,9 +179,9 @@ class TestKeptConnections:
         self, db_catalog, tmp_path, opened, statement
     ):
         target = tmp_path / "written.sqlite"
-        with _keeping_connections():
-            refused = execute_sql(statement.format(path=target), db_catalog)
-            after = execute_sql("SELECT count(*) FROM singer", db_catalog)
+        with _keeping_connections() as kept:
+            refused = execute_sql(statement.format(path=target), db_catalog, connections=kept)
+            after = execute_sql("SELECT count(*) FROM singer", db_catalog, connections=kept)
         assert refused.status == "engine_error"
         assert "authoriz" in refused.error_message
         assert not target.exists()
@@ -190,9 +189,12 @@ class TestKeptConnections:
         assert len(opened) == 1
 
     def test_timeout_drops_the_connection(self, db_catalog, opened):
-        with _keeping_connections():
-            assert execute_sql(RUNAWAY, db_catalog, timeout=0.2).status == "timeout"
-            after = execute_sql("SELECT count(*) FROM singer", db_catalog, timeout=0.2)
+        with _keeping_connections() as kept:
+            runaway = execute_sql(RUNAWAY, db_catalog, timeout=0.2, connections=kept)
+            assert runaway.status == "timeout"
+            after = execute_sql(
+                "SELECT count(*) FROM singer", db_catalog, timeout=0.2, connections=kept
+            )
             assert after.rows == [(4,)]
             assert len(opened) == 2
             assert _is_closed(opened[0]) and not _is_closed(opened[1])
@@ -202,10 +204,11 @@ class TestKeptConnections:
             "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 5000) "
             "SELECT count(*) FROM n"
         )
-        with _keeping_connections():
-            assert execute_sql(count_to, db_catalog, timeout=0.3).ok
+        with _keeping_connections() as kept:
+            assert execute_sql(count_to, db_catalog, timeout=0.3, connections=kept).ok
             time.sleep(0.4)
-            assert execute_sql(count_to, db_catalog, timeout=0.3).rows == [(5000,)]
+            again = execute_sql(count_to, db_catalog, timeout=0.3, connections=kept)
+            assert again.rows == [(5000,)]
         assert len(opened) == 1
 
     def test_too_many_rows_leaves_no_read_open(self, corpus_db, tmp_path, monkeypatch, opened):
@@ -214,8 +217,10 @@ class TestKeptConnections:
         catalog = _catalog_of(copy)
         del opened[:]
         monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 16)
-        with _keeping_connections():
-            over = execute_sql("SELECT a.name FROM singer a, singer b, concert c", catalog)
+        with _keeping_connections() as kept:
+            over = execute_sql(
+                "SELECT a.name FROM singer a, singer b, concert c", catalog, connections=kept
+            )
             assert over.status == "too_many_rows"
             # A read statement left open would hold the file's shared lock.
             writer = sqlite3.connect(copy, timeout=0)
@@ -224,24 +229,39 @@ class TestKeptConnections:
                 writer.commit()
             finally:
                 writer.close()
-            after = execute_sql("SELECT count(*) FROM singer", catalog)
+            after = execute_sql("SELECT count(*) FROM singer", catalog, connections=kept)
         assert after.rows == [(4,)]
         assert len(opened) == 2  # the kept connection and the writer
 
     def test_overflow_drops_the_connection(self, db_catalog, monkeypatch, opened):
-        with _keeping_connections():
+        with _keeping_connections() as kept:
             monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 2**64)
-            overflow = execute_sql("SELECT name FROM singer", db_catalog)
+            overflow = execute_sql("SELECT name FROM singer", db_catalog, connections=kept)
             monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", MAX_RESULT_ROWS)
             assert overflow.status == "engine_error"
             assert "too large" in overflow.error_message
-            assert execute_sql("SELECT count(*) FROM singer", db_catalog).rows == [(4,)]
+            after = execute_sql("SELECT count(*) FROM singer", db_catalog, connections=kept)
+            assert after.rows == [(4,)]
             assert len(opened) == 2
             assert _is_closed(opened[0]) and not _is_closed(opened[1])
 
+    def test_unopenable_file_keeps_no_connection(self, corpus_db, tmp_path, opened):
+        path = tmp_path / "created_later.sqlite"
+        catalog = _catalog_of(path)
+        with _keeping_connections() as kept:
+            missing = execute_sql("SELECT count(*) FROM singer", catalog, connections=kept)
+            assert missing.status == "engine_error"
+            assert missing.error_message == "unable to open database file"
+            assert opened == []
+            shutil.copy(corpus_db, path)
+            after = execute_sql("SELECT count(*) FROM singer", catalog, connections=kept)
+            assert after.rows == [(4,)]
+            assert execute_sql("SELECT 1", catalog, connections=kept).ok
+        assert len(opened) == 1 and _is_closed(opened[0])
+
     def test_no_connection_crosses_threads(self, db_catalog):
-        with _keeping_connections():
-            assert execute_sql("SELECT 1", db_catalog).ok
+        with _keeping_connections() as kept:
+            assert execute_sql("SELECT 1", db_catalog, connections=kept).ok
             with ThreadPoolExecutor(max_workers=1) as pool:
                 other = pool.submit(execute_sql, "SELECT count(*) FROM singer", db_catalog)
                 assert other.result(timeout=30).rows == [(4,)]
@@ -597,9 +617,9 @@ class TestEvaluateRun:
     def test_each_distinct_text_executed_once_per_trace(self, db_catalog, monkeypatch):
         executed = []
 
-        def counting(sql, catalog, timeout=DEFAULT_TIMEOUT):
+        def counting(sql, catalog, timeout=DEFAULT_TIMEOUT, connections=None):
             executed.append(sql)
-            return execute_sql(sql, catalog, timeout)
+            return execute_sql(sql, catalog, timeout, connections)
 
         monkeypatch.setattr("sqlmend.evaluation.execute_sql", counting)
         gold = "SELECT name FROM singer"

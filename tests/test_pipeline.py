@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import sqlite3
@@ -21,6 +20,8 @@ from sqlmend.backends import (
 from sqlmend.comparison import Feedback
 from sqlmend.errors import FixtureMissingError
 from sqlmend.pipeline import (
+    STAGE_GENERATION,
+    STAGE_LINKING,
     STAGE_SKELETON,
     CorrectionRound,
     CorrectionTrace,
@@ -93,6 +94,14 @@ class TestStageBehaviour:
         assert "no such column" in trace.rounds[0].feedback.error_message
         assert trace.final_sql == "SELECT name FROM singer WHERE age > 20"
 
+    def test_unknown_db_id_ends_the_example_with_no_sql(self, mini_env):
+        backend = CountingBackend(ScriptedBackend())
+        example = dataclasses.replace(mini_env.examples[7], db_id="zzz")
+        trace = mini_env.pipeline(backend).run_example(example)
+        assert trace.stage_errors == [(STAGE_GENERATION, "unknown db_id 'zzz'")]
+        assert backend.calls == 0
+        assert trace.initial_sql == trace.final_sql == ""
+        assert trace.rounds == []
 
     def test_execution_round_sees_the_row_cap(self, mini_env, monkeypatch):
         monkeypatch.setattr("sqlmend.execution.MAX_RESULT_ROWS", 1)
@@ -204,6 +213,26 @@ class TestOracleModes:
             differs = extract_skeleton(trace.initial_sql) != extract_skeleton(example.gold_sql)
             assert fired == differs, example.example_id
 
+
+    def test_oracle_entities_without_gold_alignment_disables_entity_channel_only(
+        self, mini_env
+    ):
+        pipeline = mini_env.pipeline(ScriptedBackend(), oracle="entities")
+        example = dataclasses.replace(mini_env.examples[1], gold_alignment=None)
+        trace = pipeline.run_example(example)
+        assert trace.stage_errors == [(STAGE_LINKING, "oracle mode without gold alignment")]
+        assert trace.alignment is None
+        assert trace.parsed_skeleton is not None
+        assert trace.final_sql == trace.initial_sql != ""
+
+    def test_oracle_skeleton_without_gold_sql_disables_skeleton_channel_only(self, mini_env):
+        pipeline = mini_env.pipeline(ScriptedBackend(), oracle="skeleton")
+        example = dataclasses.replace(mini_env.examples[7], gold_sql=None)
+        trace = pipeline.run_example(example)
+        assert trace.stage_errors == [(STAGE_SKELETON, "oracle mode without gold SQL")]
+        assert trace.parsed_skeleton is None and trace.hallucinated_sql is None
+        assert trace.alignment is not None
+        assert trace.final_sql == trace.initial_sql != ""
 
     @pytest.mark.parametrize("oracle", ["skeleton", "both"])
     def test_oracle_skeleton_gold_the_tokenizer_rejects(self, mini_env, oracle):
@@ -445,23 +474,22 @@ class TestKeptConnections:
         lock = threading.Lock()
         held: set = set()
         overlaps: list = []
-        using = sqlmend.pipeline.using
+        correct = sqlmend.pipeline.MendPipeline.correct
 
-        @contextlib.contextmanager
-        def exclusive(connections):
+        def exclusive(self, *args):
+            connections = args[-1]
             with lock:
                 if connections in held:
                     overlaps.append(connections)
                 held.add(connections)
             try:
-                with using(connections):
-                    yield
+                return correct(self, *args)
             finally:
                 with lock:
                     held.discard(connections)
 
         monkeypatch.setattr(sqlmend.pipeline, "Connections", Recorded)
-        monkeypatch.setattr(sqlmend.pipeline, "using", exclusive)
+        monkeypatch.setattr(sqlmend.pipeline.MendPipeline, "correct", exclusive)
         pipeline = mini_env.pipeline(_SameSql("SELECT name FROM singer"), shots=0)
         examples = mini_env.examples
         expected = [pipeline.run_example(e).to_dict() for e in examples]

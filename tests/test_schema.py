@@ -161,6 +161,10 @@ class TestRenderSchemaPrompt:
         catalog = SchemaCatalog("d", [TableDef("T", [ColumnDef("CamelCol", "text")])])
         assert render_schema_prompt(catalog) == "CREATE TABLE T (CamelCol TEXT);"
 
+    def test_identifier_with_quotes_and_spaces_is_quoted(self):
+        catalog = SchemaCatalog("d", [TableDef("t", [ColumnDef('b "c" (d)', "int")])])
+        assert render_schema_prompt(catalog) == 'CREATE TABLE t ("b ""c"" (d)" INT);'
+
     def test_pure_function_identical_bytes(self, catalog):
         assert render_schema_prompt(catalog) == render_schema_prompt(catalog)
 
