@@ -168,8 +168,9 @@ def evaluate_run(
     catalogs: dict[str, SchemaCatalog],
 ) -> Report:
     """Score a trace file against its dataset: one ``EvalRecord`` per trace
-    whose gold query runs and tokenizes, the rest listed in ``invalid_gold``;
-    ``_report`` folds them into every report field."""
+    whose gold query runs and tokenizes, the rest listed in ``invalid_gold``
+    (a gold query whose ``db_id`` has no catalog does not run); ``_report``
+    folds them into every report field."""
     by_id = {example.example_id: example for example in dataset}
     unknown = [t.get("example_id") for t in traces if t.get("example_id") not in by_id]
     if unknown:
@@ -181,12 +182,10 @@ def evaluate_run(
         for trace in traces:
             example = by_id[trace["example_id"]]
             gold_sql = example.gold_sql
-            if not gold_sql:
+            catalog = catalogs.get(example.db_id)
+            if not gold_sql or catalog is None:  # no gold query, or none that can run
                 invalid_gold.append(example.example_id)
                 continue
-            catalog = catalogs.get(example.db_id)
-            if catalog is None:
-                raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
             gold_result = execute_sql(gold_sql, catalog, connections=connections)
             # Analysed only once SQLite has run it; the tokenizer may still reject it.
             gold = analyze_sql(gold_sql) if gold_result.ok else None

@@ -2,13 +2,16 @@
 pipeline's execution check and ``evaluate``'s execution accuracy.
 
 Every connection follows one policy. It opens read-only with a page cache of
-1 KiB and no prepared-statement cache, gets an authorizer that allows only
+128 KiB and no prepared-statement cache, gets an authorizer that allows only
 reads and a limit of no attached databases, and a watchdog whose deadline
-restarts on every query. The small page cache keeps peak memory flat in the
-number of database files, and the OS page cache serves the re-reads; the
-statement cache would reuse about 2% of the statements in an ``evaluate``
-call. A connection that timed out or raised something other than
-``sqlite3.Error`` is dropped.
+restarts on every query. A query's pages live for that query alone:
+``PRAGMA shrink_memory`` releases them before ``Connections.execute``
+returns. So the probes of a running query hit the cache, in place of
+re-reading the root and interior b-tree pages from the file on each probe,
+while an idle connection holds no pages, and peak memory stays flat in the
+number of database files. The statement cache would reuse about 2% of the
+statements in an ``evaluate`` call. A connection that timed out or raised
+something other than ``sqlite3.Error`` is dropped, unreleased.
 
 A query runs on the ``Connections`` set its caller passes, one connection per
 database file, kept until the set is closed; with no set passed it gets a set
@@ -40,6 +43,15 @@ _ALLOWED_ACTIONS = frozenset(
 
 def _authorize(action: int, *_) -> int:
     return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
+
+def _allow_all(*_) -> int:  # set_authorizer(None) needs Python >= 3.11
+    return sqlite3.SQLITE_OK
+
+
+# The page cache of a running query. Past about 128 KiB a larger one saves
+# next to nothing per query (CHANGES.md has the sweep).
+PAGE_CACHE_KIB = 128
 
 
 @dataclass
@@ -77,7 +89,7 @@ class Connections:
         )
         try:
             # Before the authorizer, which refuses every PRAGMA.
-            conn.execute("PRAGMA cache_size = -1")
+            conn.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
         except sqlite3.Error:
             conn.close()
             raise
@@ -89,6 +101,20 @@ class Connections:
 
     def _drop(self, path: Path) -> None:
         self._open.pop(path).close()
+
+    @staticmethod
+    def _release(conn: sqlite3.Connection) -> None:
+        """Free the connection's cached pages. The read-only authorizer
+        refuses every PRAGMA, so a permissive one stands in for this one
+        statement. A failed release leaves the pages to the next query's
+        release or to ``close``; it never replaces the query's outcome."""
+        conn.set_authorizer(_allow_all)
+        try:
+            conn.execute("PRAGMA shrink_memory")
+        except sqlite3.Error:
+            pass
+        finally:
+            conn.set_authorizer(_authorize)
 
     def execute(self, sql: str, path: Path, timeout: float) -> ExecutionResult:
         started = time.monotonic()
@@ -102,6 +128,15 @@ class Connections:
                 return ExecutionResult(status="engine_error", error_message=str(exc))
         self._deadline = started + timeout
         self._timed_out = False
+        try:
+            return self._query(conn, sql, path, started)
+        finally:
+            if self._open.get(path) is conn:  # kept, not dropped
+                self._release(conn)
+
+    def _query(
+        self, conn: sqlite3.Connection, sql: str, path: Path, started: float
+    ) -> ExecutionResult:
         try:
             cursor = conn.cursor()
             try:

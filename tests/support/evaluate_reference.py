@@ -97,7 +97,8 @@ def evaluate_run(
                 continue
             catalog = catalogs.get(example.db_id)
             if catalog is None:
-                raise EvaluationError(f"no catalog loaded for db_id {example.db_id!r}")
+                invalid_gold.append(example.example_id)
+                continue
             gold_result = execute_sql(example.gold_sql, catalog, connections=connections)
             try:
                 gold_skeleton = extract_skeleton(example.gold_sql) if gold_result.ok else None

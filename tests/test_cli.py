@@ -233,6 +233,29 @@ class TestEvaluate:
             "  hard         2/4 -> 3/4\n"
         ) in out
 
+    def test_unknown_db_id_is_listed_in_invalid_gold(
+        self, mini_paths, replay_store_path, tmp_path, capsys
+    ):
+        records = json.loads(mini_paths["dataset"].read_text(encoding="utf-8"))
+        records[3]["db_id"] = "zzz"
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(records), encoding="utf-8")
+        output = tmp_path / "out"
+        paths = {**mini_paths, "dataset": dataset}
+        assert main(_run_args(paths, replay_store_path, output)) == 0
+        code = main(
+            [
+                "evaluate", str(output / "traces.jsonl"),
+                "--dataset", str(dataset),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+            ]
+        )
+        assert code == 0
+        report = json.loads((output / "report.json").read_text(encoding="utf-8"))
+        assert report["invalid_gold"] == ["3"]
+        assert report["record_count"] == 9
+
     def test_json_format_is_parseable(self, mini_paths, trace_dir, capsys):
         code = main(
             [

@@ -656,12 +656,14 @@ class TestEvaluateRun:
         dataset = [
             Example("0", "q0", "concert_hall", gold_sql="SELECT name FROM singer"),
             Example("1", "q1", "concert_hall", gold_sql="SELECT age FROM singer"),
-            Example("2", "q2", "ghost_db", gold_sql="SELECT 1"),
+            Example("2", "q2", "fileless", gold_sql="SELECT 1"),
         ]
         traces = [_trace("0", "SELECT name FROM singer"), _trace("1", "SELECT 1"),
                   _trace("2", "SELECT 1")]
-        with pytest.raises(EvaluationError, match="ghost_db"):
-            evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+        fileless = corpus_catalog()
+        assert fileless.source_path is None
+        with pytest.raises(EvaluationError, match="has no SQLite source path"):
+            evaluate_run(traces, dataset, {"concert_hall": db_catalog, "fileless": fileless})
         assert len(opened) == 1
         assert _is_closed(opened[0])
         # A query after the failed call opens, and closes, a connection of its own.

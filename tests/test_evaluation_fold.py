@@ -67,15 +67,17 @@ def _alignment(draw, example):
 
 @st.composite
 def _run(draw, examples, catalogs):
-    """A dataset drawn from the mini benchmark's examples and one trace for
-    each of a subset of them."""
+    """A dataset drawn from the mini benchmark's examples, some with a
+    ``db_id`` that has no catalog, and one trace for each of a subset of
+    them."""
     dataset, traces = [], []
     for example in examples:
         gold = draw(st.sampled_from(
             [example.gold_sql] * 6 + [None, REJECTED, "SELECT 1 FROM nowhere"]
         ))
         dataset.append(dataclasses.replace(
-            example, gold_sql=gold, hardness_label=draw(st.sampled_from([None, "easy", "hard"]))
+            example, gold_sql=gold, db_id=draw(st.sampled_from([example.db_id] * 8 + ["zzz"])),
+            hardness_label=draw(st.sampled_from([None, "easy", "hard"])),
         ))
         if not draw(st.booleans()):
             continue
