@@ -6,11 +6,11 @@ responses keyed by the SHA-256 of the prompt, which makes full pipeline runs
 deterministic and network-free. ``RecordingBackend`` wraps any live backend
 and persists every new response to the same JSON-lines store.
 
-``submit`` starts a completion and returns its future, so a caller can send
-one request while it works on another. Replay answers in the calling thread;
-the two backends that wait on a live model, ``HttpBackend`` and
-``RecordingBackend``, answer on a thread pool whose threads start on first
-use.
+A backend only answers ``complete``; when completions overlap is the
+pipeline's decision. ``waits_on_model`` marks the two backends whose answer
+waits on a live model, ``HttpBackend`` and ``RecordingBackend``: the pipeline
+sends a completion ahead only to them, and asks the others in the calling
+thread.
 
 ``requests`` is imported by ``HttpBackend`` alone, when one is built, so
 that replaying, recording with an offline model and evaluating never load
@@ -25,7 +25,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -66,24 +65,10 @@ class ModelBackend:
     """Text-completion contract every backend implements."""
 
     backend_id = "abstract"
-    # Backends that wait on a live model set a pool, so ``submit`` returns
-    # while the completion is in flight.
-    _pool: ThreadPoolExecutor | None = None
+    waits_on_model = False  # True where ``complete`` waits on a live model
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         raise NotImplementedError
-
-    def submit(self, request: ModelRequest) -> Future:
-        """Start ``complete`` and return its future. Without a pool it runs
-        in the calling thread; an exception it raises is kept in the future."""
-        if self._pool is not None:
-            return self._pool.submit(self.complete, request)
-        future: Future = Future()
-        try:
-            future.set_result(self.complete(request))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 @dataclass
@@ -94,7 +79,6 @@ class HttpBackendConfig:
     max_retries: int = 3
     backoff_seconds: float = 1.0
     request_timeout: float = 120.0
-    max_in_flight: int = 4
 
 
 def _retry_after(response) -> float | None:
@@ -109,8 +93,11 @@ def _retry_after(response) -> float | None:
 class HttpBackend(ModelBackend):
     """Retries connection errors, timeouts, 429 and 5xx, with exponential
     backoff or, on 429 and 503, a numeric ``Retry-After``. Any other failure
-    cannot succeed on retry and raises ``BackendUnavailableError`` at once.
-    ``max_in_flight`` caps the requests in flight, submitted or not."""
+    cannot succeed on retry and raises ``BackendUnavailableError`` at once,
+    as does an answer whose ``content`` is not a string (null for a refusal
+    or a tool call): it is no text to extract SQL from or to record."""
+
+    waits_on_model = True
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
         import requests
@@ -118,8 +105,6 @@ class HttpBackend(ModelBackend):
         self.config = config
         self.backend_id = f"http:{config.model}"
         self._session = session or requests.Session()
-        self._gate = threading.Semaphore(config.max_in_flight)
-        self._pool = ThreadPoolExecutor(config.max_in_flight, thread_name_prefix="sqlmend-http")
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         import requests  # loaded by __init__: a lookup in sys.modules
@@ -143,16 +128,15 @@ class HttpBackend(ModelBackend):
             if attempt:
                 time.sleep(wait)
             wait = self.config.backoff_seconds * (2 ** attempt)
-            with self._gate:
-                try:
-                    response = self._session.post(
-                        url, json=body, headers=headers, timeout=self.config.request_timeout
-                    )
-                except (requests.ConnectionError, requests.Timeout) as exc:
-                    last_error = exc
-                    continue
-                except requests.RequestException as exc:
-                    raise BackendUnavailableError(f"{url}: {exc}") from exc
+            try:
+                response = self._session.post(
+                    url, json=body, headers=headers, timeout=self.config.request_timeout
+                )
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last_error = exc
+                continue
+            except requests.RequestException as exc:
+                raise BackendUnavailableError(f"{url}: {exc}") from exc
             status = response.status_code
             if status == 429 or status >= 500:
                 last_error = f"status {status}"
@@ -167,6 +151,10 @@ class HttpBackend(ModelBackend):
                 text = response.json()["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendUnavailableError(f"{url}: malformed response: {exc!r}") from exc
+            if not isinstance(text, str):
+                raise BackendUnavailableError(
+                    f"{url}: malformed response: content is {text!r:.40}, not a string"
+                )
             return ModelResponse(text=text, backend_id=self.backend_id)
         raise BackendUnavailableError(
             f"{url}: no successful response after {attempts} attempts: {last_error}"
@@ -312,13 +300,12 @@ class RecordingBackend(ModelBackend):
     its prompt is recorded: a worker still waiting on it then finds the
     record, and one that comes later needs no turn."""
 
+    waits_on_model = True
+
     def __init__(self, inner: ModelBackend, store: ReplayStore):
         self.inner = inner
         self.store = store
         self.backend_id = f"record:{inner.backend_id}"
-        # A live inner backend's pool is sized to its cap on requests in
-        # flight; the recording shares it rather than queue behind a smaller one.
-        self._pool = inner._pool or ThreadPoolExecutor(thread_name_prefix="sqlmend-record")
         self._prompt_locks: dict[str, threading.Lock] = {}
         self._prompt_locks_guard = threading.Lock()
 

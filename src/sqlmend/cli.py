@@ -27,7 +27,7 @@ from .backends import (
     ReplayStore,
 )
 from .datasets import Example, load_alignment_sidecar, load_dataset
-from .errors import EmptyInputError, FixtureMissingError, SqlMendError
+from .errors import FixtureMissingError, SqlMendError
 from .evaluation import ERROR_CATEGORIES, evaluate_run
 from .pipeline import (
     ORACLE_MODES,
@@ -77,7 +77,7 @@ class RunManifest:
         if getattr(args, "manifest", None):
             try:
                 values = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise SqlMendError(f"{args.manifest}: {exc}") from exc
             if not isinstance(values, dict):
                 raise SqlMendError(f"{args.manifest}: expected a JSON object")
@@ -161,12 +161,7 @@ def _make_backend(manifest: RunManifest) -> ModelBackend:
     if manifest.backend in ("http", "record"):
         if not manifest.base_url or not manifest.model:
             raise SqlMendError(f"{manifest.backend} backend requires --base-url and --model")
-        # Each worker has at most two completions in flight: the skeleton
-        # hallucination beside generation or linking.
-        http = HttpBackend(HttpBackendConfig(
-            base_url=manifest.base_url, model=manifest.model,
-            max_in_flight=2 * max(1, manifest.config.workers),
-        ))
+        http = HttpBackend(HttpBackendConfig(base_url=manifest.base_url, model=manifest.model))
         if manifest.backend == "record":
             if not manifest.replay_store:
                 raise SqlMendError("record backend requires --replay-store")
@@ -353,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyInputError, OSError, SqlMendError) as exc:
+    except (OSError, SqlMendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,11 +44,12 @@ def entry_text(
 
 def json_entries(path: Path, what: str) -> list[dict]:
     """The entries of a file holding a JSON array of objects. A file that
-    cannot be read or parsed (named as *what*), is not an array, or has an
-    entry that is not an object is a ``MalformedDatasetError`` naming it."""
+    cannot be read, decoded as UTF-8 or parsed (named as *what*), is not an
+    array, or has an entry that is not an object is a
+    ``MalformedDatasetError`` naming it."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedDatasetError(f"{path}: cannot parse {what}: {exc}") from exc
     if not isinstance(raw, list):
         raise MalformedDatasetError(f"{path}: expected a top-level array")
@@ -97,9 +98,13 @@ def jsonl_lines(path: Path) -> list[str]:
     U+2028 and the other breaks ``str.splitlines`` knows may stand raw inside
     a JSON string. The text is read untranslated: a ``"\r"`` ends no line,
     and one before ``"\n"`` is whitespace to JSON. A final newline ends the
-    last line rather than starting an empty one."""
-    with path.open(encoding="utf-8", newline="") as handle:
-        lines = handle.read().split("\n")
+    last line rather than starting an empty one. A file that is not UTF-8 is
+    a ``MalformedDatasetError`` naming it."""
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedDatasetError(f"{path}: {exc}") from exc
     if not lines[-1]:
         lines.pop()
     return lines

@@ -4,11 +4,15 @@ hallucination, deterministic comparison, then ordered correction rounds
 CorrectionTrace.
 
 The skeleton-hallucination completion is sent before generation starts and
-its answer collected after linking, so a backend that waits on a live model
-has it in flight alongside the other two. Its prompt holds only the question
-and the demonstrations. Linking cannot overlap generation: its prompt carries
-the draft SQL. Answers are read in stage order, so ``stage_errors`` and a
-``FixtureMissingError`` come out as they would one call at a time.
+its answer collected after linking. Its prompt holds only the question and
+the demonstrations. Linking cannot overlap generation: its prompt carries the
+draft SQL. When the backend waits on a live model (``waits_on_model``), the
+skeleton completion runs on the pipeline's pool of ``max(1, workers)``
+threads, started on first use, so each worker has at most two completions in
+flight and a run at most ``2 × workers``. Any other backend, such as replay,
+answers it in the calling thread. Answers are read in stage order, so
+``stage_errors`` and a ``FixtureMissingError`` come out as they would one call
+at a time.
 
 Every model-backed step follows one failure rule (``_attempt``): a replay-store
 miss (``FixtureMissingError``) ends the example, and any other package error is
@@ -162,6 +166,9 @@ class MendPipeline:
         # Connection sets no running example holds. ``list.pop`` and
         # ``append`` are atomic, so two threads never take the same set.
         self._idle: list[Connections] = []
+        self._ahead = ThreadPoolExecutor(
+            max(1, self.config.workers), thread_name_prefix="sqlmend-skeleton"
+        )
 
     # -- stage helpers -----------------------------------------------------
 
@@ -247,13 +254,22 @@ class MendPipeline:
     def submit_skeleton(
         self, example: Example, selected: list[Demonstration]
     ) -> Future | None:
-        """Send the skeleton-hallucination completion; None in oracle-skeleton
-        mode, which makes no call."""
+        """Send the skeleton-hallucination completion and return its future,
+        which keeps any exception; None in oracle-skeleton mode, which makes
+        no call."""
         if self.config.gold_skeleton:
             return None
         demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
         prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
-        return self.backend.submit(self._request(prompt))
+        request = self._request(prompt)
+        if self.backend.waits_on_model:
+            return self._ahead.submit(self.backend.complete, request)
+        future: Future = Future()
+        try:
+            future.set_result(self.backend.complete(request))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def parse_question_skeleton(
         self, example: Example, trace: CorrectionTrace, pending: Future | None

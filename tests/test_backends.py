@@ -486,8 +486,16 @@ class TestHttpRetries:
         assert len(session.requests) == 1
         assert sleeps == []
 
-    def test_malformed_body_raises_at_once(self, sleeps):
-        backend, session = self._backend([_FakeResponse(200, {"choices": []}),
+    @pytest.mark.parametrize("payload", [
+        {"choices": []},
+        # Content that is not text: null, as a refusal or a tool call sends.
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["SELECT 1"]}}]},
+        {"choices": [{"message": {"content": {"sql": "SELECT 1"}}}]},
+        {"choices": [{"message": {"content": 5}}]},
+    ], ids=["no-choice", "null", "list", "dict", "int"])
+    def test_malformed_body_raises_at_once(self, sleeps, payload):
+        backend, session = self._backend([_FakeResponse(200, payload),
                                           _FakeResponse(200, _OK)])
         with pytest.raises(BackendUnavailableError, match="malformed"):
             backend.complete(ModelRequest(prompt="p"))
@@ -541,79 +549,3 @@ class TestHttpRetries:
         with pytest.raises(BackendUnavailableError, match="4 attempts: status 503"):
             backend.complete(ModelRequest(prompt="p"))
         assert len(session.requests) == 4
-
-
-class _Failing(ModelBackend):
-    backend_id = "failing"
-
-    def complete(self, request):
-        raise BackendUnavailableError("down")
-
-
-class _ThreadNoting(ModelBackend):
-    backend_id = "noting"
-
-    def __init__(self):
-        self.threads = []
-
-    def complete(self, request):
-        self.threads.append(threading.get_ident())
-        return ModelResponse(text=request.prompt, backend_id=self.backend_id)
-
-
-class TestSubmit:
-    def test_default_answers_in_calling_thread(self):
-        backend = _ThreadNoting()
-        future = backend.submit(ModelRequest(prompt="p"))
-        assert future.done()
-        assert backend.threads == [threading.get_ident()]
-        assert future.result().text == "p"
-
-    def test_default_keeps_the_exception_in_the_future(self):
-        future = _Failing().submit(ModelRequest(prompt="p"))
-        assert future.done()
-        with pytest.raises(BackendUnavailableError):
-            future.result()
-
-    def test_recording_answers_on_a_thread_started_on_first_use(self, tmp_path):
-        inner = _ThreadNoting()
-        recorder = RecordingBackend(inner, ReplayStore(tmp_path / "s.jsonl"))
-        assert not recorder._pool._threads
-        assert recorder.submit(ModelRequest(prompt="p")).result(timeout=10).text == "p"
-        assert inner.threads and inner.threads[0] != threading.get_ident()
-        assert len(recorder._pool._threads) == 1
-
-    def test_recording_submit_records_once(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        inner = _SlowBackend(delay=0.05)
-        recorder = RecordingBackend(inner, ReplayStore(path))
-        futures = [recorder.submit(ModelRequest(prompt="same")) for _ in range(4)]
-        assert {f.result(timeout=10).text for f in futures} == {"reply to same"}
-        assert inner.calls == 1
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
-
-    def test_http_gate_caps_submitted_and_direct_requests(self):
-        class _CountingSession:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = self.most = 0
-
-            def post(self, url, json=None, headers=None, timeout=None):
-                with self.lock:
-                    self.in_flight += 1
-                    self.most = max(self.most, self.in_flight)
-                time.sleep(0.05)
-                with self.lock:
-                    self.in_flight -= 1
-                return _FakeResponse(200, _OK)
-
-        session = _CountingSession()
-        backend = HttpBackend(
-            HttpBackendConfig(base_url="http://m/v1", model="m", max_in_flight=2),
-            session=session,
-        )
-        assert not backend._pool._threads
-        futures = [backend.submit(ModelRequest(prompt="p")) for _ in range(4)]
-        backend.complete(ModelRequest(prompt="p"))
-        assert all(f.result(timeout=10).text == "ok" for f in futures)
-        assert session.most == 2

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from sqlmend.cli import RunManifest, _make_backend, build_parser, main
+from sqlmend.cli import RunManifest, build_parser, main
 from sqlmend.pipeline import PipelineConfig
 
 pytestmark = pytest.mark.usefixtures("replay_store_path")
@@ -161,21 +161,34 @@ class TestRun:
         assert (output / "traces.jsonl").exists()
 
 
-class TestHttpInFlightCap:
-    @pytest.mark.parametrize("backend, workers, cap", [
-        ("http", 1, 2), ("http", 3, 6), ("record", 4, 8), ("http", 0, 2),
+class TestInputNotUtf8:
+    """A byte that is not UTF-8 in any input file is a malformed input."""
+
+    @pytest.mark.parametrize("route", [
+        "tables", "dataset", "pool", "dataset_alignments", "pool_alignments",
+        "manifest", "traces",
     ])
-    def test_two_completions_per_worker(self, tmp_path, backend, workers, cap):
-        manifest = RunManifest(
-            backend=backend, base_url="http://model.local/v1", model="m",
-            replay_store=str(tmp_path / "s.jsonl"), config=PipelineConfig(workers=workers),
-        )
-        built = _make_backend(manifest)
-        http = built.inner if backend == "record" else built
-        assert http.config.max_in_flight == cap
-        assert all(http._gate.acquire(blocking=False) for _ in range(cap))
-        assert not http._gate.acquire(blocking=False)
-        assert built._pool is http._pool
+    def test_exits_2_naming_the_file(self, mini_paths, replay_store_path, tmp_path, capsys,
+                                     route):
+        paths = dict(mini_paths)
+        bad = tmp_path / f"{route}.bad"
+        if route == "manifest":
+            data = b'{"shots": 5}'
+        elif route == "traces":
+            data = b'{"example_id": "0", "final_sql": "SELECT 1"}\n'
+        else:
+            data, paths[route] = paths[route].read_bytes(), bad
+        middle = len(data) // 2
+        bad.write_bytes(data[:middle] + b"\xff\xfe" + data[middle:])
+        if route == "traces":
+            argv = ["evaluate", str(bad), "--dataset", str(paths["dataset"]),
+                    "--tables", str(paths["tables"])]
+        else:
+            argv = _run_args(paths, replay_store_path, tmp_path / "out")
+            if route == "manifest":
+                argv += ["--manifest", str(bad)]
+        assert main(argv) == 2
+        assert f"error: {bad}" in capsys.readouterr().err
 
 
 class TestEvaluate:

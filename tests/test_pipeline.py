@@ -5,13 +5,17 @@ import json
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
 import sqlmend.pipeline
 from sqlmend import execution
 from sqlmend.backends import (
+    HttpBackend,
+    HttpBackendConfig,
     ModelBackend,
+    ModelRequest,
     ModelResponse,
     RecordingBackend,
     ReplayBackend,
@@ -369,6 +373,100 @@ class TestSkeletonOverlap:
         pipeline = mini_env.pipeline(backend, oracle="skeleton")
         assert pipeline.submit_skeleton(mini_env.examples[0], []) is None
         assert backend.calls == 0
+
+
+class _Answer:
+    """A chat-completions HTTP response whose message content is *content*."""
+
+    status_code = 200
+    headers: dict = {}
+
+    def __init__(self, content):
+        self._payload = {"choices": [{"message": {"content": content}}]}
+
+    def json(self):
+        return self._payload
+
+
+class _ModelSession:
+    """A fake HTTP session that answers as the scripted model after *delay*
+    seconds, counting the requests in flight and the threads that send the
+    skeleton hallucination."""
+
+    def __init__(self, delay: float = 0.05):
+        self.script = ScriptedBackend()
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.in_flight = self.most = 0
+        self.skeleton_threads: set[int] = set()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        with self.lock:
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+            if prompt.startswith("Hallucinate a SQL"):
+                self.skeleton_threads.add(threading.get_ident())
+        time.sleep(self.delay)
+        with self.lock:
+            self.in_flight -= 1
+        return _Answer(self.script.complete(ModelRequest(prompt=prompt)).text)
+
+
+def _http(session) -> HttpBackend:
+    """An HTTP backend as a library user builds it: the default config."""
+    return HttpBackend(HttpBackendConfig(base_url="http://model.local/v1", model="m"),
+                       session=session)
+
+
+class TestCompletionsInFlight:
+    """The pipeline alone bounds the completions in flight: each worker has
+    its own and at most one skeleton completion sent ahead of it."""
+
+    def test_at_most_two_per_worker_and_more_than_one(self, mini_env):
+        session = _ModelSession()
+        traces = mini_env.pipeline(_http(session), workers=3).run(mini_env.examples)
+        assert 3 < session.most <= 6
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+    def test_default_http_backend_is_not_capped_below_the_workers(self, mini_env):
+        session = _ModelSession()
+        mini_env.pipeline(_http(session), workers=8).run(mini_env.examples)
+        assert 4 < session.most <= 16
+
+    def test_no_workers_sends_the_skeleton_from_one_pool_thread(self, mini_env):
+        session = _ModelSession(delay=0.01)
+        pipeline = mini_env.pipeline(_http(session), workers=0)
+        pipeline.run(mini_env.examples)
+        assert session.most == 2
+        assert len(session.skeleton_threads) == 1
+        assert threading.get_ident() not in session.skeleton_threads
+        assert pipeline._ahead._max_workers == 1
+
+    def test_replay_example_starts_no_thread(self, mini_env, replay_store_path):
+        pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path)))
+        before = set(threading.enumerate())
+        pipeline.run_example(mini_env.examples[0])
+        assert set(threading.enumerate()) <= before
+
+
+class _NoTextSession:
+    """A fake HTTP session whose every answer has null content, as chat APIs
+    send for a refusal or a tool call."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return _Answer(None)
+
+
+def test_answer_that_is_not_text_fails_its_stage_and_is_not_recorded(mini_env, tmp_path):
+    path = tmp_path / "s.jsonl"
+    backend = RecordingBackend(_http(_NoTextSession()), ReplayStore(path))
+    trace = mini_env.pipeline(backend).run_example(mini_env.examples[0])
+    stages = [stage for stage, _ in trace.stage_errors]
+    assert stages[:3] == [STAGE_GENERATION, STAGE_LINKING, STAGE_SKELETON]
+    assert all("malformed response" in error for _, error in trace.stage_errors)
+    assert len(ReplayStore(path)) == 0
 
 
 class _ProseEntityFix(ScriptedBackend):
