@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import AlignmentParseError, EmptyInputError, MalformedDatasetError, ScoringError
 from .sql_analysis import SqlEntities
 
-_EDGE_PUNCTUATION = set(",.?!;:\"'")
+_QUESTION_TOKENS = re.compile(r"""[,.?!;:"']|[^\s,.?!;:"'](?:\S*[^\s,.?!;:"'])?""").findall
 
 LINK_TYPES = ("tbl", "col", "val")
 _TYPE_SYNONYMS = {"tbl": "tbl", "tab": "tbl", "col": "col", "val": "val"}
@@ -46,6 +46,14 @@ class Alignment:
             for e in self.entries
         ]
 
+    def records_literal(self) -> str:
+        """``repr(self.to_records())``, written from the entries with no
+        record dicts: the alignment as the linking prompt shows it."""
+        return "[" + ", ".join([
+            f"{{'token': {e.token!r}, 'schema': {e.schema_entity!r}, 'type': {e.entity_type!r}}}"
+            for e in self.entries
+        ]) + "]"
+
     @classmethod
     def from_records(
         cls, records: list[dict], question: str, shared: dict | None = None,
@@ -63,27 +71,18 @@ class Alignment:
 
 def tokenize_question(question: str) -> list[str]:
     """Whitespace-split a question, peeling leading/trailing punctuation into
-    separate tokens; numbers with internal commas (``5,000``) stay whole."""
-    if not question or not question.strip():
+    separate tokens; numbers with internal commas (``5,000``) stay whole.
+
+    One regular expression does it: an edge punctuation mark alone, or a
+    run of non-whitespace that neither starts nor ends with one. Its ``\\s``
+    is the whitespace ``str.split`` splits on."""
+    tokens = _QUESTION_TOKENS(question)
+    if not tokens:
         raise EmptyInputError("cannot tokenize an empty question")
-    tokens: list[str] = []
-    for chunk in question.split():
-        leading: list[str] = []
-        trailing: list[str] = []
-        while chunk and chunk[0] in _EDGE_PUNCTUATION:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _EDGE_PUNCTUATION:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(leading)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trailing))
     return tokens
 
 
-def parse_alignment(raw: str, question: str) -> Alignment:
+def parse_alignment(raw: str, question: str, shared: dict | None = None) -> Alignment:
     """Decode the first list-of-dicts literal found in model output.
 
     Both Python literal syntax (``None``) and JSON (``null``) are accepted:
@@ -93,14 +92,17 @@ def parse_alignment(raw: str, question: str) -> Alignment:
     as models write it, that list is read in one pass; anything else goes
     through the two decoders. Entries violating the both-null rule are
     repaired by nulling both fields and counted in ``repairs``.
+
+    *shared* is a table of entries the caller keeps across calls, as
+    ``Alignment.from_records`` takes it: an entry equal to one already in it
+    is that entry, so answers that repeat links hold each entry once.
     """
     records = _first_list_literal(raw)
     if records is None:
         raise AlignmentParseError("no decodable alignment list in model output", raw=raw)
-    entries, repairs = _entries_from_records(records, {})
-    if question.strip() and not _is_subsequence(
-        [e.token for e in entries], tokenize_question(question)
-    ):
+    entries, repairs = _entries_from_records(records, {} if shared is None else shared)
+    reference = _QUESTION_TOKENS(question)
+    if reference and not _is_subsequence([e.token for e in entries], reference):
         repairs += 1  # model dropped or invented tokens; keep entries, flag it
     return Alignment(entries=entries, question=question, repairs=repairs)
 
@@ -176,12 +178,13 @@ def _entries_from_records(
             # One-sided link or unrecognized type: unlink and flag.
             repairs += repair(position, fault)
             schema_entity = entity_type = None
-        # Interned and shared: a pool's alignments repeat the same tokens and
-        # names, and the same entries.
+        # Interned and shared: a pool's alignments, and a run's answers,
+        # repeat the same tokens, names and entries. ``setdefault`` is one
+        # step, so threads that share the table agree on each entry.
         key = (sys.intern(str(token)), schema_entity, entity_type)
         entry = shared.get(key)
         if entry is None:
-            entry = shared[key] = AlignmentEntry(*key)
+            entry = shared.setdefault(key, AlignmentEntry(*key))
         entries.append(entry)
     return entries, repairs
 

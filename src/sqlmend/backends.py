@@ -92,10 +92,11 @@ def _retry_after(response) -> float | None:
 
 class HttpBackend(ModelBackend):
     """Retries connection errors, timeouts, 429 and 5xx, with exponential
-    backoff or, on 429 and 503, a numeric ``Retry-After``. Any other failure
-    cannot succeed on retry and raises ``BackendUnavailableError`` at once,
-    as does an answer whose ``content`` is not a string (null for a refusal
-    or a tool call): it is no text to extract SQL from or to record."""
+    backoff or, on 429 and 503, a numeric ``Retry-After`` capped at
+    ``request_timeout`` seconds. Any other failure cannot succeed on retry
+    and raises ``BackendUnavailableError`` at once, as does an answer whose
+    ``content`` is not a string (null for a refusal or a tool call): it is no
+    text to extract SQL from or to record."""
 
     waits_on_model = True
 
@@ -143,7 +144,7 @@ class HttpBackend(ModelBackend):
                 if status in (429, 503):
                     retry_after = _retry_after(response)
                     if retry_after is not None:
-                        wait = retry_after
+                        wait = min(retry_after, self.config.request_timeout)
                 continue
             if status >= 400:
                 raise BackendUnavailableError(f"{url}: status {status}, not retried")

@@ -24,6 +24,12 @@ earlier checks are not re-run, and the skeleton check is evaluated against the
 post-entity-correction SQL. The entity and skeleton checks read one analysis of
 each distinct SQL text.
 
+The linking prompt shows each demonstration's gold alignment as the literal
+``Alignment.records_literal`` writes from its entries, the text ``repr`` gives
+of its records. The pipeline keeps one table of alignment entries for its
+life and passes it to ``parse_alignment``, so the answers of a run hold each
+distinct entry once.
+
 The execution check runs through ``execution.execute_sql`` on connection sets
 the pipeline keeps, one connection per database file for each example running
 at once: a running example holds one set, passes it to ``correct``, and hands
@@ -166,6 +172,7 @@ class MendPipeline:
         # Connection sets no running example holds. ``list.pop`` and
         # ``append`` are atomic, so two threads never take the same set.
         self._idle: list[Connections] = []
+        self._entries: dict = {}  # every distinct alignment entry parsed
         self._ahead = ThreadPoolExecutor(
             max(1, self.config.workers), thread_name_prefix="sqlmend-skeleton"
         )
@@ -230,9 +237,7 @@ class MendPipeline:
         demos = []
         for demo in selected:
             demo_tokens = " ".join(tokenize_question(demo.question))
-            alignment_text = (
-                repr(demo.alignment.to_records()) if demo.alignment else "[]"
-            )
+            alignment_text = demo.alignment.records_literal() if demo.alignment else "[]"
             demos.append(
                 PromptDemo(
                     question=demo_tokens,
@@ -248,7 +253,9 @@ class MendPipeline:
             trace,
             STAGE_LINKING,
             None,
-            lambda: parse_alignment(self._complete(prompt), question=example.question),
+            lambda: parse_alignment(
+                self._complete(prompt), question=example.question, shared=self._entries
+            ),
         )
 
     def submit_skeleton(

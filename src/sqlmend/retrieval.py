@@ -10,10 +10,12 @@ index keeps each document's term -> weight map. ``top_k`` is an exact
 MaxScore search (Turtle & Flood 1995): it visits the query's terms highest
 bound first, scores each newly met document whole from the forward index,
 and stops once the terms left cannot lift any unmet document to the k-th
-score. Each score is a left fold from 0.0 of the document's weights in
-query-token order, repeats included, which is the float a scan over all
-documents gives; ``sum()`` is not used, because from Python 3.12 it
-compensates rounding and changes the last bits.
+score. Once k documents are held, one scoring below the k-th score is
+dropped without building its heap entry; one tying it is compared whole, so
+the lower index wins. Each score is a left fold from 0.0 of the document's
+weights in query-token order, repeats included, which is the float a scan
+over all documents gives; ``sum()`` is not used, because from Python 3.12
+it compensates rounding and changes the last bits.
 """
 
 from __future__ import annotations
@@ -130,8 +132,10 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[int, float]]:
     A document's score adds its weight for each query token in query order,
     repeats included, so every sum is the same float a scan over all
     documents would give. Terms are visited highest bound first and each
-    newly met document is scored whole from ``forward``; the search stops
-    once no unmet document can reach the k-th score (MaxScore). Documents
+    newly met document is scored whole from ``forward``; once k are held,
+    one scoring below the k-th is dropped before its heap entry is built.
+    The search stops once no unmet document can reach the k-th score
+    (MaxScore). Documents
     sharing no term score 0.0 and fill any remaining places in ascending
     index."""
     if k < 1:
@@ -165,11 +169,10 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[int, float]]:
             score = 0.0
             for t in tokens:
                 score += weights.get(t, 0.0)  # + 0.0 leaves a sum >= 0 unchanged
-            entry = (score, -doc_index)
             if len(heap) < limit:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
+                heapq.heappush(heap, (score, -doc_index))
+            elif score >= heap[0][0] and (score, -doc_index) > heap[0]:
+                heapq.heapreplace(heap, (score, -doc_index))
     ranked = [(-negated, score) for score, negated in sorted(heap, reverse=True)]
     if len(ranked) < limit:
         # Every term was visited, so ``seen`` holds every matched document.

@@ -20,7 +20,7 @@ from sqlmend.errors import (
     ScoringError,
 )
 
-from support import alignment_reference
+from support import alignment_reference, question_tokens_reference
 
 
 class TestTokenizeQuestion:
@@ -41,6 +41,30 @@ class TestTokenizeQuestion:
 
     def test_internal_apostrophe_kept(self):
         assert tokenize_question("the singer's age") == ["the", "singer's", "age"]
+
+    # Edge punctuation, digits and commas, letters, and the characters where
+    # whitespace is easy to get wrong: the ASCII separators \x1c-\x1f, NEL,
+    # no-break space, line separator and ideographic space are whitespace
+    # to ``str.split``; zero-width space and the byte-order mark are not.
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(
+        alphabet=",.?!;:\"'0159aZé \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+        "\x85\xa0\u2028\u3000\u200b\ufeff",
+        max_size=30,
+    ))
+    def test_same_tokens_as_the_peeling_tokenizer(self, question):
+        try:
+            expected = question_tokens_reference.tokenize_question(question)
+        except EmptyInputError:
+            with pytest.raises(EmptyInputError):
+                tokenize_question(question)
+        else:
+            assert tokenize_question(question) == expected
+
+    @given(st.text(alphabet=" \t\n\x1c\x1f\x85\xa0\u2028\u3000", max_size=8))
+    def test_blank_raises(self, question):
+        with pytest.raises(EmptyInputError):
+            tokenize_question(question)
 
 
 class TestParseAlignment:
@@ -129,6 +153,51 @@ class TestParseAlignment:
         for a, b in zip(first.entries, second.entries, strict=True):
             assert a.token is b.token
             assert a.schema_entity is b.schema_entity
+
+
+# Text with quotes, backslashes, control and non-ASCII characters, which
+# ``repr`` escapes or keeps in its own ways.
+_LITERAL_TEXT = st.text(alphabet="a'\"\\ \n\x00\x7fé\u2028\U0001f600\ud800", max_size=6)
+
+
+class TestRecordsLiteral:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(
+        AlignmentEntry,
+        token=_LITERAL_TEXT,
+        schema_entity=st.none() | _LITERAL_TEXT,
+        entity_type=st.none() | st.sampled_from(alignment.LINK_TYPES) | _LITERAL_TEXT,
+    ), max_size=5))
+    def test_equals_the_repr_of_the_records(self, entries):
+        found = Alignment(entries=entries, question="q")
+        assert found.records_literal() == repr(found.to_records())
+
+
+class TestSharedEntryTable:
+    _ANSWERS = [
+        "[{'token': 'singer', 'schema': 'singer', 'type': 'tbl'},"
+        " {'token': 'age', 'schema': 'singer.age', 'type': 'col'}]",
+        '[{"token": "age", "schema": "singer.age", "type": "col"},'
+        ' {"token": "the", "schema": null, "type": null}]',
+        "[{'token': 'the', 'schema': 'x', 'type': None},"  # repaired: unlinked
+        " {'token': 'singer', 'schema': 'singer', 'type': 'tab'}]",
+    ]
+
+    def test_same_alignments_as_without_a_table(self):
+        shared: dict = {}
+        for raw in self._ANSWERS:
+            assert parse_alignment(raw, "the singer age", shared=shared) == parse_alignment(
+                raw, "the singer age"
+            )
+
+    def test_equal_entries_are_one_object(self):
+        shared: dict = {}
+        parsed = [parse_alignment(raw, "the singer age", shared=shared) for raw in self._ANSWERS]
+        entries = [entry for found in parsed for entry in found.entries]
+        assert len(entries) == 6
+        assert len({id(entry) for entry in entries}) == len(set(entries)) == 3
+        for entry in entries:
+            assert shared[(entry.token, entry.schema_entity, entry.entity_type)] is entry
 
 
 class TestLinkedEntities:

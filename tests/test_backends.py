@@ -529,6 +529,17 @@ class TestHttpRetries:
         assert backend.complete(ModelRequest(prompt="p")).text == "ok"
         assert sleeps == [7.0, 0.0]
 
+    def test_retry_after_capped_at_the_request_timeout(self, sleeps):
+        # A day-long Retry-After would hold the worker for a day.
+        backend, _ = self._backend([
+            _FakeResponse(429, {}, headers={"Retry-After": "86400"}),
+            _FakeResponse(503, {}, headers={"Retry-After": "120"}),
+            _FakeResponse(200, _OK),
+        ])
+        assert backend.complete(ModelRequest(prompt="p")).text == "ok"
+        assert backend.config.request_timeout == 120.0
+        assert sleeps == [120.0, 120.0]
+
     @pytest.mark.parametrize("headers", [
         {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "-1"}, {},
     ])

@@ -187,6 +187,18 @@ class TestPruning:
         assert [i for i, _ in ranked] == [0, 1, 2, 3, 4]
         assert _bits(ranked) == _bits(linear_top_k(_pool(questions), "a b", 5))
 
+    def test_tie_with_the_root_after_the_heap_fills_replaces_it(self):
+        # "a" and "b" weigh the same, so "a" is visited first and fills the
+        # heap with documents 2 and 3. Of the "b" documents, 0 scores below
+        # the root and is dropped; 1 ties it with a lower index and must
+        # take the place of document 3.
+        questions = ["b pad", "b", "a", "a"]
+        index = build_index(_pool(questions))
+        ranked = top_k(index, "a b", 2)
+        assert [i for i, _ in ranked] == [1, 2]
+        assert ranked[0][1] == ranked[1][1] > top_k(index, "b", 2)[1][1]
+        assert _bits(ranked) == _bits(linear_top_k(_pool(questions), "a b", 2))
+
     @pytest.mark.parametrize("k", [1, 3, 5, 12, 40])
     def test_many_documents_tied_at_the_kth_score(self, k):
         questions = ["apple pie"] * 30 + ["apple pie crust"] * 3 + ["crust"] * 10
