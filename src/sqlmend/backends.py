@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BackendUnavailableError, FixtureMissingError, SqlMendError
+from .datasets import decode_json
+from .errors import BackendUnavailableError, FixtureMissingError, MalformedDatasetError
 
 if TYPE_CHECKING:
     import requests
@@ -94,7 +95,8 @@ class HttpBackend(ModelBackend):
     """Retries connection errors, timeouts, 429 and 5xx, with exponential
     backoff or, on 429 and 503, a numeric ``Retry-After`` capped at
     ``request_timeout`` seconds. Any other failure cannot succeed on retry
-    and raises ``BackendUnavailableError`` at once, as does an answer whose
+    and raises ``BackendUnavailableError`` at once, as does a body whose
+    bytes ``decode_json`` refuses, whatever charset it declares, or whose
     ``content`` is not a string (null for a refusal or a tool call): it is no
     text to extract SQL from or to record."""
 
@@ -149,9 +151,10 @@ class HttpBackend(ModelBackend):
             if status >= 400:
                 raise BackendUnavailableError(f"{url}: status {status}, not retried")
             try:
-                text = response.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise BackendUnavailableError(f"{url}: malformed response: {exc!r}") from exc
+                text = decode_json(response.content, url)["choices"][0]["message"]["content"]
+            except (MalformedDatasetError, LookupError, TypeError) as exc:
+                reason = exc.__cause__ or exc  # a decoding error's own reason
+                raise BackendUnavailableError(f"{url}: malformed response: {reason!r}") from exc
             if not isinstance(text, str):
                 raise BackendUnavailableError(
                     f"{url}: malformed response: content is {text!r:.40}, not a string"
@@ -186,7 +189,7 @@ class ReplayStore:
     cut off before the next append. Any other line that is not JSON, and
     any line whose ``prompt_sha256`` or ``response_text`` is not a string or
     whose ``backend_id`` is neither a string nor absent or null, raises
-    ``SqlMendError`` naming it.
+    ``MalformedDatasetError`` naming it.
 
     Only what ``get`` answers is held in memory: the response text and the
     backend id of each hash, not the prompt text."""
@@ -221,11 +224,11 @@ class ReplayStore:
                     if not text.strip():
                         continue
                 try:
-                    record = json.loads(text)
-                except ValueError as exc:
+                    record = decode_json(text, self.path, number)
+                except MalformedDatasetError as exc:
                     if line.endswith("\n"):
-                        raise SqlMendError(
-                            f"{self.path}: line {number} is not a replay record: {exc}"
+                        raise MalformedDatasetError(
+                            f"{self.path}: line {number} is not a replay record: {exc.__cause__}"
                         ) from exc
                     logger.warning(
                         "%s: skipping torn last line (%d bytes); it is cut off before the next append",
@@ -235,7 +238,7 @@ class ReplayStore:
                     continue
                 problem = _record_problem(record)
                 if problem:
-                    raise SqlMendError(
+                    raise MalformedDatasetError(
                         f"{self.path}: line {number} is not a replay record: {problem}"
                     )
                 self._records[record["prompt_sha256"]] = (

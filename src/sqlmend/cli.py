@@ -26,7 +26,7 @@ from .backends import (
     ReplayBackend,
     ReplayStore,
 )
-from .datasets import Example, load_alignment_sidecar, load_dataset
+from .datasets import Example, decode_json, load_alignment_sidecar, load_dataset, read_utf8
 from .errors import FixtureMissingError, SqlMendError
 from .evaluation import ERROR_CATEGORIES, evaluate_run
 from .pipeline import (
@@ -75,10 +75,7 @@ class RunManifest:
         sets the field of that name here or in ``PipelineConfig``."""
         values = {}
         if getattr(args, "manifest", None):
-            try:
-                values = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise SqlMendError(f"{args.manifest}: {exc}") from exc
+            values = decode_json(read_utf8(Path(args.manifest)), args.manifest)
             if not isinstance(values, dict):
                 raise SqlMendError(f"{args.manifest}: expected a JSON object")
         own, pipeline = _defaults(cls), _defaults(PipelineConfig)

@@ -6,6 +6,10 @@ inference-only runs. Gold alignments ride in a JSON-lines sidecar whose
 line *i* is the alignment list for example *i* (the same
 List-of-{token,schema,type} shape the linking prompt uses); the same sidecar
 format is used for the demonstration pool.
+
+Every JSON input, file, store line or HTTP answer, is decoded by
+``decode_json``; files are read as UTF-8 only (``read_utf8``). Model output
+is the alignment parser's to decode.
 """
 
 from __future__ import annotations
@@ -42,15 +46,31 @@ def entry_text(
     raise MalformedDatasetError(f"{path}: entry {index}: {name} must be {kind}, not {value!r:.40}")
 
 
-def json_entries(path: Path, what: str) -> list[dict]:
-    """The entries of a file holding a JSON array of objects. A file that
-    cannot be read, decoded as UTF-8 or parsed (named as *what*), is not an
-    array, or has an entry that is not an object is a
-    ``MalformedDatasetError`` naming it."""
+def decode_json(data: str | bytes, path: object, line: int | None = None) -> object:
+    """``json.loads(data)``. A text it refuses, nested too deep included, is
+    a ``MalformedDatasetError`` naming *path* and *line*, formatted only then."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalformedDatasetError(f"{path}: cannot parse {what}: {exc}") from exc
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        where = path if line is None else f"{path}: line {line}"
+        raise MalformedDatasetError(f"{where}: {exc}") from exc
+
+
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, untranslated: a ``"\r"`` stays as it is. A
+    file that is not UTF-8 is a ``MalformedDatasetError`` naming it."""
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDatasetError(f"{path}: {exc}") from exc
+
+
+def json_entries(path: Path) -> list[dict]:
+    """The entries of a file holding a JSON array of objects. A file that is
+    not UTF-8, not JSON or not an array, or has an entry that is not an
+    object, is a ``MalformedDatasetError`` naming it."""
+    raw = decode_json(read_utf8(path), path)
     if not isinstance(raw, list):
         raise MalformedDatasetError(f"{path}: expected a top-level array")
     for index, entry in enumerate(raw):
@@ -63,7 +83,7 @@ def load_dataset(path: str | Path) -> list[Example]:
     path = Path(path)
     examples = []
     first_index: dict[str, int] = {}
-    for index, record in enumerate(json_entries(path, "dataset")):
+    for index, record in enumerate(json_entries(path)):
         question = entry_text(path, index, "question", record.get("question"))
         db_id = entry_text(path, index, "db_id", record.get("db_id"))
         gold_sql = record.get("query", record.get("sql"))
@@ -98,13 +118,8 @@ def jsonl_lines(path: Path) -> list[str]:
     U+2028 and the other breaks ``str.splitlines`` knows may stand raw inside
     a JSON string. The text is read untranslated: a ``"\r"`` ends no line,
     and one before ``"\n"`` is whitespace to JSON. A final newline ends the
-    last line rather than starting an empty one. A file that is not UTF-8 is
-    a ``MalformedDatasetError`` naming it."""
-    try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise MalformedDatasetError(f"{path}: {exc}") from exc
+    last line rather than starting an empty one."""
+    lines = read_utf8(path).split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -132,10 +147,7 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         if not line:
             alignments.append(None)
             continue
-        try:
-            records = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
+        records = decode_json(line, path, index + 1)
         if not isinstance(records, list):
             raise MalformedDatasetError(f"{path}: line {index + 1}: expected a list")
         try:

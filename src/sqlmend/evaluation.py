@@ -236,7 +236,10 @@ def evaluate_run(
 
 
 def _mean(values: list) -> float | None:
-    return sum(values) / len(values) if values else None
+    total = 0.0  # added left to right: from Python 3.12, sum() compensates rounding
+    for value in values:
+        total += value
+    return total / len(values) if values else None
 
 
 def _report(records: list[EvalRecord], invalid_gold: list[str]) -> Report:

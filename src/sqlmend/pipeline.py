@@ -48,7 +48,7 @@ from typing import Callable, TypeVar
 from .alignment import Alignment, linked_entities, parse_alignment, tokenize_question
 from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
-from .datasets import Example, jsonl_lines
+from .datasets import Example, decode_json, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
 from .execution import Connections, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
@@ -431,10 +431,7 @@ def read_traces(path: str | Path) -> list[dict]:
     for number, line in enumerate(jsonl_lines(path), 1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedDatasetError(f"{path}: line {number}: {exc}") from exc
+        record = decode_json(line, path, number)
         if not isinstance(record, dict):
             raise MalformedDatasetError(f"{path}: line {number}: expected a JSON object")
         for key, kinds in _TRACE_FIELD_TYPES.items():

@@ -52,7 +52,7 @@ def load_demonstration_pool(path: str | Path) -> list[Demonstration]:
     training-set shape; ``sql`` is accepted as a synonym for ``query``)."""
     path = Path(path)
     pool = []
-    for index, record in enumerate(json_entries(path, "pool file")):
+    for index, record in enumerate(json_entries(path)):
         question = entry_text(path, index, "question", record.get("question"))
         sql = entry_text(path, index, "query", record.get("query", record.get("sql")))
         db_id = entry_text(path, index, "db_id", record.get("db_id"), required=False) or ""

@@ -166,7 +166,7 @@ def load_tables_json(path: str | Path) -> list[SchemaCatalog]:
     """
     path = Path(path)
     catalogs = []
-    for index, entry in enumerate(json_entries(path, "tables.json")):
+    for index, entry in enumerate(json_entries(path)):
         try:
             catalogs.append(_catalog_from_entry(entry, index))
         except (MalformedDatasetError, SchemaIntegrityError) as exc:

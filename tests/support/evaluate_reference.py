@@ -8,6 +8,8 @@ traces."""
 from __future__ import annotations
 
 from contextlib import closing
+from functools import reduce
+from operator import add
 
 from sqlmend.alignment import Alignment, score_alignment
 from sqlmend.datasets import Example
@@ -163,10 +165,13 @@ def evaluate_run(
     count = len(records)
     linking = None
     if macro_scores:
+        # Added left to right, as sum() did before Python 3.12 compensated
+        # its rounding.
+        count_scored = len(macro_scores)
         linking = {
-            "precision": sum(s.macro.precision for s in macro_scores) / len(macro_scores),
-            "recall": sum(s.macro.recall for s in macro_scores) / len(macro_scores),
-            "f1": sum(s.macro.f1 for s in macro_scores) / len(macro_scores),
+            "precision": reduce(add, (s.macro.precision for s in macro_scores)) / count_scored,
+            "recall": reduce(add, (s.macro.recall for s in macro_scores)) / count_scored,
+            "f1": reduce(add, (s.macro.f1 for s in macro_scores)) / count_scored,
             "scored_examples": len(macro_scores),
         }
     return Report(

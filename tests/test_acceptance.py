@@ -11,6 +11,7 @@ import json
 import random
 import socket
 import time
+from contextlib import closing
 
 import pytest
 
@@ -239,8 +240,8 @@ def test_criterion_6_oracle_mode_bound(mini_env):
     traces = []
     for example in mini_env.examples:
         backend = CountingBackend(ScriptedBackend())
-        pipeline = mini_env.pipeline(backend, oracle="both")
-        trace = pipeline.run_example(example)
+        with closing(mini_env.pipeline(backend, oracle="both")) as pipeline:
+            trace = pipeline.run_example(example)
         assert backend.calls <= 1 + len(trace.rounds)
         skeleton_fired = any(
             r.feedback.kind == "skeleton_mismatch" for r in trace.rounds

@@ -448,3 +448,22 @@ def test_strict_call_refuses_a_blank_token_a_lenient_call_filed():
     assert Alignment.from_records(good, "q", shared=shared, strict=True).entries == lenient.entries
     assert Alignment.from_records(good, "q", shared=shared, strict=True).entries[0] is (
         lenient.entries[0])
+
+
+def test_macro_average_adds_left_to_right():
+    # Precisions 0.1, 0.2 and 0.3 add to 0.6000000000000001 left to right;
+    # sum() compensates rounding from Python 3.12 and gives 0.6.
+    kinds = ["tbl"] * 10 + ["col"] * 10 + ["val"] * 10
+    question = " ".join(f"w{i}" for i in range(30))
+    matched = {0, 10, 11, 20, 21, 22}
+    predicted = Alignment(
+        [AlignmentEntry(f"w{i}", f"s{i}", kind) for i, kind in enumerate(kinds)], question
+    )
+    gold = Alignment(
+        [AlignmentEntry(f"w{i}", f"s{i}", kind) if i in matched else AlignmentEntry(f"w{i}")
+         for i, kind in enumerate(kinds)],
+        question,
+    )
+    score = score_alignment(predicted, gold)
+    assert [score.by_type[kind].precision for kind in alignment.LINK_TYPES] == [0.1, 0.2, 0.3]
+    assert score.macro.precision == (0.1 + 0.2 + 0.3) / 3

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 import threading
 import time
@@ -22,6 +23,8 @@ from sqlmend.backends import (
     prompt_sha256,
 )
 from sqlmend.errors import BackendUnavailableError, FixtureMissingError, SqlMendError
+
+DEEP = b"[" * 200_000 + b"]" * 200_000  # deeper than json.loads can go
 
 
 class TestModelRequest:
@@ -68,6 +71,29 @@ class TestReplayStore:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["prompt_text"] for line in lines] == ["a", "c"]
         assert len(ReplayStore(path)) == 2
+
+    @pytest.mark.parametrize("deep", [DEEP, b'{"prompt_sha256": ' + DEEP + b"}"],
+                             ids=["bytes", "written-shape"])
+    def test_deep_line_raises_naming_it(self, tmp_path, deep):
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        path.write_bytes(path.read_bytes() + deep + b"\n")
+        with pytest.raises(SqlMendError, match=f"{re.escape(str(path))}: line 2 is not a replay"):
+            ReplayStore(path)
+
+    @pytest.mark.parametrize("deep", [DEEP, b'{"prompt_sha256": ' + DEEP + b"}"],
+                             ids=["bytes", "written-shape"])
+    def test_deep_torn_last_line_skipped_then_cut_off(self, tmp_path, caplog, deep):
+        path = tmp_path / "store.jsonl"
+        ReplayStore(path).append("a", "1", "b")
+        whole = path.read_bytes()
+        path.write_bytes(whole + deep)
+        with caplog.at_level(logging.WARNING, logger="sqlmend.backends"):
+            store = ReplayStore(path)
+        assert len(store) == 1
+        assert f"torn last line ({len(deep)} bytes)" in caplog.text
+        store.append("c", "2", "b")
+        assert path.read_bytes() == whole + _store_line("c", "2")
 
     def test_whole_last_line_without_newline_kept(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -374,19 +400,13 @@ class TestRecordingBackendPromptLocks:
 
 
 class _FakeResponse:
-    def __init__(self, status: int, payload: dict, headers: dict | None = None):
+    """An HTTP response whose body is *payload* as JSON, or *payload* itself
+    if it is already bytes."""
+
+    def __init__(self, status: int, payload: dict | bytes, headers: dict | None = None):
         self.status_code = status
-        self._payload = payload
+        self.content = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.headers = headers or {}
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            import requests
-
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self._payload
 
 
 class _FakeSession:
@@ -493,7 +513,9 @@ class TestHttpRetries:
         {"choices": [{"message": {"content": ["SELECT 1"]}}]},
         {"choices": [{"message": {"content": {"sql": "SELECT 1"}}}]},
         {"choices": [{"message": {"content": 5}}]},
-    ], ids=["no-choice", "null", "list", "dict", "int"])
+        b"<html>Bad Gateway</html>",
+        DEEP,
+    ], ids=["no-choice", "null", "list", "dict", "int", "not-json", "deep"])
     def test_malformed_body_raises_at_once(self, sleeps, payload):
         backend, session = self._backend([_FakeResponse(200, payload),
                                           _FakeResponse(200, _OK)])

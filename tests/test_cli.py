@@ -191,6 +191,49 @@ class TestInputNotUtf8:
         assert f"error: {bad}" in capsys.readouterr().err
 
 
+DEEP = b"[" * 200_000 + b"]" * 200_000  # deeper than json.loads can go
+
+
+class TestInputNestedTooDeep:
+    """A JSON value nested deeper than the decoder can go, in any input
+    file, is a malformed input that names the file and, in a JSON-lines
+    file, the line."""
+
+    @pytest.mark.parametrize("route, line", [
+        ("tables", None), ("dataset", None), ("pool", None), ("dataset_alignments", 2),
+        ("pool_alignments", 2), ("manifest", None), ("traces", 1), ("replay_store", 2),
+    ])
+    def test_exits_2_naming_the_file(self, mini_paths, replay_store_path, tmp_path, capsys,
+                                     route, line):
+        paths, store = dict(mini_paths), replay_store_path
+        bad = tmp_path / f"{route}.bad"
+        if route == "manifest":
+            data = b'{"shots": ' + DEEP + b"}"
+        elif route == "traces":
+            data = b'{"example_id": "0", "final_sql": "SELECT 1", "rounds": ' + DEEP + b"}\n"
+        elif route == "replay_store":
+            first, rest = store.read_bytes().split(b"\n", 1)
+            data, store = first + b"\n" + DEEP + b"\n" + rest, bad
+        elif line is None:  # a JSON array, whose first entry becomes the deep value
+            data = b"[" + DEEP + b", " + paths[route].read_bytes().lstrip()[1:]
+            paths[route] = bad
+        else:  # a JSON-lines sidecar, whose line 2 becomes the deep value
+            lines = paths[route].read_bytes().split(b"\n")
+            lines[1] = DEEP
+            data, paths[route] = b"\n".join(lines), bad
+        bad.write_bytes(data)
+        if route == "traces":
+            argv = ["evaluate", str(bad), "--dataset", str(paths["dataset"]),
+                    "--tables", str(paths["tables"])]
+        else:
+            argv = _run_args(paths, store, tmp_path / "out")
+            if route == "manifest":
+                argv += ["--manifest", str(bad)]
+        assert main(argv) == 2
+        named = f"error: {bad}" if line is None else f"error: {bad}: line {line}"
+        assert named in capsys.readouterr().err
+
+
 class TestEvaluate:
     @pytest.fixture()
     def trace_dir(self, mini_paths, replay_store_path, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlmend.datasets import load_alignment_sidecar, load_dataset
+from sqlmend.datasets import decode_json, load_alignment_sidecar, load_dataset
 from sqlmend.errors import MalformedDatasetError
 
 from support import sidecar_reference
@@ -304,3 +304,35 @@ def test_sidecar_reads_each_record_after_a_passing_one_as_checking_it_alone(tmp_
         if kind == "loaded":
             loaded = [[dataclasses.astuple(e) for e in loaded[0].entries]]
         assert (kind, loaded) == expected, record
+
+
+class _CountedPlace:
+    """A file name that counts how often it is formatted."""
+
+    def __init__(self):
+        self.formatted = 0
+
+    def __format__(self, spec):
+        self.formatted += 1
+        return "where.json"
+
+
+@pytest.mark.parametrize("data, cause", [
+    ("[1, 2", ValueError),
+    (b'["\xff"]', UnicodeDecodeError),
+    ("[" * 200_000 + "]" * 200_000, RecursionError),
+    (b"[" * 200_000, RecursionError),
+], ids=["not-json", "not-utf8", "deep", "deep-bytes"])
+@pytest.mark.parametrize("line, where", [(None, "where.json: "), (7, "where.json: line 7: ")])
+def test_decode_json_names_the_place_of_what_it_refuses(data, cause, line, where):
+    with pytest.raises(MalformedDatasetError) as raised:
+        decode_json(data, _CountedPlace(), line)
+    assert str(raised.value).startswith(where)
+    assert isinstance(raised.value.__cause__, cause)
+
+
+def test_decode_json_formats_its_place_only_when_it_refuses():
+    place = _CountedPlace()
+    for number in range(100):
+        assert decode_json(f'{{"n": [{number}]}}', place, number) == {"n": [number]}
+    assert place.formatted == 0

@@ -699,3 +699,11 @@ class TestEvaluateRun:
         report = evaluate_run(traces, dataset, catalogs)
         assert report.per_hardness["easy"]["ex_final"] == 1
         assert report.per_hardness["hard"]["ex_final"] == 0
+
+
+def test_mean_adds_left_to_right():
+    # Ten 0.1s add to 0.9999999999999999 left to right; sum() compensates
+    # rounding from Python 3.12 and gives 1.0.
+    assert evaluation._mean([0.1] * 10) == 0.9999999999999999 / 10
+    assert evaluation._mean([True, False, True]) == 2 / 3
+    assert evaluation._mean([]) is None

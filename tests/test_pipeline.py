@@ -6,6 +6,7 @@ import sqlite3
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -120,7 +121,8 @@ class TestStageBehaviour:
                                      backend_id=self.backend_id)
 
         example = next(e for e in mini_env.examples if e.db_id == "talent_show")
-        trace = mini_env.pipeline(AllRows(), max_execution_retries=1).run_example(example)
+        with closing(mini_env.pipeline(AllRows(), max_execution_retries=1)) as pipeline:
+            trace = pipeline.run_example(example)
         assert [r.feedback.kind for r in trace.rounds] == ["execution_error"]
         assert trace.rounds[0].feedback.error_message == "result has more than 1 rows"
         assert "result has more than 1 rows" in prompts[-1]
@@ -142,8 +144,8 @@ class TestPipelineInvariants:
         bound = 3 + 2 + config.max_execution_retries
         for example in mini_env.examples:
             backend.calls = 0
-            pipeline = mini_env.pipeline(backend)
-            pipeline.run_example(example)
+            with closing(mini_env.pipeline(backend)) as pipeline:
+                pipeline.run_example(example)
             assert backend.calls <= bound
 
     def test_oracle_both_reduces_bound_by_two(self, mini_env):
@@ -152,8 +154,8 @@ class TestPipelineInvariants:
         bound = 1 + 2 + config.max_execution_retries
         for example in mini_env.examples:
             backend.calls = 0
-            pipeline = mini_env.pipeline(backend, oracle="both")
-            pipeline.run_example(example)
+            with closing(mini_env.pipeline(backend, oracle="both")) as pipeline:
+                pipeline.run_example(example)
             assert backend.calls <= bound
 
     def test_replay_runs_are_byte_identical(self, mini_env, replay_store_path, tmp_path):
@@ -184,55 +186,55 @@ class TestDemonstrationSelection:
             return rank(index, query, k)
 
         monkeypatch.setattr(sqlmend.pipeline, "top_k", counting)
-        pipeline = mini_env.pipeline(ScriptedBackend(), shots=shots)
-        for example in mini_env.examples:
-            queries.clear()
-            pipeline.run_example(example)
-            assert queries == [example.question] * rankings
+        with closing(mini_env.pipeline(ScriptedBackend(), shots=shots)) as pipeline:
+            for example in mini_env.examples:
+                queries.clear()
+                pipeline.run_example(example)
+                assert queries == [example.question] * rankings
 
 
 class TestOracleModes:
     def test_oracle_entities_skips_linking_call(self, mini_env):
         backend = CountingBackend(ScriptedBackend())
-        pipeline = mini_env.pipeline(backend, oracle="entities")
-        trace = pipeline.run_example(mini_env.examples[1])
+        with closing(mini_env.pipeline(backend, oracle="entities")) as pipeline:
+            trace = pipeline.run_example(mini_env.examples[1])
         # generation + hallucination only: alignment came from the sidecar
         assert backend.calls == 2
         assert trace.alignment is mini_env.examples[1].gold_alignment
 
     def test_oracle_skeleton_uses_gold_derived_skeleton(self, mini_env):
         backend = ScriptedBackend()
-        pipeline = mini_env.pipeline(backend, oracle="skeleton")
         example = mini_env.examples[7]
-        trace = pipeline.run_example(example)
+        with closing(mini_env.pipeline(backend, oracle="skeleton")) as pipeline:
+            trace = pipeline.run_example(example)
         assert trace.parsed_skeleton == extract_skeleton(example.gold_sql)
         assert trace.hallucinated_sql is None
 
     def test_oracle_skeleton_round_fires_iff_initial_differs_from_gold(self, mini_env):
         backend = ScriptedBackend()
-        pipeline = mini_env.pipeline(backend, oracle="both")
-        for example in mini_env.examples:
-            trace = pipeline.run_example(example)
-            fired = any(r.feedback.kind == "skeleton_mismatch" for r in trace.rounds)
-            differs = extract_skeleton(trace.initial_sql) != extract_skeleton(example.gold_sql)
-            assert fired == differs, example.example_id
+        with closing(mini_env.pipeline(backend, oracle="both")) as pipeline:
+            for example in mini_env.examples:
+                trace = pipeline.run_example(example)
+                fired = any(r.feedback.kind == "skeleton_mismatch" for r in trace.rounds)
+                differs = extract_skeleton(trace.initial_sql) != extract_skeleton(example.gold_sql)
+                assert fired == differs, example.example_id
 
 
     def test_oracle_entities_without_gold_alignment_disables_entity_channel_only(
         self, mini_env
     ):
-        pipeline = mini_env.pipeline(ScriptedBackend(), oracle="entities")
         example = dataclasses.replace(mini_env.examples[1], gold_alignment=None)
-        trace = pipeline.run_example(example)
+        with closing(mini_env.pipeline(ScriptedBackend(), oracle="entities")) as pipeline:
+            trace = pipeline.run_example(example)
         assert trace.stage_errors == [(STAGE_LINKING, "oracle mode without gold alignment")]
         assert trace.alignment is None
         assert trace.parsed_skeleton is not None
         assert trace.final_sql == trace.initial_sql != ""
 
     def test_oracle_skeleton_without_gold_sql_disables_skeleton_channel_only(self, mini_env):
-        pipeline = mini_env.pipeline(ScriptedBackend(), oracle="skeleton")
         example = dataclasses.replace(mini_env.examples[7], gold_sql=None)
-        trace = pipeline.run_example(example)
+        with closing(mini_env.pipeline(ScriptedBackend(), oracle="skeleton")) as pipeline:
+            trace = pipeline.run_example(example)
         assert trace.stage_errors == [(STAGE_SKELETON, "oracle mode without gold SQL")]
         assert trace.parsed_skeleton is None and trace.hallucinated_sql is None
         assert trace.alignment is not None
@@ -375,17 +377,19 @@ class TestSkeletonOverlap:
         assert backend.calls == 0
 
 
+def _chat(content) -> bytes:
+    """A chat-completions body whose message content is *content*."""
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
 class _Answer:
-    """A chat-completions HTTP response whose message content is *content*."""
+    """An HTTP 200 response whose body is *body*."""
 
     status_code = 200
     headers: dict = {}
 
-    def __init__(self, content):
-        self._payload = {"choices": [{"message": {"content": content}}]}
-
-    def json(self):
-        return self._payload
+    def __init__(self, body: bytes):
+        self.content = body
 
 
 class _ModelSession:
@@ -410,7 +414,7 @@ class _ModelSession:
         time.sleep(self.delay)
         with self.lock:
             self.in_flight -= 1
-        return _Answer(self.script.complete(ModelRequest(prompt=prompt)).text)
+        return _Answer(_chat(self.script.complete(ModelRequest(prompt=prompt)).text))
 
 
 def _http(session) -> HttpBackend:
@@ -445,23 +449,29 @@ class TestCompletionsInFlight:
         assert pipeline._ahead._max_workers == 1
 
     def test_replay_example_starts_no_thread(self, mini_env, replay_store_path):
-        pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path)))
-        before = set(threading.enumerate())
-        pipeline.run_example(mini_env.examples[0])
-        assert set(threading.enumerate()) <= before
+        with closing(mini_env.pipeline(ReplayBackend(ReplayStore(replay_store_path)))) as pipeline:
+            before = set(threading.enumerate())
+            pipeline.run_example(mini_env.examples[0])
+            assert set(threading.enumerate()) <= before
 
 
-class _NoTextSession:
-    """A fake HTTP session whose every answer has null content, as chat APIs
-    send for a refusal or a tool call."""
+class _SameAnswerSession:
+    """A fake HTTP session that answers every request with the body *body*."""
+
+    def __init__(self, body: bytes):
+        self.body = body
 
     def post(self, url, json=None, headers=None, timeout=None):
-        return _Answer(None)
+        return _Answer(self.body)
 
 
-def test_answer_that_is_not_text_fails_its_stage_and_is_not_recorded(mini_env, tmp_path):
+@pytest.mark.parametrize("body", [
+    _chat(None),  # null content, as chat APIs send for a refusal or a tool call
+    b"[" * 200_000 + b"]" * 200_000,  # nested deeper than json.loads can go
+], ids=["null-content", "deep"])
+def test_answer_that_is_not_text_fails_its_stage_and_is_not_recorded(mini_env, tmp_path, body):
     path = tmp_path / "s.jsonl"
-    backend = RecordingBackend(_http(_NoTextSession()), ReplayStore(path))
+    backend = RecordingBackend(_http(_SameAnswerSession(body)), ReplayStore(path))
     trace = mini_env.pipeline(backend).run_example(mini_env.examples[0])
     stages = [stage for stage, _ in trace.stage_errors]
     assert stages[:3] == [STAGE_GENERATION, STAGE_LINKING, STAGE_SKELETON]
@@ -488,7 +498,8 @@ class TestCorrectionFailures:
     def test_answer_without_sql_keeps_the_sql_it_was_sent(self, mini_env):
         backend = _ProseEntityFix()
         example = mini_env.examples[0]
-        trace = mini_env.pipeline(backend).run_example(example)
+        with closing(mini_env.pipeline(backend)) as pipeline:
+            trace = pipeline.run_example(example)
         sent = trace.initial_sql
         entity_round, skeleton_round = trace.rounds
         assert entity_round.feedback.kind == "missing_entities"
