@@ -37,7 +37,7 @@ from .pipeline import (
     read_traces,
     write_traces,
 )
-from .retrieval import build_index, load_demonstration_pool
+from .retrieval import Bm25Index, Demonstration, build_index, load_demonstration_pool
 from .schema import SchemaCatalog, load_database_dir, load_tables_json
 from .sql_analysis import extract_skeleton
 
@@ -114,40 +114,41 @@ def _defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
-@dataclass
-class LoadedRun:
-    catalogs: dict[str, SchemaCatalog]
-    examples: list[Example] = field(default_factory=list)
-    pool: list = field(default_factory=list)
-
-
-def _load_run(manifest: RunManifest, need_dataset: bool = True) -> LoadedRun:
+# One loader per input, so each command reads only what it uses.
+def _load_catalogs(manifest: RunManifest) -> dict[str, SchemaCatalog]:
     if not manifest.tables:
         raise SqlMendError("--tables is required")
-    run = LoadedRun(catalogs={c.db_id: c for c in load_tables_json(manifest.tables)})
+    catalogs = {c.db_id: c for c in load_tables_json(manifest.tables)}
     if manifest.databases:
+        if not Path(manifest.databases).is_dir():
+            raise SqlMendError(f"{manifest.databases}: not a directory")
         for db_id, path in load_database_dir(manifest.databases).items():
-            if db_id in run.catalogs:
-                run.catalogs[db_id].source_path = path
-    if need_dataset:
-        if not manifest.dataset:
-            raise SqlMendError("--dataset is required")
-        run.examples = load_dataset(manifest.dataset)
-        if manifest.alignments:
-            sidecar = load_alignment_sidecar(
-                manifest.alignments, [e.question for e in run.examples]
-            )
-            for example, alignment in zip(run.examples, sidecar):
-                example.gold_alignment = alignment
-    if manifest.pool:
-        run.pool = load_demonstration_pool(manifest.pool)
-        if manifest.pool_alignments:
-            sidecar = load_alignment_sidecar(
-                manifest.pool_alignments, [d.question for d in run.pool]
-            )
-            for demo, alignment in zip(run.pool, sidecar):
-                demo.alignment = alignment
-    return run
+            if db_id in catalogs:
+                catalogs[db_id].source_path = path
+    return catalogs
+
+
+def _load_examples(manifest: RunManifest) -> list[Example]:
+    if not manifest.dataset:
+        raise SqlMendError("--dataset is required")
+    examples = load_dataset(manifest.dataset)
+    if manifest.alignments:
+        sidecar = load_alignment_sidecar(manifest.alignments, [e.question for e in examples])
+        for example, alignment in zip(examples, sidecar):
+            example.gold_alignment = alignment
+    return examples
+
+
+def _load_pool(manifest: RunManifest) -> tuple[list[Demonstration], Bm25Index | None]:
+    """Read only when the prompts show demonstrations (``shots`` > 0)."""
+    if not manifest.pool or manifest.config.shots == 0:
+        return [], None
+    pool = load_demonstration_pool(manifest.pool)
+    if manifest.pool_alignments:
+        sidecar = load_alignment_sidecar(manifest.pool_alignments, [d.question for d in pool])
+        for demo, alignment in zip(pool, sidecar):
+            demo.alignment = alignment
+    return pool, build_index(pool) if pool else None
 
 
 def _make_backend(manifest: RunManifest) -> ModelBackend:
@@ -167,21 +168,16 @@ def _make_backend(manifest: RunManifest) -> ModelBackend:
     raise SqlMendError(f"unknown backend {manifest.backend!r}")
 
 
-def _make_pipeline(manifest: RunManifest, run: LoadedRun) -> MendPipeline:
-    index = build_index(run.pool) if run.pool else None
-    return MendPipeline(catalogs=run.catalogs, pool=run.pool, index=index,
-                        backend=_make_backend(manifest), config=manifest.config)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
-    run = _load_run(manifest)
-    pipeline = _make_pipeline(manifest, run)
+    catalogs, examples = _load_catalogs(manifest), _load_examples(manifest)
+    pool, index = _load_pool(manifest)
+    pipeline = MendPipeline(catalogs, pool, index, _make_backend(manifest), manifest.config)
     output_dir = Path(manifest.output)
     output_dir.mkdir(parents=True, exist_ok=True)
-    print(f"running {len(run.examples)} examples with backend={manifest.backend}")
+    print(f"running {len(examples)} examples with backend={manifest.backend}")
     try:
-        traces = pipeline.run(run.examples)
+        traces = pipeline.run(examples)
     except FixtureMissingError as exc:
         print(f"fixture missing from replay store: {exc.prompt_sha256}", file=sys.stderr)
         return EXIT_FIXTURE_MISSING
@@ -234,9 +230,8 @@ def _print_report(report_dict: dict, fmt: str) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
-    run = _load_run(manifest)
-    traces = read_traces(args.traces)
-    report = evaluate_run(traces, run.examples, run.catalogs)
+    catalogs, examples = _load_catalogs(manifest), _load_examples(manifest)
+    report = evaluate_run(read_traces(args.traces), examples, catalogs)
     report_dict = report.to_dict()
     output = Path(args.report_out) if args.report_out else Path(args.traces).parent / "report.json"
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -257,10 +252,11 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
 
 def cmd_link(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
-    run = _load_run(manifest, need_dataset=False)
-    if not run.pool:
+    catalogs = _load_catalogs(manifest)
+    pool, index = _load_pool(manifest)
+    if not pool:
         manifest.config.shots = 0
-    pipeline = _make_pipeline(manifest, run)
+    pipeline = MendPipeline(catalogs, pool, index, _make_backend(manifest), manifest.config)
     example = Example(example_id="adhoc", question=args.question, db_id=args.db_id)
     trace = CorrectionTrace(example_id="adhoc")
     alignment = pipeline.link_entities(
@@ -280,16 +276,17 @@ def cmd_link(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common_data_flags(parser: argparse.ArgumentParser, dataset: bool = True) -> None:
+def _add_data_flags(parser: argparse.ArgumentParser, dataset: bool, pool: bool) -> None:
     parser.add_argument("--manifest", help="JSON manifest with default flag values")
     if dataset:
         parser.add_argument("--dataset", help="dataset JSON (question/db_id/query records)")
         parser.add_argument("--alignments", help="gold alignment sidecar for the dataset")
     parser.add_argument("--databases", help="directory of <db_id>/<db_id>.sqlite files")
     parser.add_argument("--tables", help="Spider-style tables.json")
-    parser.add_argument("--pool", help="demonstration pool JSON")
-    parser.add_argument("--pool-alignments", dest="pool_alignments",
-                        help="gold alignment sidecar for the pool")
+    if pool:
+        parser.add_argument("--pool", help="demonstration pool JSON")
+        parser.add_argument("--pool-alignments", dest="pool_alignments",
+                            help="gold alignment sidecar for the pool")
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -311,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run the full pipeline over a dataset")
-    _add_common_data_flags(run_parser)
+    _add_data_flags(run_parser, dataset=True, pool=True)
     _add_backend_flags(run_parser)
     run_parser.add_argument("--output", help="output directory for traces + manifest")
     run_parser.set_defaults(func=cmd_run)
 
     eval_parser = sub.add_parser("evaluate", help="score a trace file against its dataset")
     eval_parser.add_argument("traces", help="traces.jsonl produced by run")
-    _add_common_data_flags(eval_parser)
+    _add_data_flags(eval_parser, dataset=True, pool=False)
     eval_parser.add_argument("--report-out", dest="report_out", help="report JSON path")
     eval_parser.add_argument("--format", choices=["text", "json"], default="text")
     eval_parser.set_defaults(func=cmd_evaluate)
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     link_parser.add_argument("question")
     link_parser.add_argument("db_id")
     link_parser.add_argument("--sql", default="", help="initial SQL shown to the linker")
-    _add_common_data_flags(link_parser, dataset=False)
+    _add_data_flags(link_parser, dataset=False, pool=True)
     _add_backend_flags(link_parser)
     link_parser.add_argument("--format", choices=["text", "json"], default="text")
     link_parser.set_defaults(func=cmd_link)

@@ -148,12 +148,16 @@ class TestReplayStore:
         for i, prompt in enumerate(prompts):
             writer.append(prompt, f"r{i}", "b")
         del writer
-        tracemalloc.start()
+        started = not tracemalloc.is_tracing()  # PYTHONTRACEMALLOC may have started it
+        if started:
+            tracemalloc.start()
         try:
+            before, _ = tracemalloc.get_traced_memory()
             store = ReplayStore(path)
-            held, _ = tracemalloc.get_traced_memory()
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
-            tracemalloc.stop()
+            if started:
+                tracemalloc.stop()
         assert held < 100_000  # the prompts alone are 1 MB
         for i, prompt in enumerate(prompts):
             assert store.get(prompt_sha256(prompt)) == {"response_text": f"r{i}", "backend_id": "b"}

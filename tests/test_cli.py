@@ -84,6 +84,26 @@ class TestRun:
         args[args.index("--dataset") + 1] = str(tmp_path / "missing.json")
         assert main(args) != 0
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_databases_not_a_directory_exits_2_naming_it(
+        self, mini_paths, replay_store_path, tmp_path, capsys, command, kind
+    ):
+        # A missing directory used to turn the execution channel off silently.
+        databases = tmp_path / "databases"
+        if kind == "file":
+            databases.write_text("", encoding="utf-8")
+        args = _run_args(mini_paths, replay_store_path, tmp_path / "out")
+        args[args.index("--databases") + 1] = str(databases)
+        if command == "evaluate":
+            traces = tmp_path / "traces.jsonl"
+            traces.write_text("", encoding="utf-8")
+            args = ["evaluate", str(traces), "--dataset", str(mini_paths["dataset"]),
+                    "--tables", str(mini_paths["tables"]), "--databases", str(databases)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {databases}: not a directory\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("question", [5, "   "])
     def test_untokenizable_question_exits_2_naming_the_entry(
         self, mini_paths, replay_store_path, tmp_path, capsys, question

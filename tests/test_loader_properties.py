@@ -6,7 +6,8 @@ Each example copies the mini benchmark's inputs (dataset, both alignment
 sidecars, ``tables.json``, pool, a ``manifest.json`` naming them, and the
 replay store), mutates one file and runs both commands on the copy. A
 mutation drops a key or a list item, retypes a value to null, an int, a
-list or an object, or cuts the file short.
+list or an object, nests a value deeper than the JSON decoder can go, or
+cuts the file short.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ RETYPED = st.one_of(
                     max_size=2),
 )
 
+DEEP = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can go
+# Holds the deep value's place until the document is text, because
+# json.dumps cannot write the deep value either.
+DEEP_MARK = "deeply nested value"
+
 
 def _positions(value: object, path: tuple = ()):
     """The path of *value* and of every value inside it."""
@@ -56,7 +62,7 @@ def _positions(value: object, path: tuple = ()):
 
 
 def _mutated(text: str, json_lines: bool, data) -> str:
-    kind = data.draw(st.sampled_from(["drop", "retype", "cut"]))
+    kind = data.draw(st.sampled_from(["drop", "retype", "cut", "deep"]))
     if kind == "cut":
         return text[: data.draw(st.integers(0, len(text) - 1))]
     # A JSON-lines file is mutated as the list of its lines' values.
@@ -65,8 +71,9 @@ def _mutated(text: str, json_lines: bool, data) -> str:
     if kind == "drop":
         positions = [p for p in positions if p]
     path = data.draw(st.sampled_from(positions))
+    value = DEEP_MARK if kind == "deep" else data.draw(RETYPED) if kind == "retype" else None
     if not path:
-        document = data.draw(RETYPED)
+        document = value
     else:
         parent = document
         for key in path[:-1]:
@@ -74,10 +81,12 @@ def _mutated(text: str, json_lines: bool, data) -> str:
         if kind == "drop":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = data.draw(RETYPED)
+            parent[path[-1]] = value
     if json_lines:
-        return "".join(json.dumps(value) + "\n" for value in document)
-    return json.dumps(document)
+        text = "".join(json.dumps(entry) + "\n" for entry in document)
+    else:
+        text = json.dumps(document)
+    return text.replace(json.dumps(DEEP_MARK), DEEP)
 
 
 @pytest.fixture(scope="module")
