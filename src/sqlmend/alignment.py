@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import AlignmentParseError, EmptyInputError, MalformedDatasetError, ScoringError
+from .errors import AlignmentParseError, EmptyInputError, MalformedDatasetError
 from .sql_analysis import SqlEntities
 
 _QUESTION_TOKENS = re.compile(r"""[,.?!;:"']|[^\s,.?!;:"'](?:\S*[^\s,.?!;:"'])?""").findall
@@ -37,7 +37,6 @@ class AlignmentEntry:
 @dataclass
 class Alignment:
     entries: list[AlignmentEntry]
-    question: str
     repairs: int = 0  # entries whose fields were nulled to restore the both-null rule
 
     def to_records(self) -> list[dict]:
@@ -56,8 +55,7 @@ class Alignment:
 
     @classmethod
     def from_records(
-        cls, records: list[dict], question: str, shared: dict | None = None,
-        strict: bool = False,
+        cls, records: list[dict], shared: dict | None = None, strict: bool = False
     ) -> "Alignment":
         """The alignment *records* describe. Entries equal to one already in
         *shared*, a table the caller keeps across calls, are that entry.
@@ -66,7 +64,7 @@ class Alignment:
         entries, repairs = _entries_from_records(
             records, {} if shared is None else shared, strict
         )
-        return cls(entries=entries, question=question, repairs=repairs)
+        return cls(entries=entries, repairs=repairs)
 
 
 def tokenize_question(question: str) -> list[str]:
@@ -91,7 +89,8 @@ def parse_alignment(raw: str, question: str, shared: dict | None = None) -> Alig
     ``[`` opens a list of flat dicts of strings, constants and small ints,
     as models write it, that list is read in one pass; anything else goes
     through the two decoders. Entries violating the both-null rule are
-    repaired by nulling both fields and counted in ``repairs``.
+    repaired by nulling both fields and counted in ``repairs``; so is an
+    answer whose tokens are not a subsequence of *question*'s.
 
     *shared* is a table of entries the caller keeps across calls, as
     ``Alignment.from_records`` takes it: an entry equal to one already in it
@@ -104,7 +103,7 @@ def parse_alignment(raw: str, question: str, shared: dict | None = None) -> Alig
     reference = _QUESTION_TOKENS(question)
     if reference and not _is_subsequence([e.token for e in entries], reference):
         repairs += 1  # model dropped or invented tokens; keep entries, flag it
-    return Alignment(entries=entries, question=question, repairs=repairs)
+    return Alignment(entries=entries, repairs=repairs)
 
 
 def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
@@ -379,10 +378,6 @@ def score_alignment(predicted: Alignment, gold: Alignment) -> LinkingScore:
     A type absent from both sides scores 1.0 so it does not drag the macro
     average down.
     """
-    if predicted.question != gold.question:
-        raise ScoringError(
-            "predicted and gold alignments refer to different questions"
-        )
     by_type: dict[str, TypeScore] = {}
     for kind in LINK_TYPES:
         pred = _pairs(predicted, kind)

@@ -120,8 +120,6 @@ def _load_catalogs(manifest: RunManifest) -> dict[str, SchemaCatalog]:
         raise SqlMendError("--tables is required")
     catalogs = {c.db_id: c for c in load_tables_json(manifest.tables)}
     if manifest.databases:
-        if not Path(manifest.databases).is_dir():
-            raise SqlMendError(f"{manifest.databases}: not a directory")
         for db_id, path in load_database_dir(manifest.databases).items():
             if db_id in catalogs:
                 catalogs[db_id].source_path = path
@@ -258,10 +256,9 @@ def cmd_link(args: argparse.Namespace) -> int:
         manifest.config.shots = 0
     pipeline = MendPipeline(catalogs, pool, index, _make_backend(manifest), manifest.config)
     example = Example(example_id="adhoc", question=args.question, db_id=args.db_id)
-    trace = CorrectionTrace(example_id="adhoc")
-    alignment = pipeline.link_entities(
-        example, args.sql or "", trace, pipeline.select_demos(example.question)
-    )
+    trace = CorrectionTrace(example_id="adhoc", initial_sql=args.sql)
+    pipeline.link_entities(example, trace, pipeline.select_demos(example.question))
+    alignment = trace.alignment
     if alignment is None:
         print(f"entity linking failed: {trace.stage_errors}", file=sys.stderr)
         return 1

@@ -126,8 +126,9 @@ def jsonl_lines(path: Path) -> list[str]:
 
 
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
-    """Attach sidecar line *i* to question *i*; blank lines mean no gold.
-    Lines end at ``"\n"`` (see ``jsonl_lines``). Equal entries of different
+    """Sidecar line *i* is the gold alignment of question *i*; blank lines
+    mean no gold, and *questions* bounds the line count. Lines end at
+    ``"\n"`` (see ``jsonl_lines``). Equal entries of different
     lines are one ``AlignmentEntry``, and a record written as an entry
     already read is that entry, not checked again (see
     ``alignment._entries_from_records``). Gold data is not repaired: a record
@@ -142,7 +143,7 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         )
     alignments: list[Alignment | None] = []
     shared: dict = {}
-    for index, question in enumerate(questions):
+    for index in range(len(questions)):
         line = lines[index].strip() if index < len(lines) else ""
         if not line:
             alignments.append(None)
@@ -151,9 +152,7 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         if not isinstance(records, list):
             raise MalformedDatasetError(f"{path}: line {index + 1}: expected a list")
         try:
-            alignments.append(
-                Alignment.from_records(records, question=question, shared=shared, strict=True)
-            )
+            alignments.append(Alignment.from_records(records, shared=shared, strict=True))
         except MalformedDatasetError as exc:
             raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
     return alignments

@@ -35,10 +35,6 @@ class AlignmentParseError(SqlMendError):
         self.raw = raw
 
 
-class ScoringError(SqlMendError):
-    """Two alignments cannot be scored against each other."""
-
-
 class EmptyPoolError(SqlMendError):
     """The demonstration pool is empty."""
 

@@ -215,10 +215,9 @@ def evaluate_run(
             parsed = trace.get("parsed_skeleton")
             linking = None
             if example.gold_alignment is not None and trace.get("alignment") is not None:
-                predicted_alignment = Alignment.from_records(
-                    trace["alignment"], question=example.gold_alignment.question
+                linking = score_alignment(
+                    Alignment.from_records(trace["alignment"]), example.gold_alignment
                 )
-                linking = score_alignment(predicted_alignment, example.gold_alignment)
             records.append(EvalRecord(
                 example_id=example.example_id,
                 predicted_sql=final_sql,

@@ -3,6 +3,14 @@ hallucination, deterministic comparison, then ordered correction rounds
 (entities first, then skeleton, then execution retries), all captured in a
 CorrectionTrace.
 
+Each stage method writes its result onto the example's trace and reads
+earlier results from it, returning None: ``generate_initial_sql`` sets
+``initial_sql``, ``link_entities`` sets ``alignment`` from the draft,
+``parse_question_skeleton`` sets ``parsed_skeleton`` (and
+``hallucinated_sql``), and ``correct`` reads all three, appends its
+``rounds`` and sets ``final_sql``. ``run_example`` only calls them in that
+order.
+
 The skeleton-hallucination completion is sent before generation starts and
 its answer collected after linking. Its prompt holds only the question and
 the demonstrations. Linking cannot overlap generation: its prompt carries the
@@ -205,7 +213,7 @@ class MendPipeline:
 
     def generate_initial_sql(
         self, example: Example, trace: CorrectionTrace, selected: list[Demonstration]
-    ) -> str:
+    ) -> None:
         catalog = self.catalogs[example.db_id]
         demos = [
             PromptDemo(
@@ -216,22 +224,18 @@ class MendPipeline:
         prompt = build_prompt(
             PromptKind.SQL_GENERATION, catalog, example.question, demos
         )
-        return _attempt(
+        trace.initial_sql = _attempt(
             trace, STAGE_GENERATION, "", lambda: extract_sql_block(self._complete(prompt))
         )
 
     def link_entities(
-        self,
-        example: Example,
-        initial_sql: str,
-        trace: CorrectionTrace,
-        selected: list[Demonstration],
-    ) -> Alignment | None:
+        self, example: Example, trace: CorrectionTrace, selected: list[Demonstration]
+    ) -> None:
         if self.config.gold_entities:
-            if example.gold_alignment is not None:
-                return example.gold_alignment
-            trace.stage_errors.append((STAGE_LINKING, "oracle mode without gold alignment"))
-            return None
+            if example.gold_alignment is None:
+                trace.stage_errors.append((STAGE_LINKING, "oracle mode without gold alignment"))
+            trace.alignment = example.gold_alignment
+            return
         catalog = self.catalogs[example.db_id]
         tokenized = " ".join(tokenize_question(example.question))
         demos = []
@@ -247,9 +251,9 @@ class MendPipeline:
                 )
             )
         prompt = build_prompt(
-            PromptKind.ENTITY_LINKING, catalog, tokenized, demos, sql=initial_sql
+            PromptKind.ENTITY_LINKING, catalog, tokenized, demos, sql=trace.initial_sql
         )
-        return _attempt(
+        trace.alignment = _attempt(
             trace,
             STAGE_LINKING,
             None,
@@ -280,9 +284,9 @@ class MendPipeline:
 
     def parse_question_skeleton(
         self, example: Example, trace: CorrectionTrace, pending: Future | None
-    ) -> str | None:
-        """The skeleton from ``pending``, the future ``submit_skeleton`` gave,
-        or in oracle-skeleton mode the gold query's."""
+    ) -> None:
+        """Set ``parsed_skeleton`` from ``pending``, the future
+        ``submit_skeleton`` gave, or in oracle-skeleton mode from the gold."""
 
         def parse() -> str:
             if self.config.gold_skeleton:
@@ -292,7 +296,7 @@ class MendPipeline:
             trace.hallucinated_sql = extract_sql_block(pending.result().text)
             return extract_skeleton(trace.hallucinated_sql)
 
-        return _attempt(trace, STAGE_SKELETON, None, parse)
+        trace.parsed_skeleton = _attempt(trace, STAGE_SKELETON, None, parse)
 
     def _correction_round(
         self,
@@ -319,29 +323,24 @@ class MendPipeline:
         return corrected
 
     def correct(
-        self,
-        example: Example,
-        trace: CorrectionTrace,
-        alignment: Alignment | None,
-        parsed_skeleton: str | None,
-        connections: Connections | None = None,
-    ) -> str:
+        self, example: Example, trace: CorrectionTrace, connections: Connections | None = None
+    ) -> None:
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
         analysis: SqlAnalysis | None = None  # of ``current``, for both checks
 
-        if alignment is not None and current:
+        if trace.alignment is not None and current:
             analysis = analyze_sql(current)
-            feedback = compare_entities(linked_entities(alignment), analysis, catalog)
+            feedback = compare_entities(linked_entities(trace.alignment), analysis, catalog)
             if feedback is not None:
                 corrected = self._correction_round(example, current, feedback, trace)
                 if corrected != current:
                     current, analysis = corrected, None
 
-        if parsed_skeleton is not None and current:
+        if trace.parsed_skeleton is not None and current:
             if analysis is None:
                 analysis = analyze_sql(current)
-            feedback = compare_skeletons(analysis, parsed_skeleton)
+            feedback = compare_skeletons(analysis, trace.parsed_skeleton)
             if feedback is not None:
                 current = self._correction_round(example, current, feedback, trace)
 
@@ -356,7 +355,7 @@ class MendPipeline:
                 )
                 current = self._correction_round(example, current, feedback, trace)
 
-        return current
+        trace.final_sql = current
 
     # -- whole-example and whole-dataset entry points ----------------------
 
@@ -373,12 +372,10 @@ class MendPipeline:
             # The three sub-task prompts share one ranking of the pool.
             selected = self.select_demos(example.question)
             skeleton = self.submit_skeleton(example, selected)
-            trace.initial_sql = self.generate_initial_sql(example, trace, selected)
-            alignment = self.link_entities(example, trace.initial_sql, trace, selected)
-            trace.alignment = alignment
-            parsed = self.parse_question_skeleton(example, trace, skeleton)
-            trace.parsed_skeleton = parsed
-            trace.final_sql = self.correct(example, trace, alignment, parsed, connections)
+            self.generate_initial_sql(example, trace, selected)
+            self.link_entities(example, trace, selected)
+            self.parse_question_skeleton(example, trace, skeleton)
+            self.correct(example, trace, connections)
         finally:
             self._idle.append(connections)
         return trace

@@ -273,11 +273,12 @@ def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
 
 
 def load_database_dir(database_dir: str | Path) -> dict[str, Path]:
-    """Map db_id -> SQLite path for a ``<dir>/<db_id>/<db_id>.sqlite`` layout."""
+    """Map db_id -> SQLite path for a ``<dir>/<db_id>/<db_id>.sqlite`` layout.
+    A path that is not a directory is a ``MalformedDatasetError`` naming it."""
     database_dir = Path(database_dir)
-    mapping = {}
     if not database_dir.is_dir():
-        return mapping
+        raise MalformedDatasetError(f"{database_dir}: not a directory")
+    mapping = {}
     for child in sorted(database_dir.iterdir()):
         candidate = child / f"{child.name}.sqlite"
         if candidate.is_file():

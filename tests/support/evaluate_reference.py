@@ -149,9 +149,7 @@ def evaluate_run(
                 parsed_hits += parsed == gold_skeleton
 
             if example.gold_alignment is not None and trace.get("alignment") is not None:
-                predicted_alignment = Alignment.from_records(
-                    trace["alignment"], question=example.gold_alignment.question
-                )
+                predicted_alignment = Alignment.from_records(trace["alignment"])
                 macro_scores.append(score_alignment(predicted_alignment, example.gold_alignment))
 
             if example.hardness_label:

@@ -308,8 +308,7 @@ def test_criterion_9_metric_sanity():
             AlignmentEntry("the"),
             AlignmentEntry("earnings", "earnings", "col"),
             AlignmentEntry("5,000", "5000", "val"),
-        ],
-        question="q",
+        ]
     )
     assert score_alignment(full, full).macro.f1 == 1.0
 
@@ -319,16 +318,14 @@ def test_criterion_9_metric_sanity():
             AlignmentEntry("stock", "stock_idx", "tbl"),
             AlignmentEntry("d"), AlignmentEntry("e"),
             AlignmentEntry("earnings", "earnings", "col"),
-        ],
-        question="q",
+        ]
     )
     predicted = Alignment(
         entries=[
             AlignmentEntry("a"), AlignmentEntry("b"),
             AlignmentEntry("stock", "stock_idx", "tbl"),
             AlignmentEntry("d"), AlignmentEntry("e"), AlignmentEntry("f"),
-        ],
-        question="q",
+        ]
     )
     score = score_alignment(predicted, gold)
     assert score.by_type["tbl"].f1 == 1.0

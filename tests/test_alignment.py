@@ -17,7 +17,6 @@ from sqlmend.errors import (
     AlignmentParseError,
     EmptyInputError,
     MalformedDatasetError,
-    ScoringError,
 )
 
 from support import alignment_reference, question_tokens_reference
@@ -169,7 +168,7 @@ class TestRecordsLiteral:
         entity_type=st.none() | st.sampled_from(alignment.LINK_TYPES) | _LITERAL_TEXT,
     ), max_size=5))
     def test_equals_the_repr_of_the_records(self, entries):
-        found = Alignment(entries=entries, question="q")
+        found = Alignment(entries=entries)
         assert found.records_literal() == repr(found.to_records())
 
 
@@ -206,15 +205,14 @@ class TestLinkedEntities:
             entries=[
                 AlignmentEntry("stock", "stock_idx", "tbl"),
                 AlignmentEntry("earnings", "earnings", "col"),
-            ],
-            question="q",
+            ]
         )
         entities = linked_entities(alignment)
         assert entities.tables == {"stock_idx"}
         assert entities.columns == {"earnings"}
 
     def test_all_unlinked_gives_empty(self):
-        alignment = Alignment(entries=[AlignmentEntry("the"), AlignmentEntry("a")], question="q")
+        alignment = Alignment(entries=[AlignmentEntry("the"), AlignmentEntry("a")])
         entities = linked_entities(alignment)
         assert not entities.tables and not entities.columns and not entities.values
 
@@ -223,8 +221,7 @@ class TestLinkedEntities:
             entries=[
                 AlignmentEntry("name", "name", "col"),
                 AlignmentEntry("names", "Name", "col"),
-            ],
-            question="q",
+            ]
         )
         assert len(linked_entities(alignment).columns) == 1
 
@@ -234,8 +231,7 @@ class TestLinkedEntities:
                 AlignmentEntry("5", "5", "val"),
                 AlignmentEntry("two", "2", "val"),
                 AlignmentEntry("5b", "5", "val"),
-            ],
-            question="q",
+            ]
         )
         assert linked_entities(alignment).values == ["5", "2", "5"]
 
@@ -245,14 +241,14 @@ class TestLinkedEntities:
             AlignmentEntry("earnings", "earnings", "col"),
         ]
         fillers = [AlignmentEntry("the"), AlignmentEntry("with")]
-        one = Alignment(entries=[fillers[0], *linked, fillers[1]], question="q")
-        two = Alignment(entries=[*linked, *fillers], question="q")
+        one = Alignment(entries=[fillers[0], *linked, fillers[1]])
+        two = Alignment(entries=[*linked, *fillers])
         first = linked_entities(one)
         second = linked_entities(two)
         assert first.tables == second.tables and first.columns == second.columns
 
 
-def _alignment(pairs, question="q tokens here for scoring inde xx"):
+def _alignment(pairs):
     """pairs: list of (token, schema, type) or None for unlinked filler."""
     entries = []
     for pair in pairs:
@@ -261,7 +257,7 @@ def _alignment(pairs, question="q tokens here for scoring inde xx"):
         else:
             token, schema, kind = pair
             entries.append(AlignmentEntry(token, schema, kind))
-    return Alignment(entries=entries, question=question)
+    return Alignment(entries=entries)
 
 
 class TestScoreAlignment:
@@ -312,12 +308,6 @@ class TestScoreAlignment:
         for kind in ("tbl", "col", "val"):
             assert forward.by_type[kind].precision == backward.by_type[kind].recall
             assert forward.by_type[kind].recall == backward.by_type[kind].precision
-
-    def test_question_mismatch_raises(self):
-        with pytest.raises(ScoringError):
-            score_alignment(
-                _alignment([None], question="one"), _alignment([None], question="two")
-            )
 
     def test_schema_entity_match_is_case_insensitive(self):
         gold = _alignment([("a", "Stock_Idx", "tbl")])
@@ -438,15 +428,15 @@ def test_strict_call_refuses_a_blank_token_a_lenient_call_filed():
     # *shared*; a strict call with the same table must still refuse it.
     shared = {}
     blank = [{"token": " ", "schema": None, "type": None}]
-    assert [e.token for e in Alignment.from_records(blank, "q", shared=shared).entries] == [" "]
+    assert [e.token for e in Alignment.from_records(blank, shared=shared).entries] == [" "]
     with pytest.raises(MalformedDatasetError, match="record 0: token must be a non-blank"):
-        Alignment.from_records(blank, "q", shared=shared, strict=True)
+        Alignment.from_records(blank, shared=shared, strict=True)
     # An entry a lenient call made for a record that passes strictly is
     # taken as it is.
     good = [{"token": "a", "schema": "t", "type": "tbl"}]
-    lenient = Alignment.from_records(good, "q", shared=shared)
-    assert Alignment.from_records(good, "q", shared=shared, strict=True).entries == lenient.entries
-    assert Alignment.from_records(good, "q", shared=shared, strict=True).entries[0] is (
+    lenient = Alignment.from_records(good, shared=shared)
+    assert Alignment.from_records(good, shared=shared, strict=True).entries == lenient.entries
+    assert Alignment.from_records(good, shared=shared, strict=True).entries[0] is (
         lenient.entries[0])
 
 
@@ -454,15 +444,13 @@ def test_macro_average_adds_left_to_right():
     # Precisions 0.1, 0.2 and 0.3 add to 0.6000000000000001 left to right;
     # sum() compensates rounding from Python 3.12 and gives 0.6.
     kinds = ["tbl"] * 10 + ["col"] * 10 + ["val"] * 10
-    question = " ".join(f"w{i}" for i in range(30))
     matched = {0, 10, 11, 20, 21, 22}
     predicted = Alignment(
-        [AlignmentEntry(f"w{i}", f"s{i}", kind) for i, kind in enumerate(kinds)], question
+        [AlignmentEntry(f"w{i}", f"s{i}", kind) for i, kind in enumerate(kinds)]
     )
     gold = Alignment(
         [AlignmentEntry(f"w{i}", f"s{i}", kind) if i in matched else AlignmentEntry(f"w{i}")
-         for i, kind in enumerate(kinds)],
-        question,
+         for i, kind in enumerate(kinds)]
     )
     score = score_alignment(predicted, gold)
     assert [score.by_type[kind].precision for kind in alignment.LINK_TYPES] == [0.1, 0.2, 0.3]

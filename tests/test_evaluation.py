@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqlmend.alignment import Alignment, score_alignment
 from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
@@ -23,10 +24,12 @@ from sqlmend.execution import (
     ExecutionResult,
     execute_sql,
 )
+from sqlmend.pipeline import ORACLE_MODES
 from sqlmend.sql_analysis import analyze_sql, extract_skeleton
 
 from support import results_match_reference
 from support.corpus import corpus_catalog
+from support.mini import record_store
 
 RUNAWAY = (
     "WITH RECURSIVE cnt(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM cnt) "
@@ -699,6 +702,33 @@ class TestEvaluateRun:
         report = evaluate_run(traces, dataset, catalogs)
         assert report.per_hardness["easy"]["ex_final"] == 1
         assert report.per_hardness["hard"]["ex_final"] == 0
+
+
+@pytest.fixture(scope="module")
+def every_oracle_store(mini_env, tmp_path_factory):
+    return record_store(mini_env, tmp_path_factory.mktemp("oracles") / "store.jsonl")
+
+
+@pytest.mark.parametrize("oracle", ORACLE_MODES)
+def test_trace_alignment_decodes_from_its_records_alone(mini_env, every_oracle_store, oracle):
+    # An alignment holds no question: a trace's records rebuild it, and
+    # scoring the rebuilt one against the gold gives what evaluate reports.
+    pipeline = mini_env.pipeline(ReplayBackend(ReplayStore(every_oracle_store)), oracle=oracle)
+    traces = [trace.to_dict() for trace in pipeline.run(mini_env.examples)]
+    report = evaluate_run(traces, mini_env.examples, mini_env.catalogs)
+    linking = {record.example_id: record.linking for record in report.records}
+    gold = {e.example_id: e.gold_alignment for e in mini_env.examples}
+    scored = 0
+    for trace in traces:
+        if trace["alignment"] is None:
+            continue
+        alignment = Alignment.from_records(trace["alignment"])
+        assert alignment.to_records() == trace["alignment"]
+        if gold[trace["example_id"]] is not None and trace["example_id"] in linking:
+            expected = score_alignment(alignment, gold[trace["example_id"]])
+            assert linking[trace["example_id"]] == expected
+            scored += 1
+    assert scored > 0
 
 
 def test_mean_adds_left_to_right():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -237,3 +238,13 @@ def test_load_database_dir_layout(tmp_path):
     (tmp_path / "db2").mkdir()  # no sqlite file inside
     mapping = load_database_dir(tmp_path)
     assert set(mapping) == {"db1"}
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_load_database_dir_refuses_a_path_that_is_not_a_directory(tmp_path, kind):
+    # Returning no databases here would turn every execution check off.
+    path = tmp_path / "databases"
+    if kind == "file":
+        path.write_text("", encoding="utf-8")
+    with pytest.raises(MalformedDatasetError, match=f"^{re.escape(str(path))}: not a directory$"):
+        load_database_dir(path)

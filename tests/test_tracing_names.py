@@ -7,7 +7,8 @@ test reads the tracer's tables from its source, without importing or
 running the benchmark, so a dropped name fails here first. A layer that
 stops calling a wrapped function through a module name would instead read
 as never called, so a mini replay run, and an evaluation of its traces,
-check the layers that call it.
+check the layers that call it; the run also checks that it reaches each
+wrapped pipeline stage by its name.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.evaluation import evaluate_run
+from sqlmend.pipeline import MendPipeline
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -101,6 +103,33 @@ def test_replay_run_reaches_the_traced_layers(mini_env, replay_store_path, monke
     assert scoring["evaluation.classify_errors"]
     linked = [record for record in report.records if record.linking is not None]
     assert len(scoring["alignment.score_alignment"]) == len(linked) > 0
+
+
+@pytest.mark.parametrize("oracle", ["none", "both"])
+def test_replay_run_calls_each_traced_stage_once_per_example(
+    mini_env, replay_store_path, monkeypatch, oracle
+):
+    # A stage method that is inlined or renamed would read 0 ms in a traced
+    # run; wrapped on the class, as the tracer wraps it, each must see every
+    # example once.
+    calls: Counter = Counter()
+    stages = [row[3] for row in _table("METHODS") if row[2] == "MendPipeline"]
+    assert sorted(stages) == sorted([
+        "generate_initial_sql", "link_entities", "parse_question_skeleton", "correct",
+        "run_example",
+    ])
+    for stage in stages:
+        original = getattr(MendPipeline, stage)
+
+        def wrapper(*args, _stage=stage, _original=original, **kwargs):
+            calls[_stage, args[1].example_id] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(MendPipeline, stage, wrapper)
+    _replay(mini_env, replay_store_path, oracle)
+    assert calls == Counter(
+        {(stage, example.example_id): 1 for stage in stages for example in mini_env.examples}
+    )
 
 
 def test_evaluate_tokenizes_each_text_of_a_trace_at_most_once(
