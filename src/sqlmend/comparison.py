@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractViolationError
+from .datasets import checked, checked_items
+from .errors import ContractViolationError, MalformedDatasetError
 from .schema import SchemaCatalog
 from .sql_analysis import SqlAnalysis, SqlEntities, entities_of
 
@@ -60,6 +61,31 @@ class Feedback:
             "expected_skeleton": self.expected_skeleton,
             "error_message": self.error_message,
         }
+
+    @classmethod
+    def from_dict(cls, record: object, name: str = "feedback") -> "Feedback":
+        """The feedback ``to_dict`` wrote as *record*, the field *name*. An
+        absent or null field takes its default; a value of the wrong type, or
+        fields that contradict the kind, is a ``MalformedDatasetError``
+        naming the field."""
+        get = checked(record, dict, name).get
+
+        def text(key: str, nullable: bool = False) -> str | None:
+            return checked(get(key), str, f"{name}.{key}", nullable)
+
+        def names(key: str) -> set[str]:
+            return {checked(item, str, at) for at, item in checked_items(get(key), f"{name}.{key}")}
+
+        try:
+            return cls(
+                kind=text("kind"),
+                missing_tables=names("missing_tables"),
+                missing_columns=names("missing_columns"),
+                expected_skeleton=text("expected_skeleton", nullable=True),
+                error_message=text("error_message", nullable=True),
+            )
+        except ContractViolationError as exc:
+            raise MalformedDatasetError(f"{name}: {exc}") from exc
 
 
 def compare_entities(

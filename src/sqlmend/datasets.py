@@ -9,7 +9,8 @@ format is used for the demonstration pool.
 
 Every JSON input, file, store line or HTTP answer, is decoded by
 ``decode_json``; files are read as UTF-8 only (``read_utf8``). Model output
-is the alignment parser's to decode.
+is the alignment parser's to decode. ``checked`` and ``checked_items`` check
+the type of a decoded value and name the field at fault.
 """
 
 from __future__ import annotations
@@ -44,6 +45,26 @@ def entry_text(
         return None
     kind = "a non-blank string" if required else "a string"
     raise MalformedDatasetError(f"{path}: entry {index}: {name} must be {kind}, not {value!r:.40}")
+
+
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def checked(value: object, kind: type, name: str, nullable: bool = False):
+    """*value* if it is a *kind* (a ``str``, ``list`` or ``dict``), or None
+    when *nullable*. Anything else is a ``MalformedDatasetError`` naming the
+    field *name*."""
+    if isinstance(value, kind) or value is None and nullable:
+        return value
+    kinds = _KIND_NAMES[kind] + (" or null" if nullable else "")
+    raise MalformedDatasetError(f"{name} must be {kinds}, not {value!r:.40}")
+
+
+def checked_items(value: object, name: str) -> list[tuple[str, object]]:
+    """``(f"{name}[i]", item)`` for each item of *value*, a list or null
+    (none)."""
+    items = checked(value, list, name, nullable=True) or ()
+    return [(f"{name}[{i}]", item) for i, item in enumerate(items)]
 
 
 def decode_json(data: str | bytes, path: object, line: int | None = None) -> object:

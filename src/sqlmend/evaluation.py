@@ -19,10 +19,11 @@ import math
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .alignment import Alignment, LinkingScore, score_alignment
+from .alignment import LinkingScore, score_alignment
 from .datasets import Example
 from .errors import EvaluationError
 from .execution import Connections, ExecutionResult, execute_sql
+from .pipeline import CorrectionTrace
 from .schema import SchemaCatalog
 from .sql_analysis import SqlAnalysis, analyze_sql, entities_of
 
@@ -170,17 +171,22 @@ def evaluate_run(
     """Score a trace file against its dataset: one ``EvalRecord`` per trace
     whose gold query runs and tokenizes, the rest listed in ``invalid_gold``
     (a gold query whose ``db_id`` has no catalog does not run); ``_report``
-    folds them into every report field."""
+    folds them into every report field. Each trace is a dict
+    ``CorrectionTrace.to_dict`` writes, decoded by ``from_dict`` as the walk
+    reaches it: one it refuses is a ``MalformedDatasetError``. Traces whose
+    ``example_id`` is not in *dataset* are an ``EvaluationError`` listing
+    them all."""
     by_id = {example.example_id: example for example in dataset}
-    unknown = [t.get("example_id") for t in traces if t.get("example_id") not in by_id]
-    if unknown:
-        raise EvaluationError(f"traces reference unknown example ids: {unknown}")
-
     records: list[EvalRecord] = []
     invalid_gold: list[str] = []
+    unknown: list[str] = []
     with closing(Connections()) as connections:
-        for trace in traces:
-            example = by_id[trace["example_id"]]
+        for record in traces:
+            trace = CorrectionTrace.from_dict(record)
+            example = by_id.get(trace.example_id)
+            if example is None:
+                unknown.append(trace.example_id)
+                continue
             gold_sql = example.gold_sql
             catalog = catalogs.get(example.db_id)
             if not gold_sql or catalog is None:  # no gold query, or none that can run
@@ -192,8 +198,7 @@ def evaluate_run(
             if gold is None or not gold.tokenizes:
                 invalid_gold.append(example.example_id)
                 continue
-            initial_sql = trace.get("initial_sql") or ""
-            final_sql = trace.get("final_sql") or ""
+            initial_sql, final_sql = trace.initial_sql, trace.final_sql
             initial = gold if initial_sql == gold_sql else analyze_sql(initial_sql)
             # (ex_match, error_categories) of each distinct text: a trace with no
             # rounds has final == initial, and the text is scored once. Verdicts
@@ -212,12 +217,10 @@ def evaluate_run(
                         verdicts[text] = (False, classify_errors(
                             analysis, gold, catalog, predicted_execution=result,
                         ))
-            parsed = trace.get("parsed_skeleton")
+            parsed = trace.parsed_skeleton
             linking = None
-            if example.gold_alignment is not None and trace.get("alignment") is not None:
-                linking = score_alignment(
-                    Alignment.from_records(trace["alignment"]), example.gold_alignment
-                )
+            if example.gold_alignment is not None and trace.alignment is not None:
+                linking = score_alignment(trace.alignment, example.gold_alignment)
             records.append(EvalRecord(
                 example_id=example.example_id,
                 predicted_sql=final_sql,
@@ -231,6 +234,8 @@ def evaluate_run(
                 parsed_skeleton_hit=None if parsed is None else parsed == gold.skeleton,
                 linking=linking,
             ))
+    if unknown:
+        raise EvaluationError(f"traces reference unknown example ids: {unknown}")
     return _report(records, invalid_gold)
 
 

@@ -38,6 +38,10 @@ of its records. The pipeline keeps one table of alignment entries for its
 life and passes it to ``parse_alignment``, so the answers of a run hold each
 distinct entry once.
 
+A trace's ``to_dict`` is the line ``write_traces`` writes, and
+``CorrectionTrace.from_dict`` its exact inverse: ``read_traces`` checks each
+line through it, and ``evaluation.evaluate_run`` reads traces through it.
+
 The execution check runs through ``execution.execute_sql`` on connection sets
 the pipeline keeps, one connection per database file for each example running
 at once: a running example holds one set, passes it to ``correct``, and hands
@@ -53,10 +57,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .alignment import Alignment, linked_entities, parse_alignment, tokenize_question
+from .alignment import (
+    LINK_TYPES,
+    Alignment,
+    AlignmentEntry,
+    linked_entities,
+    parse_alignment,
+    tokenize_question,
+)
 from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
-from .datasets import Example, decode_json, jsonl_lines
+from .datasets import Example, checked, checked_items, decode_json, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
 from .execution import Connections, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
@@ -109,6 +120,24 @@ class CorrectionRound:
     prompt_sha256: str
     corrected_sql: str
 
+    def to_dict(self) -> dict:
+        return {
+            "feedback": self.feedback.to_dict(),
+            "prompt_sha256": self.prompt_sha256,
+            "corrected_sql": self.corrected_sql,
+        }
+
+    @classmethod
+    def from_dict(cls, record: object, name: str = "round") -> "CorrectionRound":
+        """The round ``to_dict`` wrote as *record*, the field *name*; see
+        ``CorrectionTrace.from_dict``."""
+        get = checked(record, dict, name).get
+        return cls(
+            feedback=Feedback.from_dict(get("feedback"), f"{name}.feedback"),
+            prompt_sha256=checked(get("prompt_sha256"), str, f"{name}.prompt_sha256"),
+            corrected_sql=checked(get("corrected_sql"), str, f"{name}.corrected_sql"),
+        )
+
 
 @dataclass
 class CorrectionTrace:
@@ -128,19 +157,67 @@ class CorrectionTrace:
             "alignment": self.alignment.to_records() if self.alignment else None,
             "hallucinated_sql": self.hallucinated_sql,
             "parsed_skeleton": self.parsed_skeleton,
-            "rounds": [
-                {
-                    "feedback": r.feedback.to_dict(),
-                    "prompt_sha256": r.prompt_sha256,
-                    "corrected_sql": r.corrected_sql,
-                }
-                for r in self.rounds
-            ],
+            "rounds": [r.to_dict() for r in self.rounds],
             "final_sql": self.final_sql,
             "stage_errors": [
                 {"stage": stage, "error": error} for stage, error in self.stage_errors
             ],
         }
+
+    @classmethod
+    def from_dict(cls, record: object) -> "CorrectionTrace":
+        """The trace ``to_dict`` wrote as *record*: ``from_dict(t.to_dict())``
+        writes what ``t`` writes. A field that is absent or null takes its
+        default, as in traces of earlier versions. Anything ``to_dict``
+        cannot write is a ``MalformedDatasetError`` naming the field, at any
+        depth (``rounds[0].feedback.kind``), with nothing repaired: a value of
+        the wrong type, feedback fields that contradict the kind, or an
+        alignment record other than an object with a non-empty string token
+        (blank is kept, as ``parse_alignment`` keeps it), a string or null
+        schema, and a link type that is null exactly when the schema is."""
+        get = checked(record, dict, "trace").get
+
+        def text(key: str) -> str | None:
+            return checked(get(key), str, key, nullable=True)
+
+        return cls(
+            example_id=checked(get("example_id"), str, "example_id"),
+            initial_sql=text("initial_sql") or "",
+            alignment=_decode_alignment(get("alignment")),
+            hallucinated_sql=text("hallucinated_sql"),
+            parsed_skeleton=text("parsed_skeleton"),
+            rounds=[CorrectionRound.from_dict(r, at)
+                    for at, r in checked_items(get("rounds"), "rounds")],
+            final_sql=text("final_sql") or "",
+            stage_errors=[_decode_stage_error(e, at)
+                          for at, e in checked_items(get("stage_errors"), "stage_errors")],
+        )
+
+
+def _decode_stage_error(record: object, name: str) -> tuple[str, str]:
+    """The ``(stage, error)`` pair ``to_dict`` wrote as *record*, the field
+    *name*."""
+    get = checked(record, dict, name).get
+    return checked(get("stage"), str, f"{name}.stage"), checked(get("error"), str, f"{name}.error")
+
+
+def _decode_alignment(records: object) -> Alignment | None:
+    """The alignment ``Alignment.to_records`` wrote as *records*, or None for
+    null; see ``CorrectionTrace.from_dict``."""
+    if records is None:
+        return None
+    entries = []
+    for at, record in checked_items(records, "alignment"):
+        get = checked(record, dict, at).get
+        token, schema, kind = get("token"), get("schema"), get("type")
+        if not (isinstance(token, str) and token):
+            raise MalformedDatasetError(f"{at}.token must be a non-empty string, not {token!r:.40}")
+        checked(schema, str, f"{at}.schema", nullable=True)
+        if kind not in (LINK_TYPES if schema is not None else (None,)):
+            expected = f"one of {LINK_TYPES}" if schema is not None else "null, as the schema is"
+            raise MalformedDatasetError(f"{at}.type must be {expected}, not {kind!r:.40}")
+        entries.append(AlignmentEntry(token, schema, kind))
+    return Alignment(entries)
 
 
 T = TypeVar("T")
@@ -406,22 +483,13 @@ def write_traces(traces: list[CorrectionTrace], path: str | Path) -> None:
             handle.write(json.dumps(trace.to_dict(), sort_keys=True) + "\n")
 
 
-# The types evaluation accepts for each trace field it reads; absent is null.
-_TRACE_FIELD_TYPES = {
-    "example_id": (str,),
-    "initial_sql": (str, type(None)),
-    "final_sql": (str, type(None)),
-    "parsed_skeleton": (str, type(None)),
-    "alignment": (list, type(None)),
-}
-
-
 def read_traces(path: str | Path) -> list[dict]:
     """The trace records of a JSON-lines file, skipping blank lines; lines
-    end at ``"\n"`` (see ``datasets.jsonl_lines``). A line that is not a JSON
-    object, one with a field of a type ``_TRACE_FIELD_TYPES`` does not allow,
-    or one that repeats an earlier line's ``example_id`` is a
-    ``MalformedDatasetError`` naming it."""
+    end at ``"\n"`` (see ``datasets.jsonl_lines``). Each line is checked
+    through ``CorrectionTrace.from_dict`` and returned as the dict it holds.
+    A line that is not JSON, one ``from_dict`` refuses, or one that repeats
+    an earlier line's ``example_id`` is a ``MalformedDatasetError`` naming
+    it, and the field at fault."""
     path = Path(path)
     records = []
     first_line: dict[str, int] = {}
@@ -429,16 +497,14 @@ def read_traces(path: str | Path) -> list[dict]:
         if not line.strip():
             continue
         record = decode_json(line, path, number)
-        if not isinstance(record, dict):
-            raise MalformedDatasetError(f"{path}: line {number}: expected a JSON object")
-        for key, kinds in _TRACE_FIELD_TYPES.items():
-            if not isinstance(record.get(key), kinds):
-                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-                raise MalformedDatasetError(f"{path}: line {number}: {key} must be {names}")
-        first = first_line.setdefault(record["example_id"], number)
+        try:
+            example_id = CorrectionTrace.from_dict(record).example_id
+        except MalformedDatasetError as exc:
+            raise MalformedDatasetError(f"{path}: line {number}: {exc}") from exc
+        first = first_line.setdefault(example_id, number)
         if first != number:
             raise MalformedDatasetError(
-                f"{path}: lines {first} and {number} share example_id {record['example_id']!r}"
+                f"{path}: lines {first} and {number} share example_id {example_id!r}"
             )
         records.append(record)
     return records

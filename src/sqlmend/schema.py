@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .datasets import json_entries
+from .datasets import checked, json_entries
 from .errors import MalformedDatasetError, SchemaIntegrityError
 
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -193,10 +193,7 @@ def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
             f"entry {index}: db_id must be a non-blank string, not {db_id!r:.40}"
         )
     for key in required[1:]:
-        if not isinstance(entry[key], list):
-            raise MalformedDatasetError(
-                f"entry {index} ({db_id}): {key} must be a list, not {entry[key]!r:.40}"
-            )
+        checked(entry[key], list, f"entry {index} ({db_id}): {key}")
     table_names = entry["table_names_original"]
     column_names = entry["column_names_original"]
     column_types = entry["column_types"]
@@ -207,11 +204,7 @@ def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
 
     for what, names in (("table name", table_names), ("column type", column_types)):
         for position, name in enumerate(names):
-            if not isinstance(name, str):
-                raise MalformedDatasetError(
-                    f"entry {index} ({db_id}): {what} {position} must be a string,"
-                    f" not {name!r:.40}"
-                )
+            checked(name, str, f"entry {index} ({db_id}): {what} {position}")
     tables: list[TableDef] = [TableDef(name=n, columns=[]) for n in table_names]
     columns_of = [table.columns for table in tables]
     for col_idx, (pair, data_type) in enumerate(zip(column_names, column_types)):

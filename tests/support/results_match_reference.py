@@ -5,7 +5,7 @@ same verdict on every input."""
 
 from __future__ import annotations
 
-from sqlmend.evaluation import NUMERIC_TOLERANCE, ExecutionResult
+from sqlmend.evaluation import ExecutionResult
 
 from support.order_by_reference import has_top_level_order_by
 
@@ -16,7 +16,7 @@ def _cells_equal(a, b) -> bool:
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
-        return abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
+        return abs(float(a) - float(b)) <= 1e-6
     if type(a) is not type(b) and not (a_num and b_num):
         return False
     return a == b

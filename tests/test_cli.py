@@ -4,11 +4,17 @@ import argparse
 import json
 import re
 from dataclasses import fields
+from json import dumps
+from types import SimpleNamespace
 
 import pytest
+import requests
 
+from sqlmend.backends import ModelRequest
 from sqlmend.cli import RunManifest, build_parser, main
 from sqlmend.pipeline import PipelineConfig
+
+from support.mini import ScriptedBackend
 
 pytestmark = pytest.mark.usefixtures("replay_store_path")
 
@@ -471,6 +477,37 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {tables}: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        # A lenient rebuild used to drop the 1 and move every later entry up
+        # one token index, scoring the linking instead of refusing it.
+        (lambda t: t["alignment"].insert(0, 1), "alignment[0] must be an object, not 1"),
+        (lambda t: t.update(rounds=[t["rounds"][0], "skeleton_mismatch"]),
+         "rounds[1] must be an object, not 'skeleton_mismatch'"),
+        (lambda t: t["rounds"][0]["feedback"].update(kind="execution_error"),
+         "rounds[0].feedback: inconsistent feedback fields for kind 'execution_error'"),
+    ], ids=["alignment-record-not-an-object", "round-not-an-object", "feedback-contradicts-kind"])
+    def test_trace_run_cannot_write_exits_2_naming_line_and_field(
+        self, mini_paths, trace_dir, tmp_path, capsys, edit, message
+    ):
+        lines = (trace_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        assert first["alignment"] and len(first["rounds"]) == 2
+        edit(first)
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "evaluate", str(traces),
+                "--dataset", str(mini_paths["dataset"]),
+                "--alignments", str(mini_paths["dataset_alignments"]),
+                "--databases", str(mini_paths["databases"]),
+                "--tables", str(mini_paths["tables"]),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {traces}: line 1: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_ids_nonzero(self, mini_paths, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         traces.write_text(
@@ -487,6 +524,54 @@ class TestEvaluate:
         )
         assert code != 0
         assert "999" in capsys.readouterr().err
+
+
+class _ScriptedSession:
+    """Stands in for ``requests.Session``: answers each chat-completions POST
+    with the mini benchmark's scripted model, and counts the POSTs."""
+
+    posts = 0
+
+    def __init__(self):
+        self.model = ScriptedBackend()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        type(self).posts += 1
+        prompt = json["messages"][0]["content"]
+        answer = {"choices": [{"message": {"content": self.model.complete(
+            ModelRequest(prompt=prompt)).text}}]}
+        return SimpleNamespace(status_code=200, headers={}, content=dumps(answer).encode())
+
+
+class TestLiveBackends:
+    """The ``http`` and ``record`` routes of ``_make_backend``, over a fake
+    session: no request leaves the process."""
+
+    def test_record_replay_and_http_write_the_same_traces(
+        self, mini_paths, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(requests, "Session", _ScriptedSession)
+        monkeypatch.setattr(_ScriptedSession, "posts", 0)
+        store = tmp_path / "store.jsonl"
+        live = ["--base-url", "http://model.invalid/v1", "--model", "scripted"]
+
+        def run(name, *flags):
+            args = _run_args(mini_paths, store, tmp_path / name, flags)
+            if name == "http":  # a live run with no store
+                at = args.index("--replay-store")
+                del args[at:at + 2]
+                assert str(store) not in args
+            assert main(args) == 0
+            return (tmp_path / name / "traces.jsonl").read_bytes()
+
+        recorded = run("record", "--backend", "record", *live)
+        recorded_posts = _ScriptedSession.posts
+        assert recorded_posts > 0
+        assert len(store.read_text(encoding="utf-8").splitlines()) == recorded_posts
+        assert run("replay") == recorded
+        assert _ScriptedSession.posts == recorded_posts
+        assert run("http", "--backend", "http", *live) == recorded
+        assert _ScriptedSession.posts == 2 * recorded_posts
 
 
 class TestSkeletonCommand:

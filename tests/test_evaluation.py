@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlmend.alignment import Alignment, score_alignment
+from sqlmend.alignment import Alignment, AlignmentEntry, score_alignment
 from sqlmend.backends import ReplayBackend, ReplayStore
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError
@@ -702,6 +702,73 @@ class TestEvaluateRun:
         report = evaluate_run(traces, dataset, catalogs)
         assert report.per_hardness["easy"]["ex_final"] == 1
         assert report.per_hardness["hard"]["ex_final"] == 0
+
+
+class TestMetricDefinitions:
+    """The frozen metric definitions, pinned by literal values: nothing but
+    the functions under test is imported from the code."""
+
+    def test_numbers_match_within_one_millionth_inclusive(self):
+        # abs(1e-6 - 0.0) is the tolerance exactly.
+        for ordered in (False, True):
+            assert results_match(_ok([(0.0,)]), _ok([(1e-6,)]), ordered=ordered)
+            assert results_match(_ok([(1e-6,)]), _ok([(0.0,)]), ordered=ordered)
+            assert not results_match(_ok([(0.0,)]), _ok([(2e-6,)]), ordered=ordered)
+            assert not results_match(_ok([(2e-6,)]), _ok([(0.0,)]), ordered=ordered)
+
+    def test_prediction_that_fails_does_not_match_gold_with_no_rows(self, db_catalog):
+        failed = ExecutionResult(status="engine_error", error_message="no such table: ghost")
+        for ordered in (False, True):
+            assert not results_match(failed, _ok([]), ordered=ordered)
+        report = evaluate_run(
+            [_trace("0", "SELECT name FROM ghost")],
+            [Example("0", "q", "concert_hall", gold_sql="SELECT name FROM singer WHERE age > 99")],
+            {"concert_hall": db_catalog},
+        )
+        assert [r.ex_match for r in report.records] == [False]
+
+    def test_wrong_column_of_the_right_type_lowers_col_precision_and_recall(self):
+        def alignment(first_column):
+            return Alignment([AlignmentEntry("singers", "singer", "tbl"),
+                              AlignmentEntry("names", first_column, "col"),
+                              AlignmentEntry("ages", "age", "col")])
+
+        score = score_alignment(alignment("country"), alignment("name"))
+        assert (score.by_type["col"].precision, score.by_type["col"].recall) == (0.5, 0.5)
+        assert score.by_type["col"].f1 == 0.5
+        assert (score.by_type["tbl"].precision, score.by_type["tbl"].recall) == (1.0, 1.0)
+        assert score.macro.f1 == (1.0 + 0.5 + 1.0) / 3
+
+
+def test_last_walk_over_the_traces_scores_them(db_catalog, monkeypatch):
+    # perfbench's evaluate-exec times each example from the gaps between the
+    # items of evaluate_run's last walk over its list. A last walk that only
+    # decoded would pass perfbench's own check and time the decoding.
+    queries = 0
+
+    def counting(*args, **kwargs):
+        nonlocal queries
+        queries += 1
+        return execute_sql(*args, **kwargs)
+
+    class CountingTraces(list):
+        """Records, at each item its last walk yields, the queries run so far."""
+
+        def __iter__(self):
+            self.queries = []
+            for item in list.__iter__(self):
+                self.queries.append(queries)
+                yield item
+
+    monkeypatch.setattr("sqlmend.evaluation.execute_sql", counting)
+    dataset = [Example(str(i), f"q{i}", "concert_hall", gold_sql="SELECT name FROM singer")
+               for i in range(4)]
+    traces = CountingTraces(_trace(str(i), sql) for i, sql in enumerate(
+        ["SELECT name FROM singer", "SELECT age FROM singer", "SELECT 1", "SELECT ghost"]))
+    evaluate_run(traces, dataset, {"concert_hall": db_catalog})
+    assert len(traces.queries) == 4
+    assert all(a < b for a, b in zip(traces.queries, traces.queries[1:])), traces.queries
+    assert traces.queries[-1] < queries
 
 
 @pytest.fixture(scope="module")
