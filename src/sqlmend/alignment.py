@@ -54,17 +54,13 @@ class Alignment:
         ]) + "]"
 
     @classmethod
-    def from_records(
-        cls, records: list[dict], shared: dict | None = None, strict: bool = False
-    ) -> "Alignment":
-        """The alignment *records* describe. Entries equal to one already in
-        *shared*, a table the caller keeps across calls, are that entry.
-        *strict* refuses what would otherwise be repaired (see
-        ``_entries_from_records``)."""
-        entries, repairs = _entries_from_records(
-            records, {} if shared is None else shared, strict
-        )
-        return cls(entries=entries, repairs=repairs)
+    def from_records(cls, records: list[dict], shared: dict | None = None) -> "Alignment":
+        """The alignment gold *records* describe, repairing nothing: a record
+        ``parse_alignment`` would repair is a ``MalformedDatasetError`` (see
+        ``_entries_from_records``). Entries equal to one already in *shared*,
+        a table the caller keeps across calls, are that entry."""
+        entries, _ = _entries_from_records(records, {} if shared is None else shared, strict=True)
+        return cls(entries=entries)
 
 
 def tokenize_question(question: str) -> list[str]:

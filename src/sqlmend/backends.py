@@ -25,6 +25,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -192,7 +193,12 @@ class ReplayStore:
     ``MalformedDatasetError`` naming it.
 
     Only what ``get`` answers is held in memory: the response text and the
-    backend id of each hash, not the prompt text."""
+    backend id of each hash, not the prompt text.
+
+    The first append opens the file with ``O_APPEND``, and it stays open
+    until ``close``. Each line goes out in one ``os.write`` of its bytes,
+    repeated only for what a short write left, so a killed recording leaves
+    at most one torn last line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -200,6 +206,8 @@ class ReplayStore:
         self._lock = threading.Lock()
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._unterminated = False  # the last line is whole but lacks "\n"
+        self._fd: int | None = None  # the file, opened for appending by an append
+        self._closer: weakref.finalize | None = None  # closes it with the store
         if self.path.exists():
             self._load()
 
@@ -262,19 +270,30 @@ class ReplayStore:
             "response_text": response_text,
             "backend_id": backend_id,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self._records[record["prompt_sha256"]] = (response_text, backend_id)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
-            if self._unterminated:
-                line = "\n" + line
-                self._unterminated = False
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                self._closer = weakref.finalize(self, os.close, self._fd)
+                if self._torn_at is not None:
+                    os.ftruncate(self._fd, self._torn_at)
+                elif self._unterminated:
+                    line = b"\n" + line
+                self._torn_at, self._unterminated = None, False
+            unwritten = memoryview(line)
+            while unwritten:
+                unwritten = unwritten[os.write(self._fd, unwritten):]
         return record
+
+    def close(self) -> None:
+        """Close the file appends write to, if open; the next append opens
+        it again. A store that is not closed closes it when collected."""
+        with self._lock:
+            if self._closer is not None:
+                self._closer()
+                self._fd = self._closer = None
 
 
 class ReplayBackend(ModelBackend):

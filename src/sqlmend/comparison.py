@@ -21,6 +21,12 @@ SKELETON_MISMATCH = "skeleton_mismatch"
 EXECUTION_ERROR = "execution_error"
 
 
+def name_order(name: str) -> tuple[str, str]:
+    """The sort key of an entity name in feedback: case-insensitive, and
+    names that differ only in case in one order under every hash seed."""
+    return name.lower(), name
+
+
 @dataclass
 class Feedback:
     kind: str
@@ -56,8 +62,8 @@ class Feedback:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "missing_tables": sorted(self.missing_tables, key=str.lower),
-            "missing_columns": sorted(self.missing_columns, key=str.lower),
+            "missing_tables": sorted(self.missing_tables, key=name_order),
+            "missing_columns": sorted(self.missing_columns, key=name_order),
             "expected_skeleton": self.expected_skeleton,
             "error_message": self.error_message,
         }

@@ -173,7 +173,7 @@ def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Align
         if not isinstance(records, list):
             raise MalformedDatasetError(f"{path}: line {index + 1}: expected a list")
         try:
-            alignments.append(Alignment.from_records(records, shared=shared, strict=True))
+            alignments.append(Alignment.from_records(records, shared=shared))
         except MalformedDatasetError as exc:
             raise MalformedDatasetError(f"{path}: line {index + 1}: {exc}") from exc
     return alignments

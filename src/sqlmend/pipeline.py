@@ -22,6 +22,15 @@ answers it in the calling thread. Answers are read in stage order, so
 ``stage_errors`` and a ``FixtureMissingError`` come out as they would one call
 at a time.
 
+On the same backends the draft is checked while linking is in flight: as
+soon as generation returns, ``submit_draft_checks`` sends ``analyze_sql`` of
+the draft and, where the catalog has a database file and
+``max_execution_retries > 0``, its execution to the same pool, while the
+worker's own thread sends linking. ``correct`` uses that analysis
+and result only while the SQL it checks is still the draft text; a check
+still queued when ``correct`` starts is cancelled, and ``correct`` runs it
+itself, as it does on every other backend.
+
 Every model-backed step follows one failure rule (``_attempt``): a replay-store
 miss (``FixtureMissingError``) ends the example, and any other package error is
 recorded in ``stage_errors`` and the step falls back. So a failed sub-task only
@@ -45,14 +54,17 @@ line through it, and ``evaluation.evaluate_run`` reads traces through it.
 The execution check runs through ``execution.execute_sql`` on connection sets
 the pipeline keeps, one connection per database file for each example running
 at once: a running example holds one set, passes it to ``correct``, and hands
-it to the next example when it ends. ``close()`` closes them, and so does the
-end of ``run()``; the next example opens them again.
+it to the next example when it ends. A draft check sent ahead runs on its
+example's set, so the example hands the set on only once that check is
+cancelled or over, even when a stage raises: no two threads use one set at
+once. ``close()`` closes them, and so does the end of ``run()``; the next
+example opens them again.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -69,7 +81,7 @@ from .backends import ModelBackend, ModelRequest, prompt_sha256
 from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
 from .datasets import Example, checked, checked_items, decode_json, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
-from .execution import Connections, execute_sql
+from .execution import Connections, ExecutionResult, execute_sql
 from .prompts import PromptDemo, PromptKind, build_prompt, correction_prompt, extract_sql_block
 from .retrieval import Bm25Index, Demonstration, top_k
 from .schema import SchemaCatalog, render_schema_prompt
@@ -259,7 +271,7 @@ class MendPipeline:
         self._idle: list[Connections] = []
         self._entries: dict = {}  # every distinct alignment entry parsed
         self._ahead = ThreadPoolExecutor(
-            max(1, self.config.workers), thread_name_prefix="sqlmend-skeleton"
+            max(1, self.config.workers), thread_name_prefix="sqlmend-ahead"
         )
 
     # -- stage helpers -----------------------------------------------------
@@ -359,6 +371,27 @@ class MendPipeline:
             future.set_exception(exc)
         return future
 
+    def submit_draft_checks(
+        self, example: Example, trace: CorrectionTrace, connections: Connections
+    ) -> Future | None:
+        """On a backend that waits on a live model, send the checks of
+        ``trace.initial_sql`` to the pool and return their future: its
+        analysis and, where ``correct`` runs the execution check, its
+        execution result on *connections* (else None). None on any other
+        backend, where ``correct`` runs the checks itself."""
+        if not self.backend.waits_on_model:
+            return None
+        sql = trace.initial_sql
+        catalog = self.catalogs[example.db_id]
+        executes = catalog.source_path is not None and self.config.max_execution_retries > 0
+
+        def check() -> tuple[SqlAnalysis, ExecutionResult | None]:
+            return analyze_sql(sql), (
+                execute_sql(sql, catalog, connections=connections) if executes else None
+            )
+
+        return self._ahead.submit(check)
+
     def parse_question_skeleton(
         self, example: Example, trace: CorrectionTrace, pending: Future | None
     ) -> None:
@@ -400,30 +433,47 @@ class MendPipeline:
         return corrected
 
     def correct(
-        self, example: Example, trace: CorrectionTrace, connections: Connections | None = None
+        self,
+        example: Example,
+        trace: CorrectionTrace,
+        connections: Connections | None = None,
+        draft: Future | None = None,
     ) -> None:
+        """Run the correction rounds and set ``final_sql``. *draft* is the
+        future ``submit_draft_checks`` gave; its analysis and execution
+        result stand for ``trace.initial_sql`` while the SQL checked is still
+        that text. If it has not started, it is cancelled and each check
+        runs here when it is needed, as with no *draft*."""
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
-        analysis: SqlAnalysis | None = None  # of ``current``, for both checks
+        # Of ``current``: its analysis, for both checks, and its execution.
+        analysis: SqlAnalysis | None = None
+        result: ExecutionResult | None = None
+        if draft is not None and not draft.cancel():
+            analysis, result = draft.result()
 
         if trace.alignment is not None and current:
-            analysis = analyze_sql(current)
+            if analysis is None:
+                analysis = analyze_sql(current)
             feedback = compare_entities(linked_entities(trace.alignment), analysis, catalog)
             if feedback is not None:
                 corrected = self._correction_round(example, current, feedback, trace)
                 if corrected != current:
-                    current, analysis = corrected, None
+                    current, analysis, result = corrected, None, None
 
         if trace.parsed_skeleton is not None and current:
             if analysis is None:
                 analysis = analyze_sql(current)
             feedback = compare_skeletons(analysis, trace.parsed_skeleton)
             if feedback is not None:
-                current = self._correction_round(example, current, feedback, trace)
+                corrected = self._correction_round(example, current, feedback, trace)
+                if corrected != current:
+                    current, result = corrected, None
 
         if catalog.source_path is not None:
             for _ in range(self.config.max_execution_retries):
-                result = execute_sql(current, catalog, connections=connections)
+                if result is None:
+                    result = execute_sql(current, catalog, connections=connections)
                 if result.ok:
                     break
                 feedback = Feedback(
@@ -431,6 +481,7 @@ class MendPipeline:
                     error_message=result.error_message or "execution failed",
                 )
                 current = self._correction_round(example, current, feedback, trace)
+                result = None
 
         trace.final_sql = current
 
@@ -445,15 +496,22 @@ class MendPipeline:
             connections = self._idle.pop()
         except IndexError:
             connections = Connections()
+        draft = None
         try:
             # The three sub-task prompts share one ranking of the pool.
             selected = self.select_demos(example.question)
             skeleton = self.submit_skeleton(example, selected)
             self.generate_initial_sql(example, trace, selected)
+            draft = self.submit_draft_checks(example, trace, connections)
             self.link_entities(example, trace, selected)
             self.parse_question_skeleton(example, trace, skeleton)
-            self.correct(example, trace, connections)
+            if draft is None:
+                self.correct(example, trace, connections)
+            else:
+                self.correct(example, trace, connections, draft)
         finally:
+            if draft is not None and not draft.cancel():
+                wait([draft])  # the check may still be using the set
             self._idle.append(connections)
         return trace
 

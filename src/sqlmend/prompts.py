@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .comparison import EXECUTION_ERROR, SKELETON_MISMATCH, Feedback
+from .comparison import EXECUTION_ERROR, SKELETON_MISMATCH, Feedback, name_order
 from .errors import PromptConstructionError, SqlExtractionError
 from .schema import SchemaCatalog, render_schema_prompt
 
@@ -209,8 +209,8 @@ def correction_prompt(
     if feedback.kind == EXECUTION_ERROR:
         notification = EXECUTION_NOTIFICATION_PREFIX + feedback.error_message
     else:
-        names = sorted(feedback.missing_tables, key=str.lower) + sorted(
-            feedback.missing_columns, key=str.lower
+        names = sorted(feedback.missing_tables, key=name_order) + sorted(
+            feedback.missing_columns, key=name_order
         )
         notification = ", ".join(names) + " are mentioned by the question"
     return _CORRECTION_ENTITY_TEMPLATE.format(

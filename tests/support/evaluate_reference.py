@@ -11,7 +11,7 @@ from contextlib import closing
 from functools import reduce
 from operator import add
 
-from sqlmend.alignment import Alignment, score_alignment
+from sqlmend.alignment import score_alignment
 from sqlmend.datasets import Example
 from sqlmend.errors import EvaluationError, SqlMendError
 from sqlmend.evaluation import (
@@ -27,6 +27,7 @@ from sqlmend.evaluation import (
     results_match,
 )
 from sqlmend.execution import Connections
+from sqlmend.pipeline import CorrectionTrace
 from sqlmend.schema import SchemaCatalog
 from sqlmend.sql_analysis import analyze_sql, extract_entities, extract_skeleton
 
@@ -149,7 +150,7 @@ def evaluate_run(
                 parsed_hits += parsed == gold_skeleton
 
             if example.gold_alignment is not None and trace.get("alignment") is not None:
-                predicted_alignment = Alignment.from_records(trace["alignment"])
+                predicted_alignment = CorrectionTrace.from_dict(trace).alignment
                 macro_scores.append(score_alignment(predicted_alignment, example.gold_alignment))
 
             if example.hardness_label:

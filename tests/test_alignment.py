@@ -424,20 +424,20 @@ class TestDecoderCallCharge:
 
 
 def test_strict_call_refuses_a_blank_token_a_lenient_call_filed():
-    # A lenient call takes a blank token as it is and files its entry in
-    # *shared*; a strict call with the same table must still refuse it.
+    # ``parse_alignment`` takes a blank token as it is and files its entry in
+    # *shared*; ``from_records`` with the same table must still refuse it.
     shared = {}
     blank = [{"token": " ", "schema": None, "type": None}]
-    assert [e.token for e in Alignment.from_records(blank, shared=shared).entries] == [" "]
+    filed = parse_alignment(repr(blank), question="a", shared=shared)
+    assert [e.token for e in filed.entries] == [" "]
     with pytest.raises(MalformedDatasetError, match="record 0: token must be a non-blank"):
-        Alignment.from_records(blank, shared=shared, strict=True)
+        Alignment.from_records(blank, shared=shared)
     # An entry a lenient call made for a record that passes strictly is
     # taken as it is.
     good = [{"token": "a", "schema": "t", "type": "tbl"}]
-    lenient = Alignment.from_records(good, shared=shared)
-    assert Alignment.from_records(good, shared=shared, strict=True).entries == lenient.entries
-    assert Alignment.from_records(good, shared=shared, strict=True).entries[0] is (
-        lenient.entries[0])
+    lenient = parse_alignment(repr(good), question="a", shared=shared)
+    assert Alignment.from_records(good, shared=shared).entries == lenient.entries
+    assert Alignment.from_records(good, shared=shared).entries[0] is lenient.entries[0]
 
 
 def test_macro_average_adds_left_to_right():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import sys
 import threading
@@ -237,6 +238,67 @@ class TestReplayStoreLines:
         assert f"torn last line ({cut} bytes)" in caplog.text
         store.append("c", "2", "b")
         assert path.read_bytes() == whole + _store_line("c", "2")
+
+
+class TestReplayStoreWrites:
+    """Each appended line goes out whole, on one descriptor kept open."""
+
+    @staticmethod
+    def _append_from_threads(store, threads_count=8, per_thread=50):
+        def client(k):
+            for i in range(per_thread):
+                store.append(f"prompt {k}-{i}", f"{k}-{i}:" + "x" * 10_000, "b")
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(threads_count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+
+    @staticmethod
+    def _assert_reloads_whole(path, threads_count=8, per_thread=50):
+        reloaded = ReplayStore(path)
+        assert len(reloaded) == threads_count * per_thread
+        assert len(path.read_bytes().splitlines()) == threads_count * per_thread
+        for k in range(threads_count):
+            for i in range(per_thread):
+                record = reloaded.get(prompt_sha256(f"prompt {k}-{i}"))
+                assert record["response_text"] == f"{k}-{i}:" + "x" * 10_000
+
+    def test_eight_threads_of_long_lines_reload_as_every_record(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        self._append_from_threads(ReplayStore(path))
+        self._assert_reloads_whole(path)
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        write = os.write
+        calls = []
+
+        def short(fd, data):  # at most 4 KiB a call, as a pipe or full disk may
+            calls.append(len(data))
+            return write(fd, data[:4096])
+
+        path = tmp_path / "s.jsonl"
+        store = ReplayStore(path)
+        monkeypatch.setattr(os, "write", short)
+        self._append_from_threads(store, threads_count=4, per_thread=10)
+        monkeypatch.undo()
+        assert len(calls) >= 3 * 4 * 10
+        self._assert_reloads_whole(path, threads_count=4, per_thread=10)
+
+    def test_directory_made_by_the_first_append_and_reopened_after_close(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "s.jsonl"
+        store = ReplayStore(path)
+        assert not path.parent.exists()
+        store.append("a", "1", "b")
+        store.append("c", "2", "b")
+        store.close()
+        store.close()
+        store.append("d", "3", "b")
+        store.close()
+        assert path.read_bytes() == b"".join(
+            _store_line(p, r) for p, r in [("a", "1"), ("c", "2"), ("d", "3")])
 
 
 class TestReplayBackend:

@@ -588,26 +588,62 @@ class TestSkeletonCommand:
         assert main(["skeleton", ""]) != 0
 
 
+def _link_args(mini_paths, store, output_format):
+    """``sqlmend link`` on a mini question and its draft, replayed from
+    *store*."""
+    return [
+        "link",
+        "How many singers are there?",
+        "talent_show",
+        "--sql", "SELECT count(*) FROM singer",
+        "--databases", str(mini_paths["databases"]),
+        "--tables", str(mini_paths["tables"]),
+        "--pool", str(mini_paths["pool"]),
+        "--pool-alignments", str(mini_paths["pool_alignments"]),
+        "--backend", "replay",
+        "--replay-store", str(store),
+        "--format", output_format,
+    ]
+
+
 class TestLinkCommand:
     def test_replay_linking(self, mini_paths, replay_store_path, capsys):
-        code = main(
-            [
-                "link",
-                "How many singers are there?",
-                "talent_show",
-                "--sql", "SELECT count(*) FROM singer",
-                "--databases", str(mini_paths["databases"]),
-                "--tables", str(mini_paths["tables"]),
-                "--pool", str(mini_paths["pool"]),
-                "--pool-alignments", str(mini_paths["pool_alignments"]),
-                "--backend", "replay",
-                "--replay-store", str(replay_store_path),
-                "--format", "json",
-            ]
-        )
+        code = main(_link_args(mini_paths, replay_store_path, "json"))
         assert code == 0
         records = json.loads(capsys.readouterr().out)
         assert {"token": "singers", "schema": "singer", "type": "tbl"} in records
+
+    def test_text_format_prints_one_line_per_token(self, mini_paths, replay_store_path, capsys):
+        assert main(_link_args(mini_paths, replay_store_path, "json")) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert main(_link_args(mini_paths, replay_store_path, "text")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(records)
+        for line, record in zip(lines, records):
+            token, linked = line.split(maxsplit=1)
+            assert token == record["token"]
+            if record["schema"] is None:
+                assert linked == "-"
+            else:
+                assert linked == f"{record['schema']} ({record['type']})"
+        assert any(line.split()[-1] == "-" for line in lines)
+        assert "singers              singer (tbl)" in lines
+
+    def test_answer_with_no_alignment_list_exits_1(
+        self, mini_paths, replay_store_path, tmp_path, capsys
+    ):
+        store = tmp_path / "prose.jsonl"
+        with store.open("w", encoding="utf-8") as out:
+            for line in replay_store_path.read_text(encoding="utf-8").splitlines():
+                record = json.loads(line)
+                if record["prompt_text"].startswith("Align the tokens"):
+                    record["response_text"] = "Sorry, I cannot align these tokens."
+                out.write(json.dumps(record) + "\n")
+        assert main(_link_args(mini_paths, store, "text")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entity linking failed" in captured.err
+        assert "no decodable alignment list" in captured.err
 
 
 class TestSettings:

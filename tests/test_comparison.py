@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqlmend
 from sqlmend import comparison
 from sqlmend.comparison import (
     Feedback,
@@ -159,6 +165,39 @@ class TestFeedbackInvariants:
         payload = feedback.to_dict()
         assert payload["missing_columns"] == ["A", "b"]
         assert payload["missing_tables"] == ["m", "z"]
+
+    def test_names_differing_only_in_case_keep_one_order_under_every_hash_seed(self):
+        # Set order follows PYTHONHASHSEED, so each seed runs in its own
+        # interpreter; the feedback and the prompt naming it must not move.
+        source = Path(sqlmend.__file__).parents[1]
+        tests = Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(source), str(tests)])}
+        outputs = set()
+        for seed in range(1, 7):
+            done = subprocess.run(
+                [sys.executable, "-c", _PRINT_CASE_DUPLICATES],
+                env={**env, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True,
+            )
+            outputs.add(done.stdout)
+        [output] = outputs
+        payload, notification = output.splitlines()
+        assert json.loads(payload)["missing_tables"] == ["SINGER", "Singer", "singer"]
+        assert "that SINGER, Singer, singer, Age, age are mentioned by the question." in notification
+
+
+_PRINT_CASE_DUPLICATES = """
+import json
+from sqlmend.comparison import Feedback
+from sqlmend.prompts import correction_prompt
+from support.corpus import corpus_catalog
+
+feedback = Feedback(kind="missing_entities", missing_tables={"Singer", "singer", "SINGER"},
+                    missing_columns={"age", "Age"})
+print(json.dumps(feedback.to_dict(), sort_keys=True))
+prompt = correction_prompt(corpus_catalog(), "q", "SELECT 1", feedback)
+print(next(line for line in prompt.splitlines() if "are mentioned by" in line).strip())
+"""
 
 
 def test_comparison_module_never_touches_model_backends():

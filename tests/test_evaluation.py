@@ -24,7 +24,7 @@ from sqlmend.execution import (
     ExecutionResult,
     execute_sql,
 )
-from sqlmend.pipeline import ORACLE_MODES
+from sqlmend.pipeline import ORACLE_MODES, CorrectionTrace
 from sqlmend.sql_analysis import analyze_sql, extract_skeleton
 
 from support import results_match_reference
@@ -789,7 +789,7 @@ def test_trace_alignment_decodes_from_its_records_alone(mini_env, every_oracle_s
     for trace in traces:
         if trace["alignment"] is None:
             continue
-        alignment = Alignment.from_records(trace["alignment"])
+        alignment = CorrectionTrace.from_dict(trace).alignment
         assert alignment.to_records() == trace["alignment"]
         if gold[trace["example_id"]] is not None and trace["example_id"] in linking:
             expected = score_alignment(alignment, gold[trace["example_id"]])

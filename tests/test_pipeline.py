@@ -455,6 +455,242 @@ class TestCompletionsInFlight:
             assert set(threading.enumerate()) <= before
 
 
+class _Live:
+    """Marks a backend as waiting on a live model, so that the pipeline sends
+    completions and the draft's checks ahead to its pool."""
+
+    waits_on_model = True
+
+
+class _LiveScripted(_Live, ScriptedBackend):
+    pass
+
+
+class _LinkingAfterDraft(_Live, ScriptedBackend):
+    """The scripted model, live, holding back each linking answer until a
+    query of *runs* (``noted_runs``) has ended, and noting the queries run
+    by then."""
+
+    def __init__(self, runs, *args):
+        super().__init__(*args)
+        self.runs = runs
+        self.runs_at_linking = []
+
+    def complete(self, request):
+        if request.prompt.startswith("Align the tokens"):
+            assert self.runs.ran.wait(timeout=5), "the draft was not run during linking"
+            self.runs_at_linking.append(list(self.runs))
+        return super().complete(request)
+
+
+class _FixFails(ScriptedBackend):
+    """The scripted model, except that its correction of *kind* for one
+    example gives SQL that fails to run where the draft ran; its execution
+    correction for that example gives the gold."""
+
+    FIXES = {  # kind: (example, the failing fix)
+        "correction_entity": (4, "SELECT avg(age) FROM singer WHERE nation = 'France'"),
+        "correction_skeleton": (7, "SELECT country, max(age) FROM singer GROUP BY nation"),
+    }
+
+    def __init__(self, kind):
+        super().__init__()
+        index, self.failing = self.FIXES[kind]
+        self.kind, self.example = kind, EXAMPLES[index]
+
+    def complete(self, request):
+        kind = self._kind(request.prompt)
+        question, gold = self.example["question"], self.example["query"]
+        if f'"{question}"' in request.prompt:
+            if kind == self.kind:
+                return ModelResponse(text=f"```sql\n{self.failing}\n```", backend_id="fails")
+            if kind == "correction_execution":
+                return ModelResponse(text=f"```sql\n{gold}\n```", backend_id="fails")
+        return super().complete(request)
+
+
+class _LiveFixFails(_LinkingAfterDraft, _FixFails):
+    pass
+
+
+class _LinkingRaises(_Live, ScriptedBackend):
+    """The scripted model, live, whose first linking answer raises an error
+    that is not the package's once the draft's check is running."""
+
+    def __init__(self, check_started: threading.Event):
+        super().__init__()
+        self.check_started = check_started
+        self.raised = False
+
+    def complete(self, request):
+        if request.prompt.startswith("Align the tokens") and not self.raised:
+            self.raised = True
+            assert self.check_started.wait(timeout=5)
+            raise RuntimeError("connection reset")
+        return super().complete(request)
+
+
+class _NotingConnections:
+    """A stand-in connection set that runs no SQLite. Each query takes
+    ``delay`` seconds; the set notes the threads that use it, its finished
+    queries, and any query that starts while another thread's is running."""
+
+    delay = 0.0
+    made: list = []
+    started = threading.Event()  # set by the first query
+
+    def __init__(self):
+        self.in_use = threading.Lock()
+        self.threads: set[int] = set()
+        self.finished = 0
+        self.overlaps = 0
+        self.made.append(self)
+
+    def execute(self, sql, path, timeout):
+        self.started.set()
+        self.threads.add(threading.get_ident())
+        if not self.in_use.acquire(blocking=False):
+            self.overlaps += 1
+            self.in_use.acquire()
+        try:
+            time.sleep(self.delay)
+            self.finished += 1
+            return execution.ExecutionResult(status="ok", rows=[])
+        finally:
+            self.in_use.release()
+
+    def close(self):
+        pass
+
+
+class _Runs(list):
+    """The SQL of each execution check run, in order, with the thread it ran
+    on; ``ran`` is set as each one ends."""
+
+    def __init__(self):
+        super().__init__()
+        self.ran = threading.Event()
+
+
+@pytest.fixture
+def noted_runs(monkeypatch):
+    runs = _Runs()
+    execute = sqlmend.pipeline.execute_sql
+
+    def noted(sql, catalog, **kwargs):
+        runs.append((sql, threading.get_ident()))
+        try:
+            return execute(sql, catalog, **kwargs)
+        finally:
+            runs.ran.set()
+
+    monkeypatch.setattr(sqlmend.pipeline, "execute_sql", noted)
+    return runs
+
+
+@pytest.fixture
+def noting_connections(monkeypatch):
+    monkeypatch.setattr(sqlmend.pipeline, "Connections", _NotingConnections)
+    monkeypatch.setattr(_NotingConnections, "made", [])
+    monkeypatch.setattr(_NotingConnections, "started", threading.Event())
+    return _NotingConnections
+
+
+class TestDraftCheckedAhead:
+    """On a live backend the draft is analysed and run while its linking
+    completion is in flight; the trace is the one the checks give in line."""
+
+    def test_draft_runs_once_before_linking_answers(self, mini_env, noted_runs):
+        backend = _LinkingAfterDraft(noted_runs)
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        traces = []
+        with closing(mini_env.pipeline(backend)) as pipeline:
+            for example in mini_env.examples:
+                noted_runs.clear()
+                noted_runs.ran.clear()
+                trace = pipeline.run_example(example)
+                traces.append(trace)
+                assert backend.runs_at_linking[-1] == [(trace.initial_sql, noted_runs[0][1])]
+                assert noted_runs[0][1] != threading.get_ident()
+                if not trace.rounds:  # the draft's result stands: it runs once
+                    assert [sql for sql, _ in noted_runs] == [trace.initial_sql]
+        assert len(backend.runs_at_linking) == len(mini_env.examples)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+    @pytest.mark.parametrize("kind, first_round", [
+        ("correction_entity", "missing_entities"),
+        ("correction_skeleton", "skeleton_mismatch"),
+    ])
+    def test_sql_changed_by_a_round_is_run_again(self, mini_env, noted_runs, kind, first_round):
+        index = _FixFails.FIXES[kind][0]
+        example = mini_env.examples[index]
+        expected = mini_env.pipeline(_FixFails(kind)).run_example(example)
+        in_line = [sql for sql, _ in noted_runs]
+        noted_runs.clear()
+        noted_runs.ran.clear()
+        with closing(mini_env.pipeline(_LiveFixFails(noted_runs, kind))) as pipeline:
+            trace = pipeline.run_example(example)
+        fix = trace.rounds[0].corrected_sql
+        assert fix == _FixFails.FIXES[kind][1]
+        assert [r.feedback.kind for r in trace.rounds] == [first_round, "execution_error"]
+        assert trace.to_dict() == expected.to_dict()
+        assert in_line == [fix]
+        # The draft ran ahead, and its ``ok`` was set aside for the fix's error.
+        assert [sql for sql, _ in noted_runs] == [trace.initial_sql, fix]
+
+    def test_linking_that_raises_hands_on_the_set_after_its_check(
+        self, mini_env, noting_connections, monkeypatch
+    ):
+        monkeypatch.setattr(noting_connections, "delay", 0.05)
+        example = next(e for e in mini_env.examples if e.db_id == "talent_show")
+        backend = _LinkingRaises(noting_connections.started)
+        with closing(mini_env.pipeline(backend)) as pipeline:
+            with pytest.raises(RuntimeError, match="connection reset"):
+                pipeline.run_example(example)
+            [connections] = pipeline._idle
+            assert connections.finished == 1  # the draft's check ended first
+            pipeline.run_example(example)
+        assert noting_connections.made == [connections]
+        assert connections.overlaps == 0
+
+    def test_queued_check_is_cancelled_and_run_in_the_calling_thread(
+        self, mini_env, noting_connections
+    ):
+        example = next(e for e in mini_env.examples if e.db_id == "talent_show")
+        expected = mini_env.pipeline(ScriptedBackend(), oracle="skeleton").run_example(example)
+        noting_connections.made.clear()
+        gate = threading.Event()
+        # No skeleton completion, and the pool's one thread is held, so the
+        # draft's check is still queued when ``correct`` needs it.
+        with closing(mini_env.pipeline(_LiveScripted(), oracle="skeleton")) as pipeline:
+            try:
+                pipeline._ahead.submit(gate.wait)
+                trace = pipeline.run_example(example)
+            finally:
+                gate.set()
+            pipeline._ahead.shutdown(wait=True)
+        [connections] = noting_connections.made
+        assert connections.threads == {threading.get_ident()}
+        assert connections.overlaps == 0
+        assert connections.finished == 1  # the cancelled check never ran
+        assert trace.to_dict() == expected.to_dict()
+
+    def test_threads_of_live_examples_never_share_a_set(self, mini_env, noting_connections,
+                                                        monkeypatch):
+        monkeypatch.setattr(noting_connections, "delay", 0.002)
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples * 4)
+        noting_connections.made.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            traces = mini_env.pipeline(_LiveScripted(), workers=4).run(mini_env.examples * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(noting_connections.made) <= 4
+        assert all(c.overlaps == 0 for c in noting_connections.made)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+
 class _SameAnswerSession:
     """A fake HTTP session that answers every request with the body *body*."""
 
