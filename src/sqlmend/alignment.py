@@ -34,7 +34,7 @@ class AlignmentEntry:
         return self.schema_entity is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class Alignment:
     entries: list[AlignmentEntry]
     repairs: int = 0  # entries whose fields were nulled to restore the both-null rule
@@ -340,14 +340,14 @@ def linked_entities(alignment: Alignment) -> SqlEntities:
     return entities
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeScore:
     precision: float
     recall: float
     f1: float
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkingScore:
     by_type: dict[str, TypeScore]
     macro: TypeScore

@@ -52,7 +52,7 @@ class ModelRequest:
             raise ValueError("temperature must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelResponse:
     text: str
     backend_id: str

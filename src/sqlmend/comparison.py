@@ -27,7 +27,7 @@ def name_order(name: str) -> tuple[str, str]:
     return name.lower(), name
 
 
-@dataclass
+@dataclass(slots=True)
 class Feedback:
     kind: str
     missing_tables: set[str] = field(default_factory=set)

@@ -11,11 +11,22 @@ Every JSON input, file, store line or HTTP answer, is decoded by
 ``decode_json``; files are read as UTF-8 only (``read_utf8``). Model output
 is the alignment parser's to decode. ``checked`` and ``checked_items`` check
 the type of a decoded value and name the field at fault.
+
+An array file (dataset, pool, ``tables.json``) is decoded one entry at a
+time (``json_entries``), and its loader checks each entry before the next is
+decoded, so a load holds the file's text and what it keeps, not the whole
+decoded array. Its faults are refused in file order: an entry the loader
+refuses is named even when a later entry is not JSON, where decoding the
+whole file first named the syntax error. JSON-lines files keep their own
+reader (``jsonl_lines``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +34,7 @@ from .alignment import Alignment
 from .errors import MalformedDatasetError
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     example_id: str
     question: str
@@ -67,14 +78,23 @@ def checked_items(value: object, name: str) -> list[tuple[str, object]]:
     return [(f"{name}[{i}]", item) for i, item in enumerate(items)]
 
 
-def decode_json(data: str | bytes, path: object, line: int | None = None) -> object:
-    """``json.loads(data)``. A text it refuses, nested too deep included, is
-    a ``MalformedDatasetError`` naming *path* and *line*, formatted only then."""
+def decode_json(data: str | bytes, path: object, line: int | None = None, start: int | None = None,
+                *, _raw_decode=json.JSONDecoder().raw_decode) -> object:
+    """``json.loads(data)``; with *start*, the value that begins at index
+    *start* of the text *data*, and the index just past it, decoded by one
+    decoder made once (*_raw_decode*). A text it refuses, nested too deep
+    included, is a ``MalformedDatasetError`` naming *path* and *line*,
+    formatted only then."""
     try:
-        return json.loads(data)
+        return json.loads(data) if start is None else _raw_decode(data, start)
     except (ValueError, RecursionError) as exc:
         where = path if line is None else f"{path}: line {line}"
         raise MalformedDatasetError(f"{where}: {exc}") from exc
+
+
+# The whitespace JSON allows around its tokens, and a comma within it.
+_space = re.compile(r"[ \t\n\r]*").match
+_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 
 def read_utf8(path: Path) -> str:
@@ -87,17 +107,33 @@ def read_utf8(path: Path) -> str:
         raise MalformedDatasetError(f"{path}: {exc}") from exc
 
 
-def json_entries(path: Path) -> list[dict]:
-    """The entries of a file holding a JSON array of objects. A file that is
-    not UTF-8, not JSON or not an array, or has an entry that is not an
-    object, is a ``MalformedDatasetError`` naming it."""
-    raw = decode_json(read_utf8(path), path)
-    if not isinstance(raw, list):
-        raise MalformedDatasetError(f"{path}: expected a top-level array")
-    for index, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise MalformedDatasetError(f"{path}: entry {index} is not an object")
-    return raw
+def json_entries(path: Path) -> Iterator[dict]:
+    """The entries of a file holding a JSON array of objects, decoded one at
+    a time as the caller takes them. A file that is not UTF-8, not JSON or
+    not an array, or has an entry that is not an object, is a
+    ``MalformedDatasetError`` naming it, raised when the reading gets there:
+    after the entries before it have been taken."""
+    text = read_utf8(path)
+    at = _space(text).end()
+    if text.startswith("[", at):
+        at = _space(text, at + 1).end()
+        if not text.startswith("]", at):
+            for index in itertools.count():
+                entry, at = decode_json(text, path, start=at)
+                if not isinstance(entry, dict):
+                    raise MalformedDatasetError(f"{path}: entry {index} is not an object")
+                yield entry
+                comma = _comma(text, at)
+                if comma is None or text.startswith("]", comma.end()):
+                    break  # 3.13 names a trailing comma in words of its own
+                at = comma.end()
+        at = _space(text, at).end()
+        if text.startswith("]", at) and _space(text, at + 1).end() == len(text):
+            return
+    # Not an array, or a fault between its entries or after it: the decoder
+    # names it in the words it used when the file was decoded whole.
+    decode_json(text, path)
+    raise MalformedDatasetError(f"{path}: expected a top-level array")
 
 
 def load_dataset(path: str | Path) -> list[Example]:

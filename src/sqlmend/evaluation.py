@@ -127,7 +127,7 @@ def classify_errors(
     return categories
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     """One example's verdicts and the facts the report summarises."""
 

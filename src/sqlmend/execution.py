@@ -54,7 +54,7 @@ def _allow_all(*_) -> int:  # set_authorizer(None) needs Python >= 3.11
 PAGE_CACHE_KIB = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionResult:
     status: str  # ok | engine_error | timeout | too_many_rows
     rows: list[tuple] | None = None

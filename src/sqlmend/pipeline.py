@@ -126,7 +126,7 @@ class PipelineConfig:
         return self.oracle in ("skeleton", "both")
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectionRound:
     feedback: Feedback
     prompt_sha256: str
@@ -151,7 +151,7 @@ class CorrectionRound:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectionTrace:
     example_id: str
     initial_sql: str = ""
@@ -270,9 +270,12 @@ class MendPipeline:
         # ``append`` are atomic, so two threads never take the same set.
         self._idle: list[Connections] = []
         self._entries: dict = {}  # every distinct alignment entry parsed
-        self._ahead = ThreadPoolExecutor(
-            max(1, self.config.workers), thread_name_prefix="sqlmend-ahead"
-        )
+        self._ahead = self._ahead_pool()
+
+    def _ahead_pool(self) -> ThreadPoolExecutor:
+        """A pool for the completions and checks sent ahead of the workers;
+        it starts its threads on first use."""
+        return ThreadPoolExecutor(max(1, self.config.workers), thread_name_prefix="sqlmend-ahead")
 
     # -- stage helpers -----------------------------------------------------
 
@@ -527,8 +530,12 @@ class MendPipeline:
             self.close()
 
     def close(self) -> None:
-        """Close the connections kept for the execution check; the next
-        example opens them again. Call it while no example is running."""
+        """Stop the threads of the pool that sends completions and checks
+        ahead, and close the connections kept for the execution check. The
+        next example opens them again; its fresh pool starts threads on first
+        use. Call it while no example is running."""
+        self._ahead.shutdown()
+        self._ahead = self._ahead_pool()
         while self._idle:
             self._idle.pop().close()
 

@@ -27,7 +27,7 @@ class PromptKind(Enum):
     SKELETON_PARSING = "skeleton_parsing"
 
 
-@dataclass
+@dataclass(slots=True)
 class PromptDemo:
     """One few-shot demonstration, already rendered to prompt-ready text."""
 

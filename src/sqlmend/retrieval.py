@@ -39,7 +39,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 
-@dataclass
+@dataclass(slots=True)
 class Demonstration:
     question: str
     sql: str

@@ -2,12 +2,16 @@
 to the ``CREATE TABLE`` text block that every prompt embeds.
 
 Catalogs are treated as immutable after construction and are safe to share
-across worker threads.
+across worker threads. A loaded catalog holds one string object per distinct
+column name and per distinct column type (``sys.intern``), shared by every
+column, key and catalog that names it, so a ``tables.json`` of many databases
+with the same few types and common names keeps each of them once.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,20 +21,20 @@ from .errors import MalformedDatasetError, SchemaIntegrityError
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass
+@dataclass(slots=True)
 class ColumnDef:
     name: str
     data_type: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ForeignKey:
     column: str
     foreign_table: str
     foreign_column: str
 
 
-@dataclass
+@dataclass(slots=True)
 class TableDef:
     name: str
     columns: list[ColumnDef]
@@ -48,18 +52,20 @@ class TableDef:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemaCatalog:
     """One database's tables plus optional path to its SQLite file."""
 
     db_id: str
     tables: list[TableDef]
     source_path: Path | None = None
+    _table_index: dict[str, TableDef] = field(init=False, repr=False, compare=False)
+    # Set by ``render_schema_prompt``.
+    _schema_prompt: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.validate()
         self._table_index = {t.name.lower(): t for t in self.tables}
-        self._schema_prompt: str | None = None  # set by render_schema_prompt
 
     def validate(self) -> None:
         if not self.db_id:
@@ -215,6 +221,7 @@ def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
                 " [table index, name] pair"
             )
         table_idx, col_name = pair
+        pair[1] = col_name = sys.intern(col_name)  # the keys resolved below share it
         if table_idx == -1:
             continue  # the '*' pseudo-column
         if not 0 <= table_idx < len(tables):
@@ -222,7 +229,7 @@ def _catalog_from_entry(entry: dict, index: int) -> SchemaCatalog:
                 f"entry {index} ({db_id}): column {col_name!r} names table "
                 f"index {table_idx} out of range"
             )
-        columns_of[table_idx].append(ColumnDef(col_name, data_type))
+        columns_of[table_idx].append(ColumnDef(col_name, sys.intern(data_type)))
 
     def resolve(col_idx: object, what: str) -> tuple[int, str]:
         """The [table index, name] pair at a position of the original (global)

@@ -50,14 +50,14 @@ _OPERATORS_1 = "=<>+-/%"
 _PUNCTUATION = "(),;."
 
 
-@dataclass
+@dataclass(slots=True)
 class SqlToken:
     kind: str  # keyword | identifier | number | string | operator | punctuation | star
     text: str
     position: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SqlEntities:
     """Schema entities a query uses: canonically cased table/column names
     plus literal values in source order."""
@@ -168,7 +168,7 @@ def _scan_number(sql: str, start: int) -> int:
 # Structural annotation shared by entity extraction and skeleton masking
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SqlAnalysis:
     """What one scan of a query's tokens finds; empty, with ``tokenizes``
     False, for text that does not tokenize."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from sqlmend.datasets import decode_json, load_alignment_sidecar, load_dataset
 from sqlmend.errors import MalformedDatasetError
+from sqlmend.retrieval import load_demonstration_pool
+from sqlmend.schema import load_tables_json
 
 from support import sidecar_reference
 
@@ -336,3 +339,82 @@ def test_decode_json_formats_its_place_only_when_it_refuses():
     for number in range(100):
         assert decode_json(f'{{"n": [{number}]}}', place, number) == {"n": [number]}
     assert place.formatted == 0
+
+
+# One entry every array loader takes: a dataset example, a demonstration and
+# a one-table catalog at once.
+_ENTRY = json.dumps({
+    "question": "How many?", "db_id": "d", "query": "SELECT count(*) FROM t",
+    "table_names_original": ["t"], "column_names_original": [[-1, "*"], [0, "a"]],
+    "column_types": ["text", "number"], "primary_keys": [1], "foreign_keys": [],
+})
+_ARRAY_LOADERS = [load_dataset, load_demonstration_pool, load_tables_json]
+
+
+@pytest.mark.parametrize("load", _ARRAY_LOADERS)
+@pytest.mark.parametrize("text, message", [
+    (_ENTRY, "expected a top-level array"),
+    ("nope[", "Expecting value: line 1 column 1 (char 0)"),
+    (f"[{_ENTRY}, 1]", "entry 1 is not an object"),
+    (f"[{_ENTRY}, {_ENTRY}] x", "Extra data: line 1 column"),
+    (f"[{_ENTRY}]\n]", "Extra data: line 2 column 1"),
+    (f"[{_ENTRY}, {_ENTRY}, {_ENTRY[:-1]}, \"x\" 1}}]", "Expecting ':' delimiter"),
+    (f"[{_ENTRY} {_ENTRY}]", "Expecting ',' delimiter"),
+    (f"[{_ENTRY},", "Expecting value"),
+    (f"[{_ENTRY}", "Expecting ',' delimiter"),
+    ("[", "Expecting value: line 1 column 2 (char 1)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["object", "not-json", "entry-not-object", "extra-data", "extra-bracket",
+        "syntax-in-last", "no-comma", "cut-after-comma", "cut-after-entry", "cut-at-start",
+        "empty"])
+def test_array_file_refused_naming_the_file(tmp_path, load, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedDatasetError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load(path)
+
+
+@pytest.mark.parametrize("text", [
+    f"[{_ENTRY}, {_ENTRY},]",
+    f"[{_ENTRY} ,\n ]",
+    f"[{_ENTRY}, {_ENTRY[:-1]},}}]",
+    f"[{_ENTRY}, [{_ENTRY}",
+    f"[{_ENTRY}, {_ENTRY}]]",
+], ids=["array-trailing-comma", "spaced-trailing-comma", "object-trailing-comma",
+        "cut-in-nested", "extra-bracket"])
+def test_syntax_fault_named_as_decoding_the_whole_file_names_it(tmp_path, text):
+    # Python 3.13 words a trailing comma its own way; the reader must not.
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as whole:
+        json.loads(text)
+    for load in _ARRAY_LOADERS:
+        with pytest.raises(MalformedDatasetError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: {whole.value}"
+
+
+@pytest.mark.parametrize("load", _ARRAY_LOADERS)
+@pytest.mark.parametrize("text", [
+    "[]",
+    " \r\n[\t\n ]\n ",
+    f"[{_ENTRY},{_ENTRY},{_ENTRY}]",
+    f"\n\t[ {_ENTRY}\r\n,\n\t{_ENTRY}  ,{_ENTRY}\n] \n",
+], ids=["empty", "empty-spaced", "tight", "spaced"])
+def test_array_file_whitespace_loads_as_the_compact_text(tmp_path, load, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(text)), encoding="utf-8")
+    assert load(path) == load(compact)
+    assert len(load(path)) == text.count(_ENTRY)
+
+
+def test_entry_fault_named_before_a_syntax_error_in_a_later_entry(tmp_path):
+    # Entries are decoded one at a time, so the loader checks each before
+    # the reader decodes the next.
+    path = tmp_path / "dev.json"
+    path.write_text('[{"question": 5, "db_id": "d"}, {"question": ]', encoding="utf-8")
+    with pytest.raises(MalformedDatasetError) as raised:
+        load_dataset(path)
+    assert str(raised.value) == f"{path}: entry 0: question must be a non-blank string, not 5"

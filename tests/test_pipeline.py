@@ -466,6 +466,37 @@ class _LiveScripted(_Live, ScriptedBackend):
     pass
 
 
+def _ahead_threads(before: set) -> list[str]:
+    """The names of the ahead pool's threads alive now and not in *before*."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("sqlmend-ahead") and t not in before]
+
+
+class TestAheadThreadsStop:
+    """``close`` stops the threads of the pool that sends work ahead; the
+    pipeline's next example starts fresh ones."""
+
+    def test_run_stops_them(self, mini_env):
+        before = set(threading.enumerate())
+        pipeline = mini_env.pipeline(_LiveScripted(), workers=4)
+        traces = pipeline.run(mini_env.examples)
+        assert _ahead_threads(before) == []
+        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
+        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+
+    def test_close_stops_them_and_the_next_example_runs(self, mini_env):
+        before = set(threading.enumerate())
+        pipeline = mini_env.pipeline(_LiveScripted(), workers=2)
+        first = [pipeline.run_example(example) for example in mini_env.examples[:3]]
+        assert _ahead_threads(before)
+        pipeline.close()
+        assert _ahead_threads(before) == []
+        again = pipeline.run_example(mini_env.examples[0])
+        assert again.to_dict() == first[0].to_dict()
+        pipeline.close()
+        assert _ahead_threads(before) == []
+
+
 class _LinkingAfterDraft(_Live, ScriptedBackend):
     """The scripted model, live, holding back each linking answer until a
     query of *runs* (``noted_runs``) has ended, and noting the queries run

@@ -3,18 +3,31 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import tracemalloc
 
 import pytest
 
 from sqlmend.errors import MalformedDatasetError, SchemaIntegrityError
 from sqlmend.schema import (
     ColumnDef,
+    ForeignKey,
     SchemaCatalog,
     TableDef,
     load_database_dir,
     load_tables_json,
     render_schema_prompt,
 )
+
+
+# A valid one-table entry, for a test to break one field of.
+_ENTRY = {
+    "db_id": "bad",
+    "table_names_original": ["t"],
+    "column_names_original": [[-1, "*"], [0, "a"]],
+    "column_types": ["text", "integer"],
+    "primary_keys": [],
+    "foreign_keys": [],
+}
 
 
 def _write_tables(tmp_path, payload):
@@ -126,6 +139,90 @@ class TestLoadTablesJson:
         assert catalog.tables[0].primary_key == ["id"]
 
 
+    def test_column_naming_a_table_out_of_range(self, tmp_path):
+        path = _write_tables(tmp_path, [{**_ENTRY, "column_names_original": [[-1, "*"], [3, "a"]]}])
+        with pytest.raises(SchemaIntegrityError) as raised:
+            load_tables_json(path)
+        assert str(raised.value) == (
+            f"{path}: entry 0 (bad): column 'a' names table index 3 out of range"
+        )
+
+    @pytest.mark.parametrize("foreign_key", [[1], [1, 1, 1], 1, None])
+    def test_foreign_key_entry_that_is_not_a_pair(self, tmp_path, foreign_key):
+        path = _write_tables(tmp_path, [{**_ENTRY, "foreign_keys": [foreign_key]}])
+        with pytest.raises(MalformedDatasetError) as raised:
+            load_tables_json(path)
+        assert str(raised.value) == f"{path}: entry 0 (bad): foreign key entry is not a pair"
+
+    def test_catalog_check_failure_names_the_entry(self, tmp_path):
+        path = _write_tables(tmp_path, [
+            {**_ENTRY, "db_id": "good"},
+            {**_ENTRY, "column_names_original": [[-1, "*"], [0, "a"], [0, "A"]],
+             "column_types": ["text", "text", "text"]},
+        ])
+        with pytest.raises(SchemaIntegrityError) as raised:
+            load_tables_json(path)
+        assert str(raised.value) == f"{path}: entry 1: bad.t: duplicate column 'A'"
+
+    def test_names_and_types_are_shared_strings(self, tmp_path):
+        # The decoder makes a new string object for each string it reads.
+        entry = {
+            "table_names_original": ["a", "b"],
+            "column_names_original": [[-1, "*"], [0, "id"], [1, "id"], [1, "a_id"]],
+            "column_types": ["text", "number", "number", "number"],
+            "primary_keys": [1, 2],
+            "foreign_keys": [[3, 1]],
+        }
+        path = _write_tables(tmp_path, [{**entry, "db_id": "one"}, {**entry, "db_id": "two"}])
+        one, two = load_tables_json(path)
+        columns = [c for catalog in (one, two) for t in catalog.tables for c in t.columns]
+        assert len({id(c.name) for c in columns}) == 2
+        assert len({id(c.data_type) for c in columns}) == 1
+        a, b = one.tables
+        assert a.primary_key[0] is b.primary_key[0] is a.columns[0].name
+        fk = b.foreign_keys[0]
+        assert (fk.column, fk.foreign_column) == ("a_id", "id")
+        assert fk.column is b.columns[1].name and fk.foreign_column is a.columns[0].name
+
+    def test_loading_holds_little_beside_the_catalogs(self, tmp_path):
+        # Many databases with the Spider shape: a few tables of about a
+        # dozen columns each, names drawn from a shared vocabulary.
+        words = [f"w{i}" for i in range(300)]
+        entries = []
+        for db in range(60):
+            tables = [f"t{db}_{i}" for i in range(5)]
+            columns = [[-1, "*"]] + [
+                [table, f"{words[(db * 7 + table * 13 + k * k) % 300]}_{k}"]
+                for table in range(5) for k in range(12)
+            ]
+            types = ["text"] + [("text", "number", "time")[k % 3] for k in range(60)]
+            entries.append({
+                "db_id": f"db{db}",
+                "table_names": tables,
+                "table_names_original": tables,
+                "column_names": columns,
+                "column_names_original": columns,
+                "column_types": types,
+                "primary_keys": [1 + 12 * table for table in range(5)],
+                "foreign_keys": [[13 + 12 * table, 1] for table in range(4)],
+            })
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(entries, indent=1), encoding="utf-8")
+        size = path.stat().st_size
+        # A first load also grows the interpreter's table of interned
+        # strings by a step that depends on what the process interned
+        # before; the second load measures the loader alone.
+        load_tables_json(path)
+        tracemalloc.start()
+        try:
+            catalogs = load_tables_json(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(catalogs) == 60
+        assert peak < 4 * size, f"peak {peak} bytes for a file of {size}"
+
+
 class TestRenderSchemaPrompt:
     def test_single_column_golden(self):
         catalog = SchemaCatalog("d", [TableDef("singer", [ColumnDef("Name", "TEXT")])])
@@ -230,6 +327,21 @@ class TestCatalogInvariants:
     def test_empty_db_id_rejected(self):
         with pytest.raises(SchemaIntegrityError):
             SchemaCatalog("", [])
+
+    @pytest.mark.parametrize("tables, message", [
+        ([TableDef("t", [ColumnDef("", "TEXT")])], "d.t: empty column name"),
+        ([TableDef("t", [ColumnDef("a", "TEXT")], foreign_keys=[ForeignKey("x", "t", "a")])],
+         "d.t: foreign key column 'x' missing"),
+        ([TableDef("t", [ColumnDef("a", "TEXT")], foreign_keys=[ForeignKey("A", "u", "a")])],
+         "d.t: foreign key targets unknown table 'u'"),
+        ([TableDef("t", [ColumnDef("a", "TEXT")], foreign_keys=[ForeignKey("a", "U", "b")]),
+          TableDef("u", [ColumnDef("c", "TEXT")])],
+         "d.t: foreign key targets unknown column U.b"),
+    ], ids=["empty-column", "key-column", "target-table", "target-column"])
+    def test_built_catalog_refused(self, tables, message):
+        with pytest.raises(SchemaIntegrityError) as raised:
+            SchemaCatalog("d", tables)
+        assert str(raised.value) == message
 
 
 def test_load_database_dir_layout(tmp_path):
