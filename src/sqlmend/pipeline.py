@@ -11,25 +11,23 @@ earlier results from it, returning None: ``generate_initial_sql`` sets
 ``rounds`` and sets ``final_sql``. ``run_example`` only calls them in that
 order.
 
-The skeleton-hallucination completion is sent before generation starts and
-its answer collected after linking. Its prompt holds only the question and
-the demonstrations. Linking cannot overlap generation: its prompt carries the
-draft SQL. When the backend waits on a live model (``waits_on_model``), the
-skeleton completion runs on the pipeline's pool of ``max(1, workers)``
-threads, started on first use, so each worker has at most two completions in
-flight and a run at most ``2 × workers``. Any other backend, such as replay,
-answers it in the calling thread. Answers are read in stage order, so
-``stage_errors`` and a ``FixtureMissingError`` come out as they would one call
-at a time.
-
-On the same backends the draft is checked while linking is in flight: as
-soon as generation returns, ``submit_draft_checks`` sends ``analyze_sql`` of
-the draft and, where the catalog has a database file and
-``max_execution_retries > 0``, its execution to the same pool, while the
-worker's own thread sends linking. ``correct`` uses that analysis
-and result only while the SQL it checks is still the draft text; a check
-still queued when ``correct`` starts is cancelled, and ``correct`` runs it
-itself, as it does on every other backend.
+The skeleton-hallucination prompt holds only the question and the
+demonstrations, so its completion need not wait for generation; linking
+cannot overlap generation, as its prompt carries the draft SQL.
+``run_example`` alone decides what runs ahead. When the backend waits on a
+live model (see ``backends``), it sends the skeleton completion before
+generation starts, and, as soon as generation returns, ``check_draft`` of the
+draft (``analyze_sql``, and its execution where the catalog has a database
+file and ``max_execution_retries > 0``), both to the pipeline's pool of
+``max(1, workers)`` threads, started on first use, while the worker's own
+thread sends linking. So each worker has at most two completions in flight
+and a run at most ``2 × workers``. ``run_example`` cancels a check still
+queued once skeleton parsing is done, and ``correct`` then runs it itself.
+On any other backend, such as replay, nothing runs ahead: generation,
+linking, skeleton and each correction are asked in stage order in the
+calling thread. Answers are read in stage order on every backend, so
+``stage_errors`` and a ``FixtureMissingError`` come out as they would one
+call at a time.
 
 Every model-backed step follows one failure rule (``_attempt``): a replay-store
 miss (``FixtureMissingError``) ends the example, and any other package error is
@@ -64,8 +62,9 @@ example opens them again.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -77,7 +76,7 @@ from .alignment import (
     parse_alignment,
     tokenize_question,
 )
-from .backends import ModelBackend, ModelRequest, prompt_sha256
+from .backends import ModelBackend, ModelRequest, ModelResponse, prompt_sha256
 from .comparison import EXECUTION_ERROR, Feedback, compare_entities, compare_skeletons
 from .datasets import Example, checked, checked_items, decode_json, jsonl_lines
 from .errors import FixtureMissingError, MalformedDatasetError, SqlMendError
@@ -112,6 +111,10 @@ class PipelineConfig:
             raise ValueError("max_execution_retries must be >= 0")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
         if self.oracle not in ORACLE_MODES:
             raise ValueError(f"oracle must be one of {ORACLE_MODES}")
         if self.demonstration_order not in ("nearest-last", "nearest-first"):
@@ -354,59 +357,45 @@ class MendPipeline:
             ),
         )
 
-    def submit_skeleton(
+    def skeleton_call(
         self, example: Example, selected: list[Demonstration]
-    ) -> Future | None:
-        """Send the skeleton-hallucination completion and return its future,
-        which keeps any exception; None in oracle-skeleton mode, which makes
-        no call."""
+    ) -> Callable[[], ModelResponse] | None:
+        """The skeleton-hallucination completion, as a call that makes it;
+        None in oracle-skeleton mode, which makes no call."""
         if self.config.gold_skeleton:
             return None
         demos = [PromptDemo(question=d.question, sql=d.sql) for d in selected]
         prompt = build_prompt(PromptKind.SKELETON_PARSING, None, example.question, demos)
-        request = self._request(prompt)
-        if self.backend.waits_on_model:
-            return self._ahead.submit(self.backend.complete, request)
-        future: Future = Future()
-        try:
-            future.set_result(self.backend.complete(request))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return partial(self.backend.complete, self._request(prompt))
 
-    def submit_draft_checks(
-        self, example: Example, trace: CorrectionTrace, connections: Connections
-    ) -> Future | None:
-        """On a backend that waits on a live model, send the checks of
-        ``trace.initial_sql`` to the pool and return their future: its
-        analysis and, where ``correct`` runs the execution check, its
-        execution result on *connections* (else None). None on any other
-        backend, where ``correct`` runs the checks itself."""
-        if not self.backend.waits_on_model:
-            return None
-        sql = trace.initial_sql
+    def check_draft(
+        self, example: Example, sql: str, connections: Connections
+    ) -> tuple[SqlAnalysis, ExecutionResult | None]:
+        """The checks ``correct`` runs first on the draft *sql*: its analysis
+        and, where ``correct`` runs the execution check, its execution
+        result on *connections* (else None)."""
         catalog = self.catalogs[example.db_id]
         executes = catalog.source_path is not None and self.config.max_execution_retries > 0
-
-        def check() -> tuple[SqlAnalysis, ExecutionResult | None]:
-            return analyze_sql(sql), (
-                execute_sql(sql, catalog, connections=connections) if executes else None
-            )
-
-        return self._ahead.submit(check)
+        return analyze_sql(sql), (
+            execute_sql(sql, catalog, connections=connections) if executes else None
+        )
 
     def parse_question_skeleton(
-        self, example: Example, trace: CorrectionTrace, pending: Future | None
+        self,
+        example: Example,
+        trace: CorrectionTrace,
+        answer: Callable[[], ModelResponse] | None,
     ) -> None:
-        """Set ``parsed_skeleton`` from ``pending``, the future
-        ``submit_skeleton`` gave, or in oracle-skeleton mode from the gold."""
+        """Set ``parsed_skeleton`` from the completion *answer* returns (a
+        ``skeleton_call``, or the result of one sent ahead), or in
+        oracle-skeleton mode from the gold."""
 
         def parse() -> str:
             if self.config.gold_skeleton:
                 if not example.gold_sql:
                     raise SqlMendError("oracle mode without gold SQL")
                 return extract_skeleton(example.gold_sql)
-            trace.hallucinated_sql = extract_sql_block(pending.result().text)
+            trace.hallucinated_sql = extract_sql_block(answer().text)
             return extract_skeleton(trace.hallucinated_sql)
 
         trace.parsed_skeleton = _attempt(trace, STAGE_SKELETON, None, parse)
@@ -440,20 +429,16 @@ class MendPipeline:
         example: Example,
         trace: CorrectionTrace,
         connections: Connections | None = None,
-        draft: Future | None = None,
+        checks: tuple[SqlAnalysis, ExecutionResult | None] | None = None,
     ) -> None:
-        """Run the correction rounds and set ``final_sql``. *draft* is the
-        future ``submit_draft_checks`` gave; its analysis and execution
-        result stand for ``trace.initial_sql`` while the SQL checked is still
-        that text. If it has not started, it is cancelled and each check
-        runs here when it is needed, as with no *draft*."""
+        """Run the correction rounds and set ``final_sql``. *checks* is what
+        ``check_draft`` gave for ``trace.initial_sql``; its analysis and
+        execution result stand for that text while it is the SQL checked.
+        With no *checks*, each check runs here when it is needed."""
         catalog = self.catalogs[example.db_id]
         current = trace.initial_sql
         # Of ``current``: its analysis, for both checks, and its execution.
-        analysis: SqlAnalysis | None = None
-        result: ExecutionResult | None = None
-        if draft is not None and not draft.cancel():
-            analysis, result = draft.result()
+        analysis, result = checks or (None, None)
 
         if trace.alignment is not None and current:
             if analysis is None:
@@ -499,19 +484,24 @@ class MendPipeline:
             connections = self._idle.pop()
         except IndexError:
             connections = Connections()
+        live = self.backend.waits_on_model
         draft = None
         try:
             # The three sub-task prompts share one ranking of the pool.
             selected = self.select_demos(example.question)
-            skeleton = self.submit_skeleton(example, selected)
+            skeleton = self.skeleton_call(example, selected)
+            if live and skeleton is not None:
+                skeleton = self._ahead.submit(skeleton).result
             self.generate_initial_sql(example, trace, selected)
-            draft = self.submit_draft_checks(example, trace, connections)
+            if live:
+                draft = self._ahead.submit(
+                    self.check_draft, example, trace.initial_sql, connections
+                )
             self.link_entities(example, trace, selected)
             self.parse_question_skeleton(example, trace, skeleton)
-            if draft is None:
-                self.correct(example, trace, connections)
-            else:
-                self.correct(example, trace, connections, draft)
+            # A check still queued is cancelled, and ``correct`` runs it.
+            checks = None if draft is None or draft.cancel() else draft.result()
+            self.correct(example, trace, connections, checks)
         finally:
             if draft is not None and not draft.cancel():
                 wait([draft])  # the check may still be using the set

@@ -108,6 +108,14 @@ class TestParseAlignment:
         assert not alignment.entries[0].linked()
         assert alignment.repairs == 1
 
+    def test_record_not_an_object_or_without_a_token_dropped(self):
+        raw = ("[1, {'token': None, 'schema': None, 'type': None},"
+               " {'token': '', 'schema': 'singer', 'type': 'tbl'},"
+               " {'token': 'a', 'schema': None, 'type': None}]")
+        alignment = parse_alignment(raw, question="a")
+        assert [e.token for e in alignment.entries] == ["a"]
+        assert alignment.repairs == 3
+
     def test_tab_synonym_normalized_to_tbl(self):
         raw = "[{'token': 'x', 'schema': 'singer', 'type': 'tab'}]"
         alignment = parse_alignment(raw, question="x")

@@ -38,6 +38,11 @@ class TestModelRequest:
             ModelRequest(prompt="p", temperature=-0.5)
 
 
+def test_base_backend_answers_nothing():
+    with pytest.raises(NotImplementedError):
+        ModelBackend().complete(ModelRequest(prompt="p"))
+
+
 class TestReplayStore:
     def test_append_and_reload(self, tmp_path):
         path = tmp_path / "store.jsonl"

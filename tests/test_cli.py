@@ -123,6 +123,37 @@ class TestRun:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {dataset}: entry 3: question ")
 
+    @pytest.mark.parametrize("flag", ["--tables", "--dataset"])
+    def test_input_not_given_exits_2(self, mini_paths, replay_store_path, tmp_path, capsys, flag):
+        args = _run_args(mini_paths, replay_store_path, tmp_path / "out")
+        at = args.index(flag)
+        del args[at:at + 2]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {flag} is required\n"
+
+    @pytest.mark.parametrize("flags, manifest, message", [
+        (["--backend", "replay"], None, "replay backend requires --replay-store"),
+        (["--backend", "http"], None, "http backend requires --base-url and --model"),
+        (["--backend", "record", "--base-url", "http://model.invalid/v1", "--model", "m"], None,
+         "record backend requires --replay-store"),
+        ([], {"backend": "carrier-pigeon"}, "unknown backend 'carrier-pigeon'"),
+    ])
+    def test_backend_settings_refused_exit_2(
+        self, mini_paths, tmp_path, capsys, flags, manifest, message
+    ):
+        args = _run_args(mini_paths, "", tmp_path / "out")
+        at = args.index("--replay-store")
+        del args[at:at + 2]
+        at = args.index("--backend")
+        del args[at:at + 2]
+        if manifest is not None:
+            manifest_path = tmp_path / "manifest.json"
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            flags = [*flags, "--manifest", str(manifest_path)]
+        assert main([*args, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_flag(self, mini_paths, replay_store_path, tmp_path):
         output = tmp_path / "oracle_out"
         code = main(
@@ -646,6 +677,24 @@ class TestLinkCommand:
         assert "no decodable alignment list" in captured.err
 
 
+    def test_no_pool_links_zero_shot(self, mini_paths, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(requests, "Session", _ScriptedSession)
+        store = tmp_path / "store.jsonl"
+        args = _link_args(mini_paths, store, "json")
+        at = args.index("--pool")
+        del args[at:at + 4]  # --pool and --pool-alignments
+        args[args.index("replay")] = "record"
+        args += ["--base-url", "http://model.invalid/v1", "--model", "scripted"]
+        assert main(args) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert {"token": "singers", "schema": "singer", "type": "tbl"} in records
+        [line] = store.read_text(encoding="utf-8").splitlines()
+        prompt = json.loads(line)["prompt_text"]
+        assert prompt.count("Question: ") == 1
+        assert prompt.endswith("\nSQL: SELECT count(*) FROM singer"
+                               "\nQuestion: How many singers are there ?\nAlignments:")
+
+
 class TestSettings:
     def test_manifest_of_the_earlier_shape_reproduces_its_run(
         self, mini_paths, replay_store_path, tmp_path
@@ -711,6 +760,35 @@ class TestSettings:
         assert err.startswith("error: ")
         assert re.search(rf"\b{key}\b", err)
         assert not (tmp_path / "out" / "traces.jsonl").exists()
+
+    @pytest.mark.parametrize("flags, manifest, message", [
+        (["--workers", "-1"], None, "workers must be >= 0"),
+        ([], {"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
+    ])
+    def test_negative_workers_and_no_output_tokens_exit_2(
+        self, mini_paths, replay_store_path, tmp_path, capsys, flags, manifest, message
+    ):
+        args = _run_args(mini_paths, replay_store_path, tmp_path / "out", extra=flags)
+        if manifest is not None:
+            manifest_path = tmp_path / "manifest.json"
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            args += ["--manifest", str(manifest_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_not_an_object_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text("[]", encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest_path)]) == 2
+        assert capsys.readouterr().err == f"error: {manifest_path}: expected a JSON object\n"
+
+    def test_int_for_a_float_setting_read_as_float(self, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text('{"temperature": 1}', encoding="utf-8")
+        args = build_parser().parse_args(["run", "--manifest", str(manifest_path)])
+        temperature = RunManifest.from_args(args).config.temperature
+        assert (type(temperature), temperature) == (float, 1.0)
 
     def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -166,3 +166,19 @@ def test_read_only_authorizer_restored_when_the_release_fails(corpus_db, monkeyp
     assert missing.error_message == "no such column: ghost"
     assert refused.error_message == "not authorized"
     assert after.rows == [(4,)]
+
+
+def test_connection_whose_cache_pragma_fails_is_closed(tmp_path, traced):
+    path = tmp_path / "text.sqlite"
+    path.write_text("not a database, only text: " + "x" * 100, encoding="utf-8")
+    with closing(execution.Connections()) as kept:
+        for _ in range(2):  # nothing is kept: the second query opens again
+            result = kept.execute("SELECT 1", path, 30.0)
+            assert (result.status, result.error_message) == (
+                "engine_error", "file is not a database"
+            )
+        assert kept._open == {}
+    assert len(traced) == 2
+    for conn in traced:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.total_changes

@@ -133,6 +133,13 @@ def test_sidecar_bad_json_names_line(tmp_path):
         load_alignment_sidecar(path, ["q"])
 
 
+def test_sidecar_line_not_a_list_names_line(tmp_path):
+    path = tmp_path / "alignments.jsonl"
+    path.write_text('[]\n{"token": "a"}\n', encoding="utf-8")
+    with pytest.raises(MalformedDatasetError, match="alignments.jsonl: line 2: expected a list$"):
+        load_alignment_sidecar(path, ["q", "r"])
+
+
 def test_sidecar_shares_equal_entries_across_lines(tmp_path):
     path = tmp_path / "alignments.jsonl"
     line = [{"token": "singers", "schema": "singer", "type": "tbl"},

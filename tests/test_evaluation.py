@@ -285,6 +285,13 @@ class TestResultsMatch:
         predicted = _ok([("b",), ("a",)])
         assert results_match(predicted, gold, ordered=_ordered("SELECT x FROM t"))
 
+    def test_bytes_cells_sorted_beside_a_bool(self):
+        # A bool sends the rows down the sorting comparison, which orders
+        # bytes cells by their hex text.
+        gold = _ok([(b"\x01", True), (b"\x00", False)])
+        assert results_match(_ok([(b"\x00", False), (b"\x01", True)]), gold, ordered=False)
+        assert not results_match(_ok([(b"\x00", True), (b"\x01", False)]), gold, ordered=False)
+
     def test_order_by_makes_sequences_significant(self):
         gold = _ok([("a",), ("b",)])
         predicted = _ok([("b",), ("a",)])

@@ -23,13 +23,14 @@ from sqlmend.backends import (
     ReplayStore,
 )
 from sqlmend.comparison import Feedback
-from sqlmend.errors import FixtureMissingError
+from sqlmend.errors import FixtureMissingError, SqlMendError
 from sqlmend.pipeline import (
     STAGE_GENERATION,
     STAGE_LINKING,
     STAGE_SKELETON,
     CorrectionRound,
     CorrectionTrace,
+    MendPipeline,
     PipelineConfig,
     read_traces,
     write_traces,
@@ -252,19 +253,15 @@ class TestOracleModes:
         assert trace.final_sql
 
 
-class _SkeletonBeforeGeneration(ScriptedBackend):
-    """Answers generation only once the skeleton request has arrived."""
+class _NotingKinds(ScriptedBackend):
+    """The scripted model, noting the kind of each prompt it answers."""
 
     def __init__(self):
         super().__init__()
-        self.skeleton_sent = threading.Event()
+        self.kinds = []
 
     def complete(self, request):
-        if request.prompt.startswith("Hallucinate a SQL"):
-            self.skeleton_sent.set()
-        elif request.prompt.startswith("Generate a SQL"):
-            assert self.skeleton_sent.wait(timeout=2), "skeleton request not sent yet"
-            self.skeleton_sent.clear()
+        self.kinds.append(self._kind(request.prompt))
         return super().complete(request)
 
 
@@ -305,11 +302,18 @@ def _trace_bytes(traces, path) -> bytes:
 
 
 class TestSkeletonOverlap:
-    def test_skeleton_sent_before_generation(self, mini_env):
-        pipeline = mini_env.pipeline(_SkeletonBeforeGeneration())
-        expected = mini_env.pipeline(ScriptedBackend()).run(mini_env.examples)
-        traces = pipeline.run(mini_env.examples)
-        assert [t.to_dict() for t in traces] == [t.to_dict() for t in expected]
+    def test_synchronous_backend_asked_in_stage_order(self, mini_env):
+        fixes = {"missing_entities": "correction_entity",
+                 "skeleton_mismatch": "correction_skeleton",
+                 "execution_error": "correction_execution"}
+        asked = set()
+        for example in mini_env.examples:
+            backend = _NotingKinds()
+            trace = mini_env.pipeline(backend).run_example(example)
+            corrections = [fixes[r.feedback.kind] for r in trace.rounds]
+            assert backend.kinds == ["generation", "linking", "hallucination", *corrections]
+            asked.update(corrections)
+        assert asked == set(fixes.values())
 
     def test_skeleton_in_flight_with_generation(self, mini_env, tmp_path):
         backend = RecordingBackend(_GenerationMeetsSkeleton(), ReplayStore(tmp_path / "s.jsonl"))
@@ -373,7 +377,7 @@ class TestSkeletonOverlap:
     def test_oracle_skeleton_submits_nothing(self, mini_env):
         backend = CountingBackend(ScriptedBackend())
         pipeline = mini_env.pipeline(backend, oracle="skeleton")
-        assert pipeline.submit_skeleton(mini_env.examples[0], []) is None
+        assert pipeline.skeleton_call(mini_env.examples[0], []) is None
         assert backend.calls == 0
 
 
@@ -853,7 +857,7 @@ class TestKeptConnections:
         correct = sqlmend.pipeline.MendPipeline.correct
 
         def exclusive(self, *args):
-            connections = args[-1]
+            connections = args[2]
             with lock:
                 if connections in held:
                     overlaps.append(connections)
@@ -948,6 +952,20 @@ class TestConfig:
             PipelineConfig(oracle="oracle_both")  # the old spelling; manifests still map it
         with pytest.raises(ValueError):
             PipelineConfig(demonstration_order="random")
+
+    def test_few_shot_without_a_pool_refused(self, mini_env):
+        with pytest.raises(SqlMendError,
+                           match="^few-shot inference requires a demonstration pool and index$"):
+            MendPipeline(mini_env.catalogs, [], None, ScriptedBackend(), PipelineConfig(shots=1))
+        assert MendPipeline(mini_env.catalogs, [], None, ScriptedBackend(),
+                            PipelineConfig(shots=0)).pool == []
+
+    def test_negative_workers_and_no_output_tokens_refused(self):
+        with pytest.raises(ValueError, match="^workers must be >= 0$"):
+            PipelineConfig(workers=-3)
+        with pytest.raises(ValueError, match="^max_output_tokens must be >= 1$"):
+            PipelineConfig(max_output_tokens=0)
+        assert PipelineConfig(workers=0, max_output_tokens=1).workers == 0
 
 
 class TestTraceSerialization:

@@ -158,6 +158,10 @@ class TestPromptContracts:
         with pytest.raises(PromptConstructionError):
             build_prompt(PromptKind.ENTITY_LINKING, catalog, "Q?", [])
 
+    def test_unknown_kind(self, catalog):
+        with pytest.raises(PromptConstructionError, match="^unknown prompt kind 'summary'$"):
+            build_prompt("summary", catalog, "Q?", [])
+
 
 class TestExtractSqlBlock:
     def test_fenced_block(self):
@@ -168,6 +172,11 @@ class TestExtractSqlBlock:
             extract_sql_block("Here you go: SELECT name FROM singer;")
             == "SELECT name FROM singer"
         )
+
+    @pytest.mark.parametrize("raw", ["", " \n "])
+    def test_empty_output_raises(self, raw):
+        with pytest.raises(SqlExtractionError, match="^model output is empty$"):
+            extract_sql_block(raw)
 
     def test_refusal_raises(self):
         with pytest.raises(SqlExtractionError):
@@ -184,6 +193,10 @@ class TestExtractSqlBlock:
     def test_with_statement_fallback(self):
         raw = "Try: WITH t AS (SELECT 1) SELECT * FROM t"
         assert extract_sql_block(raw) == "WITH t AS (SELECT 1) SELECT * FROM t"
+
+    def test_statement_in_a_plain_fence_ends_at_the_fence(self):
+        raw = "```\nSELECT name\nFROM singer\n```\nThat is all."
+        assert extract_sql_block(raw) == "SELECT name FROM singer"
 
     def test_unclosed_fence_falls_back_to_statement(self):
         raw = "```sql\nSELECT name FROM singer"

@@ -61,6 +61,24 @@ class TestLoadTablesJson:
     def test_empty_array(self, tmp_path):
         assert load_tables_json(_write_tables(tmp_path, [])) == []
 
+    def test_column_types_of_another_length(self, tmp_path):
+        path = _write_tables(
+            tmp_path,
+            [
+                {
+                    "db_id": "bad",
+                    "table_names_original": ["t"],
+                    "column_names_original": [[-1, "*"], [0, "a"]],
+                    "column_types": ["text"],
+                    "primary_keys": [],
+                    "foreign_keys": [],
+                }
+            ],
+        )
+        with pytest.raises(MalformedDatasetError,
+                           match=r"entry 0 \(bad\): column_types length does not match columns$"):
+            load_tables_json(path)
+
     def test_dangling_foreign_key_index(self, tmp_path):
         path = _write_tables(
             tmp_path,

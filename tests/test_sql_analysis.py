@@ -67,6 +67,15 @@ class TestTokenizer:
         assert ("operator", "-") in pairs
         assert ("number", "2") in pairs
 
+    def test_leading_dot_number_only_after_a_non_identifier(self):
+        pairs = [(t.kind, t.text) for t in tokenize_sql("SELECT .5, t.5")]
+        assert pairs == [("keyword", "SELECT"), ("number", ".5"), ("punctuation", ","),
+                         ("identifier", "t"), ("punctuation", "."), ("number", "5")]
+
+    def test_exponent_with_a_sign_is_one_number(self):
+        tokens = tokenize_sql("WHERE a > 1e+5 AND b < 2.5E-3")
+        assert [t.text for t in tokens if t.kind == "number"] == ["1e+5", "2.5E-3"]
+
     @pytest.mark.parametrize("sql", CORPUS_SQLS)
     def test_full_cover_except_whitespace(self, sql):
         previous_end = 0
@@ -109,6 +118,12 @@ class TestSkeletonCorpus:
             extract_skeleton("SELECT T1.name FROM singer AS T1 ORDER BY T1.age")
             == "SELECT _ FROM _ ORDER BY _"
         )
+
+    def test_identifier_after_an_alias_is_a_column(self):
+        analysis = analyze_sql("SELECT * FROM singer s age")
+        assert analysis.skeleton == "SELECT * FROM _ _"
+        assert analysis.aliases == {"s": "singer"}
+        assert analysis.column_refs == [(None, "age")]
 
     def test_semicolon_dropped(self):
         assert extract_skeleton("SELECT name FROM singer;") == "SELECT _ FROM _"
