@@ -56,10 +56,39 @@ class Alignment:
     @classmethod
     def from_records(cls, records: list[dict], shared: dict | None = None) -> "Alignment":
         """The alignment gold *records* describe, repairing nothing: a record
-        ``parse_alignment`` would repair is a ``MalformedDatasetError`` (see
-        ``_entries_from_records``). Entries equal to one already in *shared*,
-        a table the caller keeps across calls, are that entry."""
-        entries, _ = _entries_from_records(records, {} if shared is None else shared, strict=True)
+        ``parse_alignment`` would repair, or whose token is blank or not a
+        string or whose schema is not a string, is a ``MalformedDatasetError``
+        naming its position. Entries equal to one already in *shared*, a
+        table the caller keeps across calls, are that entry.
+
+        Each key ``_filed`` puts in *shared* has a non-empty string token, a
+        string or null schema and a type ``_link_type`` accepts, so it passes
+        every check below but the blank-token one: a record whose raw (token,
+        schema, type) is a key, with a non-blank token, is that entry
+        unchecked. A gold pool repeats few distinct records."""
+        shared = {} if shared is None else shared
+        entries: list[AlignmentEntry] = []
+        for position, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise MalformedDatasetError(f"record {position}: not an object: {record!r:.40}")
+            token = record.get("token")
+            schema_entity, raw_type = record.get("schema"), record.get("type")
+            try:
+                entry = shared.get((token, schema_entity, raw_type))
+            except TypeError:  # an unhashable value, which the checks refuse
+                entry = None
+            if entry is not None and entry.token.strip():
+                entries.append(entry)
+                continue
+            if not (isinstance(token, str) and token.strip()):
+                fault = f"token must be a non-blank string, not {token!r:.40}"
+            elif not isinstance(schema_entity, str | None):
+                fault = f"schema must be a string or null, not {schema_entity!r:.40}"
+            else:
+                entity_type, fault = _link_type(schema_entity, raw_type)
+            if fault:
+                raise MalformedDatasetError(f"record {position}: {fault}")
+            entries.append(_filed(shared, token, schema_entity, entity_type))
         return cls(entries=entries)
 
 
@@ -84,9 +113,11 @@ def parse_alignment(raw: str, question: str, shared: dict | None = None) -> Alig
     the first balanced ``[...]`` span that decodes as a list. When the first
     ``[`` opens a list of flat dicts of strings, constants and small ints,
     as models write it, that list is read in one pass; anything else goes
-    through the two decoders. Entries violating the both-null rule are
-    repaired by nulling both fields and counted in ``repairs``; so is an
-    answer whose tokens are not a subsequence of *question*'s.
+    through the two decoders. Each repair is counted in ``repairs``: a
+    record that is not an object, or whose token is null or empty, is
+    dropped; one with an unknown type, or with only one of schema and type,
+    is unlinked (both fields nulled); and an answer whose tokens are not a
+    subsequence of *question*'s is flagged once.
 
     *shared* is a table of entries the caller keeps across calls, as
     ``Alignment.from_records`` takes it: an entry equal to one already in it
@@ -95,7 +126,21 @@ def parse_alignment(raw: str, question: str, shared: dict | None = None) -> Alig
     records = _first_list_literal(raw)
     if records is None:
         raise AlignmentParseError("no decodable alignment list in model output", raw=raw)
-    entries, repairs = _entries_from_records(records, {} if shared is None else shared)
+    shared = {} if shared is None else shared
+    entries: list[AlignmentEntry] = []
+    repairs = 0
+    for record in records:
+        token = record.get("token") if isinstance(record, dict) else None
+        if token is None or str(token) == "":
+            repairs += 1
+            continue
+        schema = record.get("schema")
+        schema = None if schema is None else str(schema)
+        entity_type, fault = _link_type(schema, record.get("type"))
+        if fault:
+            repairs += 1
+            schema = None
+        entries.append(_filed(shared, str(token), schema, entity_type))
     reference = _QUESTION_TOKENS(question)
     if reference and not _is_subsequence([e.token for e in entries], reference):
         repairs += 1  # model dropped or invented tokens; keep entries, flag it
@@ -113,75 +158,32 @@ def _is_subsequence(candidate: list[str], reference: list[str]) -> bool:
     return True
 
 
-def _entries_from_records(
-    records: list, shared: dict[tuple, AlignmentEntry], strict: bool = False
-) -> tuple[list[AlignmentEntry], int]:
-    """The entries of *records* and the number of repairs made to them.
-    With *strict*, as for gold data, a record that would be repaired, or
-    whose token or schema is not a string, raises ``MalformedDatasetError``
-    naming its position instead.
+def _link_type(schema_entity: str | None, raw_type: object) -> tuple[str | None, str | None]:
+    """The link type *raw_type* names, with ``tab`` read as ``tbl``, and
+    None; or None and the fault that keeps a record linked to
+    *schema_entity* from having it: an unknown type, or a link set on one
+    side only."""
+    entity_type = None
+    if raw_type is not None:
+        entity_type = _TYPE_SYNONYMS.get(str(raw_type).strip().lower())
+        if entity_type is None:
+            return None, f"unknown type {raw_type!r:.40}"
+    if (schema_entity is None) != (entity_type is None):
+        return None, (f"schema {schema_entity!r:.40} and type {raw_type!r:.40}"
+                      " must both be set or both be null")
+    return entity_type, None
 
-    *shared* holds only entries that this function made, keyed by their
-    (token, schema, type). Each such key passes every strict check but the
-    one for a blank token, which only a lenient call lets through: its token
-    is a string, its schema a string or null, and its type a known one, set
-    or null together with the schema. So a strict call takes a record whose
-    raw (token, schema, type) is such a key, with a non-blank token, as that
-    entry with no further check; a gold pool repeats few distinct records."""
-    entries: list[AlignmentEntry] = []
-    repairs = 0
 
-    def repair(position: int, fault: str) -> int:
-        if strict:
-            raise MalformedDatasetError(f"record {position}: {fault}")
-        return 1
-
-    for position, record in enumerate(records):
-        if not isinstance(record, dict):
-            repairs += repair(position, f"not an object: {record!r:.40}")
-            continue
-        token = record.get("token")
-        schema_entity, raw_type = record.get("schema"), record.get("type")
-        if strict:
-            try:
-                entry = shared.get((token, schema_entity, raw_type))
-            except TypeError:  # an unhashable value, which the checks refuse
-                entry = None
-            if entry is not None and entry.token.strip():
-                entries.append(entry)
-                continue
-        if token is None or str(token) == "" or strict and not (
-            isinstance(token, str) and token.strip()
-        ):
-            repairs += repair(position, f"token must be a non-blank string, not {token!r:.40}")
-            continue
-        if strict and not isinstance(schema_entity, str | None):
-            raise MalformedDatasetError(
-                f"record {position}: schema must be a string or null, not {schema_entity!r:.40}"
-            )
-        if schema_entity is not None:
-            schema_entity = sys.intern(str(schema_entity))
-        entity_type = fault = None
-        if raw_type is not None:
-            entity_type = _TYPE_SYNONYMS.get(str(raw_type).strip().lower())
-            if entity_type is None:
-                fault = f"unknown type {raw_type!r:.40}"
-        if fault is None and (schema_entity is None) != (entity_type is None):
-            fault = (f"schema {schema_entity!r:.40} and type {raw_type!r:.40}"
-                     " must both be set or both be null")
-        if fault:
-            # One-sided link or unrecognized type: unlink and flag.
-            repairs += repair(position, fault)
-            schema_entity = entity_type = None
-        # Interned and shared: a pool's alignments, and a run's answers,
-        # repeat the same tokens, names and entries. ``setdefault`` is one
-        # step, so threads that share the table agree on each entry.
-        key = (sys.intern(str(token)), schema_entity, entity_type)
-        entry = shared.get(key)
-        if entry is None:
-            entry = shared.setdefault(key, AlignmentEntry(*key))
-        entries.append(entry)
-    return entries, repairs
+def _filed(shared: dict, token: str, schema: str | None, kind: str | None) -> AlignmentEntry:
+    """The entry *shared* files under (token, schema, kind), interned, made
+    and filed when new: a pool's alignments, and a run's answers, repeat the
+    same tokens, names and entries. ``setdefault`` is one step, so threads
+    that share the table agree on each entry."""
+    key = (sys.intern(token), None if schema is None else sys.intern(schema), kind)
+    entry = shared.get(key)
+    if entry is None:
+        entry = shared.setdefault(key, AlignmentEntry(*key))
+    return entry
 
 
 # The shape of list that models answer the linking prompt with, decoded in

@@ -174,11 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     output_dir = Path(manifest.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     print(f"running {len(examples)} examples with backend={manifest.backend}")
-    try:
-        traces = pipeline.run(examples)
-    except FixtureMissingError as exc:
-        print(f"fixture missing from replay store: {exc.prompt_sha256}", file=sys.stderr)
-        return EXIT_FIXTURE_MISSING
+    traces = pipeline.run(examples)
     trace_path = output_dir / "traces.jsonl"
     write_traces(traces, trace_path)
     manifest_path = output_dir / "manifest.json"
@@ -251,6 +247,8 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_args(args)
     catalogs = _load_catalogs(manifest)
+    if args.db_id not in catalogs:
+        raise SqlMendError(f"unknown db_id {args.db_id!r}")
     pool, index = _load_pool(manifest)
     if not pool:
         manifest.config.shots = 0
@@ -265,11 +263,9 @@ def cmd_link(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(alignment.to_records(), sort_keys=True))
     else:
-        for record in alignment.to_records():
-            linked = (
-                f"{record['schema']} ({record['type']})" if record["schema"] else "-"
-            )
-            print(f"{record['token']:<20} {linked}")
+        for entry in alignment.entries:
+            linked = f"{entry.schema_entity} ({entry.entity_type})" if entry.schema_entity else "-"
+            print(f"{entry.token:<20} {linked}")
     return EXIT_OK
 
 
@@ -339,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FixtureMissingError as exc:
+        print(f"fixture missing from replay store: {exc.prompt_sha256}", file=sys.stderr)
+        return EXIT_FIXTURE_MISSING
     except (OSError, SqlMendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -185,13 +185,11 @@ def jsonl_lines(path: Path) -> list[str]:
 def load_alignment_sidecar(path: str | Path, questions: list[str]) -> list[Alignment | None]:
     """Sidecar line *i* is the gold alignment of question *i*; blank lines
     mean no gold, and *questions* bounds the line count. Lines end at
-    ``"\n"`` (see ``jsonl_lines``). Equal entries of different
-    lines are one ``AlignmentEntry``, and a record written as an entry
-    already read is that entry, not checked again (see
-    ``alignment._entries_from_records``). Gold data is not repaired: a record
-    that is not an object, has no non-blank string token, a schema that is
-    not a string, an unknown type or a link with only one of schema and type
-    is a ``MalformedDatasetError`` naming the file and line."""
+    ``"\n"`` (see ``jsonl_lines``). Each line is read by
+    ``Alignment.from_records``, which states the gold rule, with one table
+    of entries for the whole file: equal entries of different lines are one
+    ``AlignmentEntry``. A record it refuses is a ``MalformedDatasetError``
+    naming the file and line."""
     path = Path(path)
     lines = jsonl_lines(path)
     if len(lines) > len(questions):

@@ -218,7 +218,7 @@ def correction_prompt(
     )
 
 
-_SQL_FENCE = re.compile(r"```sql\s*(.*?)```", re.IGNORECASE | re.DOTALL)
+_SQL_FENCE = re.compile(r"```sql\b\s*(.*?)```", re.IGNORECASE | re.DOTALL)
 _SQL_START = re.compile(r"\b(select|with)\b", re.IGNORECASE)
 
 

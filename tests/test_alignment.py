@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from sqlmend.errors import (
     MalformedDatasetError,
 )
 
-from support import alignment_reference, question_tokens_reference
+from support import alignment_reference, answer_reference, question_tokens_reference
 
 
 class TestTokenizeQuestion:
@@ -446,6 +449,32 @@ def test_strict_call_refuses_a_blank_token_a_lenient_call_filed():
     lenient = parse_alignment(repr(good), question="a", shared=shared)
     assert Alignment.from_records(good, shared=shared).entries == lenient.entries
     assert Alignment.from_records(good, shared=shared).entries[0] is lenient.entries[0]
+
+
+# Answer records: every fault the repairing reader counts, beside records
+# that pass, with tokens from the question and tokens outside it.
+_ANSWER_QUESTION = "How many singers are there ?"
+_ANSWER_VALUES = {
+    "token": [None, "", " ", "singers", "How", "there", "?", "bands", 5, 1.5, True, ["x"]],
+    "schema": [None, "singer", "singer.name", "", 5, True, ["s"], {"a": 1}],
+    "type": [None, "tbl", "tab", " COL", "col", "val", "table", "", True, False, 3, ["col"]],
+}
+_ANSWER_RECORDS = st.one_of(
+    st.fixed_dictionaries({key: st.sampled_from(v) for key, v in _ANSWER_VALUES.items()}),
+    st.dictionaries(st.sampled_from(["token", "schema", "type", "extra"]),
+                    st.sampled_from(["singers", "singer", "tbl", None, 5]), max_size=4),
+    st.sampled_from(["singers", 1, [], None, True]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=st.lists(_ANSWER_RECORDS, max_size=8))
+def test_answer_gives_what_repairing_record_by_record_gives(records):
+    found = parse_alignment(json.dumps(records), _ANSWER_QUESTION)
+    expected = answer_reference.read_answer(
+        records, question_tokens_reference.tokenize_question(_ANSWER_QUESTION)
+    )
+    assert ([dataclasses.astuple(e) for e in found.entries], found.repairs) == expected
 
 
 def test_macro_average_adds_left_to_right():

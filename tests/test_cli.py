@@ -677,6 +677,31 @@ class TestLinkCommand:
         assert "no decodable alignment list" in captured.err
 
 
+    def test_replay_store_miss_exits_3_naming_the_prompt(
+        self, mini_paths, replay_store_path, tmp_path, capsys
+    ):
+        # The linking prompt's hash, as the full store records it.
+        lines = replay_store_path.read_text(encoding="utf-8").splitlines()
+        [digest] = [
+            record["prompt_sha256"] for record in map(json.loads, lines)
+            if record["prompt_text"].startswith("Align the tokens")
+            and record["prompt_text"].endswith("Question: How many singers are there ?\nAlignments:")
+        ]
+        empty_store = tmp_path / "empty.jsonl"
+        empty_store.write_text("", encoding="utf-8")
+        assert main(_link_args(mini_paths, empty_store, "json")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fixture missing from replay store: {digest}\n"
+
+    def test_unknown_db_id_exits_2_naming_it(self, mini_paths, replay_store_path, capsys):
+        args = _link_args(mini_paths, replay_store_path, "json")
+        args[args.index("talent_show")] = "no_such_db"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown db_id 'no_such_db'\n"
+
     def test_no_pool_links_zero_shot(self, mini_paths, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(requests, "Session", _ScriptedSession)
         store = tmp_path / "store.jsonl"

@@ -198,6 +198,17 @@ class TestExtractSqlBlock:
         raw = "```\nSELECT name\nFROM singer\n```\nThat is all."
         assert extract_sql_block(raw) == "SELECT name FROM singer"
 
+    @pytest.mark.parametrize("raw, sql", [
+        ("```sqlite\nSELECT 1\n```", "SELECT 1"),
+        ("```sql_x\nSELECT 1\n```", "SELECT 1"),
+        ("```SQL\nSELECT 2;\n```", "SELECT 2"),
+        ("```sql```\nSELECT 3", "SELECT 3"),
+    ])
+    def test_fence_tag_is_sql_alone(self, raw, sql):
+        # A tag that only starts with "sql" is not an sql fence: its statement
+        # is found by the SELECT/WITH search, not read from after "sql".
+        assert extract_sql_block(raw) == sql
+
     def test_unclosed_fence_falls_back_to_statement(self):
         raw = "```sql\nSELECT name FROM singer"
         assert extract_sql_block(raw) == "SELECT name FROM singer"
